@@ -1,6 +1,6 @@
 //! Checkpoint/restore: serialize a running [`Cluster`] to a
-//! self-contained, versioned JSON artifact and rebuild it later — on a
-//! different process, machine, or queue backend — such that the resumed
+//! self-contained, versioned JSON artifact and rebuild it later — in a
+//! different process or on a different machine — such that the resumed
 //! run is byte-identical (trace, stats, snapshots, interleaving digest)
 //! to the uninterrupted one.
 //!
@@ -10,10 +10,8 @@
 //! arenas, RNG stream, delivery-order hook, trace), the shared world
 //! (global memory, jobs, queue, gang matrix, node health, devices,
 //! replication plane, telemetry), and every dæmon's private state (MM,
-//! NMs, PLs). The configuration is embedded with its environment-
-//! dependent knobs (`queue_backend`, `event_batching`) pinned to their
-//! resolved values, so a restore replays the same choices regardless of
-//! the restoring process's environment.
+//! NMs, PLs). The configuration is embedded whole; nothing about a
+//! restore depends on the restoring process's environment.
 //!
 //! Restore works by *reconstruction*: [`Cluster::new`] rebuilds the
 //! deterministic layout (component wiring, QsNET model, fault plan) from
@@ -46,8 +44,8 @@ use storm_mech::{CawAudit, ErrorBurst, GlobalMemory, MemoryState, NodeId, NodeSe
 use storm_net::{BackgroundLoad, BufferPlacement, NetworkKind, Nic};
 use storm_sim::{
     intern_label, ArenaState, ComponentId, DeliveryOrder, DeliveryOrderState, EngineState,
-    GroupSchedule, GroupState, GroupTargets, OrderModeState, QueueAccounting, QueueBackend,
-    QueuedEventState, SimSpan, SimTime, TraceRecord,
+    GroupSchedule, GroupState, GroupTargets, OrderModeState, QueueAccounting, QueuedEventState,
+    SimSpan, SimTime, TraceRecord,
 };
 use storm_telemetry::json::{num, parse, render, Value};
 use storm_telemetry::registry::HISTOGRAM_BUCKETS;
@@ -57,7 +55,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 type R<T> = Result<T, String>;
 
@@ -412,15 +410,6 @@ fn enc_config(cfg: &ClusterConfig) -> Value {
         ("group_delivery", boolean(cfg.group_delivery)),
         ("telemetry", boolean(cfg.telemetry)),
         (
-            "queue_backend",
-            string(match cfg.resolved_queue_backend() {
-                QueueBackend::Heap => "heap",
-                QueueBackend::Wheel => "wheel",
-            }),
-        ),
-        ("event_batching", boolean(cfg.resolved_event_batching())),
-        ("threads", num(cfg.resolved_threads())),
-        (
             "delivery_order",
             opt(cfg.delivery_order.as_ref(), |o| {
                 enc_order_state(&o.export_state())
@@ -481,13 +470,6 @@ fn dec_config(v: &Value) -> R<ClusterConfig> {
         mm_standbys: du32(v.req("mm_standbys")?)?,
         group_delivery: dbool(v.req("group_delivery")?)?,
         telemetry: dbool(v.req("telemetry")?)?,
-        queue_backend: Some(match v.req_str("queue_backend")? {
-            "heap" => QueueBackend::Heap,
-            "wheel" => QueueBackend::Wheel,
-            other => return Err(format!("unknown queue backend {other:?}")),
-        }),
-        event_batching: Some(dbool(v.req("event_batching")?)?),
-        threads: Some(du32(v.req("threads")?)?),
         delivery_order: dopt(v.req("delivery_order")?)
             .map(|o| Ok::<_, String>(DeliveryOrder::import_state(dec_order_state(o)?)))
             .transpose()?,
@@ -876,7 +858,6 @@ fn enc_engine(e: &EngineState<Msg>) -> Value {
         ("delivered", num(e.delivered)),
         ("handled", num(e.handled)),
         ("max_events", num(e.max_events)),
-        ("batching", boolean(e.batching)),
         (
             "entries",
             Value::Arr(
@@ -956,7 +937,6 @@ fn dec_engine(v: &Value) -> R<EngineState<Msg>> {
         delivered: v.req_u64("delivered")?,
         handled: v.req_u64("handled")?,
         max_events: v.req_u64("max_events")?,
-        batching: dbool(v.req("batching")?)?,
         entries: elems(v, "entries")?
             .iter()
             .map(|row| {
@@ -2202,16 +2182,10 @@ fn dec_nm(v: &Value) -> R<NmState> {
 
 impl Cluster {
     /// Serialize the cluster's complete mutable state to a self-contained
-    /// versioned JSON artifact (the `CKPT_*.json` format). The embedded
-    /// configuration pins the environment-resolved knobs (queue backend,
-    /// event batching), so [`Cluster::restore`] replays the same choices
-    /// anywhere. Call between runs, never from inside a handler.
+    /// versioned JSON artifact (the `CKPT_*.json` format). Call between
+    /// runs, never from inside a handler.
     pub fn checkpoint(&self) -> String {
         let w = self.sim().world();
-        let mut cfg = w.cfg.clone();
-        cfg.queue_backend = Some(cfg.resolved_queue_backend());
-        cfg.event_batching = Some(cfg.resolved_event_batching());
-        cfg.threads = Some(cfg.resolved_threads());
         let mms: Vec<Value> = w
             .wiring
             .mms
@@ -2264,7 +2238,7 @@ impl Cluster {
         let doc = Value::Obj(vec![
             ("version".into(), num(CHECKPOINT_VERSION)),
             ("kind".into(), Value::Str("storm-checkpoint".into())),
-            ("config".into(), enc_config(&cfg)),
+            ("config".into(), enc_config(&w.cfg)),
             ("next_job".into(), num(self.next_job_counter())),
             (
                 "engine".into(),
@@ -2281,8 +2255,8 @@ impl Cluster {
     /// Rebuild a cluster from a [`Cluster::checkpoint`] artifact. The
     /// resumed run is byte-identical — trace, stats, telemetry snapshots,
     /// and interleaving digest — to the run the checkpoint was taken
-    /// from, under either queue backend. Rejects version mismatches and
-    /// malformed documents with a descriptive error.
+    /// from. Rejects version mismatches and malformed documents with a
+    /// descriptive error.
     pub fn restore(text: &str) -> Result<Cluster, String> {
         let doc = parse(text)?;
         let version = doc.req_u64("version")?;
@@ -2433,7 +2407,21 @@ mod tests {
         let v99 = r#"{"version": 99, "kind": "storm-checkpoint"}"#;
         let err = Cluster::restore(v99).err().expect("v99 must be rejected");
         assert!(err.contains("version"), "got: {err}");
-        let wrong_kind = r#"{"version": 1, "kind": "something-else"}"#;
+        let wrong_kind = r#"{"version": 2, "kind": "something-else"}"#;
         assert!(Cluster::restore(wrong_kind).is_err());
+        // A well-formed checkpoint relabelled as version 1 (the layout that
+        // still carried `queue_backend`, `event_batching` and `threads`)
+        // must be refused up front, not half-decoded.
+        let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
+        let key = format!("\"version\":{CHECKPOINT_VERSION}");
+        assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
+        let v1 = current.replacen(&key, "\"version\":1", 1);
+        let err = Cluster::restore(&v1)
+            .err()
+            .expect("a version-1 artifact must be rejected");
+        assert!(
+            err.contains("unsupported checkpoint version 1"),
+            "got: {err}"
+        );
     }
 }

@@ -13,7 +13,7 @@ use crate::msg::Msg;
 use crate::nm::NodeManager;
 use crate::pl::ProgramLauncher;
 use crate::world::World;
-use storm_sim::{ComponentId, QueueStats, SimSpan, SimTime, Simulation};
+use storm_sim::{ComponentId, QueueBackend, QueueStats, SimSpan, SimTime, Simulation};
 
 /// A fully-wired simulated STORM cluster.
 pub struct Cluster {
@@ -32,18 +32,13 @@ impl Cluster {
         let mut sim = Simulation::new_with_backend(
             world,
             seed,
-            cfg.resolved_queue_backend(),
+            QueueBackend::Wheel,
             SimSpan::from_nanos(cfg.collect_period().as_nanos() / 64),
         );
         // The DST delivery-order hook must be live before the first event
         // is posted so every insertion of the run is keyed (which is what
         // makes a seeded run regenerable as an explicit tie script).
         sim.set_delivery_order(cfg.delivery_order.clone());
-        sim.set_event_batching(cfg.resolved_event_batching());
-        // Parallel window execution is byte-identical to serial, so the
-        // thread count never perturbs a run — the engine auto-suspends it
-        // while a delivery-order hook is installed.
-        sim.set_threads(cfg.resolved_threads() as usize);
         let mm = sim.add_component(MachineManager::new());
         let mut nms = Vec::with_capacity(cfg.nodes as usize);
         let mut pls = Vec::with_capacity(cfg.nodes as usize);
@@ -349,9 +344,8 @@ impl Cluster {
     }
 
     /// Raw event-queue accounting (push/pop totals, current and peak
-    /// depth) straight from the backend — no cloning. Depth counts a
-    /// group-delivery entry once, so it is backend-identical but differs
-    /// across delivery modes.
+    /// depth) straight from the queue — no cloning. Depth counts a
+    /// group-delivery entry once, so it differs across delivery modes.
     pub fn queue_stats(&self) -> QueueStats {
         self.sim.queue_stats()
     }
@@ -360,34 +354,6 @@ impl Cluster {
     /// resident bytes) merged across the unicast and group arenas.
     pub fn arena_stats(&self) -> storm_sim::ArenaStats {
         self.sim.arena_stats()
-    }
-
-    /// Whether the engine is batching same-timeslice events (the resolved
-    /// [`ClusterConfig::event_batching`] / `STORM_BATCH` setting).
-    pub fn event_batching(&self) -> bool {
-        self.sim.event_batching()
-    }
-
-    /// Worker threads for parallel window execution (the resolved
-    /// [`ClusterConfig::threads`] / `STORM_THREADS` setting; 1 = serial).
-    pub fn threads(&self) -> usize {
-        self.sim.threads()
-    }
-
-    /// Windows executed on the parallel path so far (see
-    /// [`Simulation::parallel_windows`]).
-    ///
-    /// [`Simulation::parallel_windows`]: storm_sim::Simulation::parallel_windows
-    pub fn parallel_windows(&self) -> u64 {
-        self.sim.parallel_windows()
-    }
-
-    /// Lower the minimum window size for parallel execution (test/bench
-    /// hook — small clusters can't form the default 128-event windows, and
-    /// the lock-step identity suites need the parallel path to actually
-    /// run, not vacuously fall back to serial).
-    pub fn set_parallel_window_min(&mut self, min: usize) {
-        self.sim.set_parallel_window_min(min);
     }
 
     /// The engine's interleaving digest (see

@@ -7,7 +7,7 @@
 use crate::fault::{FailurePolicy, FaultSchedule};
 use storm_fs::FsKind;
 use storm_net::{BackgroundLoad, BufferPlacement, NetworkKind};
-use storm_sim::{DeliveryOrder, QueueBackend, SimSpan};
+use storm_sim::{DeliveryOrder, SimSpan};
 
 /// Which queueing/scheduling policy the MM runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -169,20 +169,6 @@ pub struct ClusterConfig {
     /// trace, or the RNG stream — but the zero-cost default keeps the
     /// hot paths at a single branch.
     pub telemetry: bool,
-    /// Event-queue backend. `None` (the default) resolves to the
-    /// `STORM_QUEUE_BACKEND` environment variable (`heap` or `wheel`) if
-    /// set, otherwise the timing wheel; `Some(_)` pins a backend
-    /// explicitly (what the determinism tests use to compare the two).
-    /// Pop order — and so traces, stats, and telemetry — is byte-identical
-    /// either way.
-    pub queue_backend: Option<QueueBackend>,
-    /// Same-timeslice event batching in the engine. `None` (the default)
-    /// resolves to the `STORM_BATCH` environment variable (`off`/`0`/
-    /// `false` disables it) if set, otherwise on; `Some(_)` pins the
-    /// choice explicitly. Batching is byte-identical to per-message
-    /// delivery — the off switch exists to prove that in tests and to
-    /// measure the win, mirroring `queue_backend`.
-    pub event_batching: Option<bool>,
     /// Deterministic-simulation-testing hook: permute same-timestamp event
     /// delivery (and optionally add bounded delivery delay) under the
     /// hook's own seeded stream. `None` — the default — keeps the engine's
@@ -191,13 +177,6 @@ pub struct ClusterConfig {
     /// run keys every insertion of the simulation's lifetime. See
     /// DESIGN.md §14.
     pub delivery_order: Option<DeliveryOrder>,
-    /// Worker threads for parallel intra-timeslice window execution
-    /// (DESIGN.md §18). `None` (the default) resolves to the
-    /// `STORM_THREADS` environment variable if set, otherwise 1 (serial);
-    /// `Some(n)` pins the count explicitly. Any value is byte-identical
-    /// to serial execution — the engine merges worker outputs back in
-    /// canonical pop order — so this is purely a wall-clock knob.
-    pub threads: Option<u32>,
     /// Idle fast-forward: when fault detection keeps the MM ticking but
     /// the cluster is quiescent (no queued or running jobs) and no event
     /// is due before the next heartbeat round, leap the clock straight to
@@ -243,10 +222,7 @@ impl ClusterConfig {
             mm_standbys: 0,
             group_delivery: true,
             telemetry: false,
-            queue_backend: None,
-            event_batching: None,
             delivery_order: None,
-            threads: None,
             fast_forward: true,
             daemon: DaemonCosts::default(),
             seed: 0x5702_2002,
@@ -336,13 +312,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: pin the event-queue backend (overrides the
-    /// `STORM_QUEUE_BACKEND` environment default).
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue_backend = Some(backend);
-        self
-    }
-
     /// Builder: toggle idle fast-forward.
     pub fn with_fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
@@ -355,62 +324,6 @@ impl ClusterConfig {
     pub fn with_delivery_order(mut self, order: DeliveryOrder) -> Self {
         self.delivery_order = Some(order);
         self
-    }
-
-    /// The backend a [`crate::Cluster`] built from this config will use:
-    /// the pinned choice, else the `STORM_QUEUE_BACKEND` environment
-    /// variable (`heap`/`wheel`), else the timing wheel.
-    pub fn resolved_queue_backend(&self) -> QueueBackend {
-        if let Some(b) = self.queue_backend {
-            return b;
-        }
-        match std::env::var("STORM_QUEUE_BACKEND").as_deref() {
-            Ok("heap") => QueueBackend::Heap,
-            Ok("wheel") => QueueBackend::Wheel,
-            _ => QueueBackend::default(),
-        }
-    }
-
-    /// Builder: pin same-timeslice event batching on or off (overrides
-    /// the `STORM_BATCH` environment default).
-    pub fn with_event_batching(mut self, on: bool) -> Self {
-        self.event_batching = Some(on);
-        self
-    }
-
-    /// Whether a [`crate::Cluster`] built from this config batches
-    /// same-timeslice events: the pinned choice, else the `STORM_BATCH`
-    /// environment variable (`off`, `0`, or `false` disables), else on.
-    pub fn resolved_event_batching(&self) -> bool {
-        if let Some(on) = self.event_batching {
-            return on;
-        }
-        !matches!(
-            std::env::var("STORM_BATCH").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    }
-
-    /// Builder: pin the worker-thread count for parallel window execution
-    /// (overrides the `STORM_THREADS` environment default). Clamped to a
-    /// minimum of 1 at resolution time.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// The worker-thread count a [`crate::Cluster`] built from this config
-    /// will use: the pinned choice, else the `STORM_THREADS` environment
-    /// variable, else 1 (serial). Never less than 1.
-    pub fn resolved_threads(&self) -> u32 {
-        let raw = match self.threads {
-            Some(t) => t,
-            None => std::env::var("STORM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1),
-        };
-        raw.max(1)
     }
 
     /// Builder: enable heartbeat fault detection with a fault round every

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use storm_apps::AppSpec;
     pub use storm_fs::FsKind;
     pub use storm_net::{BackgroundLoad, BufferPlacement, NetworkKind};
-    pub use storm_sim::{QueueBackend, QueueStats, SimSpan, SimTime};
+    pub use storm_sim::{QueueStats, SimSpan, SimTime};
     pub use storm_telemetry::{
         chrome_trace, spans_jsonl, validate_json, Histogram, JobSpan, MetricsSnapshot, Telemetry,
     };

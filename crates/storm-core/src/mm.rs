@@ -1584,8 +1584,7 @@ impl Component<World, Msg> for MachineManager {
                     // Per-timeslice health sample. `pending_messages()` is
                     // the logical count, identical across delivery modes;
                     // the raw queue depth/peak gauges count a group entry
-                    // once, so they are backend-identical but vary across
-                    // delivery modes.
+                    // once, so they vary across delivery modes.
                     let pending = ctx.pending_messages();
                     let qs = ctx.queue_stats();
                     let ar = ctx.arena_stats();

@@ -22,126 +22,10 @@
 //! the report path (OS noise), which is where the paper locates it too.
 
 use crate::msg::{Msg, ReportKind};
-use crate::world::{NodeShard, World};
+use crate::world::World;
 use storm_apps::WorkloadCursor;
-use storm_mech::{NodeId, VarId};
-use storm_sim::{
-    Component, ComponentId, Context, DeterministicRng, ShardContext, SimSpan, SimTime,
-};
-
-/// The world-access surface the shardable NM arms need, implemented by
-/// both the serial [`Context`] path and the parallel [`ShardContext`]
-/// path so a single handler body serves both byte-identically: same
-/// reads, same RNG draws, same sends — only the mutation sinks differ
-/// (shared world vs detached [`NodeShard`]).
-trait NmCtx {
-    fn now(&self) -> SimTime;
-    fn world(&self) -> &World;
-    fn rng(&mut self) -> &mut DeterministicRng;
-    fn send_at(&mut self, to: ComponentId, at: SimTime, msg: Msg);
-    fn send(&mut self, to: ComponentId, delay: SimSpan, msg: Msg);
-    fn send_self_at(&mut self, at: SimTime, msg: Msg);
-    /// Read this node's copy of `var`.
-    fn mem_read(&self, var: VarId) -> i64;
-    /// Write this node's copy of `var`.
-    fn mem_write(&mut self, var: VarId, value: i64);
-    /// Add `delta` to this node's copy of `var`.
-    fn mem_add(&mut self, var: VarId, delta: i64);
-    /// Count one strobe-processing overrun (§3.2.1 meltdown indicator).
-    fn count_nm_overrun(&mut self);
-    /// Count one injected heartbeat drop.
-    fn count_hb_drop(&mut self);
-}
-
-/// Serial delivery: world mutations apply directly.
-struct SerialNmCtx<'a, 'w> {
-    node: NodeId,
-    ctx: &'a mut Context<'w, World, Msg>,
-}
-
-impl NmCtx for SerialNmCtx<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-    fn world(&self) -> &World {
-        self.ctx.world_ref()
-    }
-    fn rng(&mut self) -> &mut DeterministicRng {
-        self.ctx.rng()
-    }
-    fn send_at(&mut self, to: ComponentId, at: SimTime, msg: Msg) {
-        self.ctx.send_at(to, at, msg);
-    }
-    fn send(&mut self, to: ComponentId, delay: SimSpan, msg: Msg) {
-        self.ctx.send(to, delay, msg);
-    }
-    fn send_self_at(&mut self, at: SimTime, msg: Msg) {
-        self.ctx.send_self_at(at, msg);
-    }
-    fn mem_read(&self, var: VarId) -> i64 {
-        self.ctx.world_ref().mech.memory.read(self.node, var)
-    }
-    fn mem_write(&mut self, var: VarId, value: i64) {
-        let node = self.node;
-        self.ctx.world().mech.memory.write(node, var, value);
-    }
-    fn mem_add(&mut self, var: VarId, delta: i64) {
-        let node = self.node;
-        self.ctx.world().mech.memory.add(node, var, delta);
-    }
-    fn count_nm_overrun(&mut self) {
-        let w = self.ctx.world();
-        w.stats.nm_overruns += 1;
-        w.metric_inc("nm.overruns");
-    }
-    fn count_hb_drop(&mut self) {
-        let w = self.ctx.world();
-        w.stats.hb_drops += 1;
-        w.metric_inc("fault.hb_drops");
-    }
-}
-
-/// Parallel window delivery: world mutations land in the detached
-/// [`NodeShard`]; sends are buffered and replayed at merge time.
-struct ShardNmCtx<'a, 'w> {
-    ctx: &'a mut ShardContext<'w, World, Msg>,
-}
-
-impl NmCtx for ShardNmCtx<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-    fn world(&self) -> &World {
-        self.ctx.world()
-    }
-    fn rng(&mut self) -> &mut DeterministicRng {
-        self.ctx.rng()
-    }
-    fn send_at(&mut self, to: ComponentId, at: SimTime, msg: Msg) {
-        self.ctx.send_at(to, at, msg);
-    }
-    fn send(&mut self, to: ComponentId, delay: SimSpan, msg: Msg) {
-        self.ctx.send(to, delay, msg);
-    }
-    fn send_self_at(&mut self, at: SimTime, msg: Msg) {
-        self.ctx.send_self_at(at, msg);
-    }
-    fn mem_read(&self, var: VarId) -> i64 {
-        self.ctx.shard::<NodeShard>().var(var)
-    }
-    fn mem_write(&mut self, var: VarId, value: i64) {
-        self.ctx.shard_mut::<NodeShard>().set_var(var, value);
-    }
-    fn mem_add(&mut self, var: VarId, delta: i64) {
-        self.ctx.shard_mut::<NodeShard>().add_var(var, delta);
-    }
-    fn count_nm_overrun(&mut self) {
-        self.ctx.shard_mut::<NodeShard>().count_nm_overrun();
-    }
-    fn count_hb_drop(&mut self) {
-        self.ctx.shard_mut::<NodeShard>().count_hb_drop();
-    }
-}
+use storm_mech::NodeId;
+use storm_sim::{Component, Context, SimSpan, SimTime};
 
 /// Per-job local state on one node.
 #[derive(Debug)]
@@ -225,26 +109,26 @@ impl NodeManager {
     /// True when a control message carries an epoch older than the one the
     /// promoted MM fenced into this node's global memory. Without standbys
     /// there is no fence variable and nothing is ever stale.
-    fn epoch_stale<C: NmCtx>(&self, epoch: u64, ctx: &C) -> bool {
-        match ctx.world().mm_epoch_var {
+    fn epoch_stale(&self, epoch: u64, ctx: &Context<'_, World, Msg>) -> bool {
+        match ctx.world_ref().mm_epoch_var {
             Some(var) => {
-                let fenced = ctx.mem_read(var);
+                let fenced = ctx.world_ref().mech.memory.read(self.node_id(), var);
                 (epoch as i64) < fenced
             }
             None => false,
         }
     }
 
-    fn buffer_report<C: NmCtx>(
+    fn buffer_report(
         &mut self,
         job: crate::job::JobId,
         attempt: u32,
         kind: ReportKind,
-        ctx: &mut C,
+        ctx: &mut Context<'_, World, Msg>,
     ) {
         self.pending_reports.push((job, attempt, kind));
         if !self.flush_scheduled {
-            let period = ctx.world().cfg.collect_period();
+            let period = ctx.world_ref().cfg.collect_period();
             let at = ctx.now().next_boundary(period);
             ctx.send_self_at(at, Msg::FlushReports);
             self.flush_scheduled = true;
@@ -259,7 +143,7 @@ impl NodeManager {
     /// expected wait for the peer's next local quantum. Coarse-grained applications barely
     /// notice; fine-grained ones crawl, which is exactly the trade-off that
     /// motivates gang scheduling (§5.2).
-    fn advance_ics<C: NmCtx>(&mut self, now: SimTime, ctx: &mut C) {
+    fn advance_ics(&mut self, now: SimTime, ctx: &mut Context<'_, World, Msg>) {
         let interval = now.saturating_since(self.last_strobe);
         if interval.is_zero() {
             return;
@@ -268,15 +152,15 @@ impl NodeManager {
             .local
             .iter()
             .filter(|&&(j, ref l)| {
-                l.started_at.is_some() && !l.done && !ctx.world().job(j).state.is_terminal()
+                l.started_at.is_some() && !l.done && !ctx.world_ref().job(j).state.is_terminal()
             })
             .count() as u64;
         if m == 0 {
             return;
         }
-        let qsnet = ctx.world().qsnet;
-        let load = ctx.world().cfg.load;
-        let q_local = ctx.world().cfg.daemon.ics_local_quantum;
+        let qsnet = ctx.world_ref().qsnet;
+        let load = ctx.world_ref().cfg.load;
+        let q_local = ctx.world_ref().cfg.daemon.ics_local_quantum;
         let miss = (m as f64 - 1.0) / m as f64;
         let penalty = q_local.mul_f64(0.5 * miss);
         let comm = move |bytes: u64| -> SimSpan {
@@ -302,10 +186,10 @@ impl NodeManager {
         // removes entries, so plain indexing is safe.
         for idx in 0..self.local.len() {
             let job = self.local[idx].0;
-            if ctx.world().job(job).state.is_terminal() {
+            if ctx.world_ref().job(job).state.is_terminal() {
                 continue;
             }
-            let attempt = ctx.world().job(job).attempt;
+            let attempt = ctx.world_ref().job(job).attempt;
             let finished_at = {
                 let local = &mut self.local[idx].1;
                 if local.attempt != attempt {
@@ -323,7 +207,7 @@ impl NodeManager {
                 if grant.is_zero() {
                     continue;
                 }
-                let workload = &ctx.world().job(job).workload;
+                let workload = &ctx.world_ref().job(job).workload;
                 if workload.steps().is_empty() && !workload.is_endless() {
                     continue;
                 }
@@ -353,19 +237,19 @@ impl NodeManager {
 
     /// Advance the cursors of every started job in `slot` over the interval
     /// `[self.last_strobe, now]`, detecting completions.
-    fn advance_slot<C: NmCtx>(&mut self, slot: usize, now: SimTime, ctx: &mut C) {
+    fn advance_slot(&mut self, slot: usize, now: SimTime, ctx: &mut Context<'_, World, Msg>) {
         let interval = now.saturating_since(self.last_strobe);
         if interval.is_zero() {
             return;
         }
         let overhead = if self.switch_pending {
-            ctx.world().cfg.daemon.switch_overhead
+            ctx.world_ref().cfg.daemon.switch_overhead
         } else {
             SimSpan::ZERO
         };
         // Copy what the comm closure needs before borrowing jobs mutably.
-        let qsnet = ctx.world().qsnet;
-        let load = ctx.world().cfg.load;
+        let qsnet = ctx.world_ref().qsnet;
+        let load = ctx.world_ref().cfg.load;
         let comm = move |bytes: u64| -> SimSpan {
             if bytes == 0 {
                 SimSpan::ZERO
@@ -387,12 +271,12 @@ impl NodeManager {
         // Index into the world's slot list instead of copying it: the loop
         // body never edits slot membership, so the indices stay stable and
         // the per-strobe `to_vec` this used to do is gone.
-        for i in 0..ctx.world().jobs_in_slot(slot).len() {
-            let job = ctx.world().jobs_in_slot(slot)[i];
-            if ctx.world().job(job).state.is_terminal() {
+        for i in 0..ctx.world_ref().jobs_in_slot(slot).len() {
+            let job = ctx.world_ref().jobs_in_slot(slot)[i];
+            if ctx.world_ref().job(job).state.is_terminal() {
                 continue;
             }
-            let attempt = ctx.world().job(job).attempt;
+            let attempt = ctx.world_ref().job(job).attempt;
             let finished_at = {
                 let Some(local) = self.local_mut(job) else {
                     continue;
@@ -411,7 +295,7 @@ impl NodeManager {
                 if grant.is_zero() {
                     continue;
                 }
-                let workload = &ctx.world().job(job).workload;
+                let workload = &ctx.world_ref().job(job).workload;
                 if workload.steps().is_empty() && !workload.is_endless() {
                     continue; // do-nothing jobs terminate through the PL path
                 }
@@ -434,11 +318,7 @@ impl NodeManager {
 
 impl NodeManager {
     /// The main dispatch, entered only after the dead/stalled preamble in
-    /// [`Component::handle`] (or once per batch/window in `handle_batch` /
-    /// `handle_shard`). Serial-only control messages that mutate the
-    /// shared world (fail/rejoin/stall injections) are peeled off here;
-    /// everything else goes through the [`NmCtx`]-generic dispatch shared
-    /// with the parallel window path.
+    /// [`Component::handle`] (or once per batch in `handle_batch`).
     fn handle_body(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
         match msg {
             Msg::FailNode => {
@@ -475,32 +355,17 @@ impl NodeManager {
                     self.stalled_until = Some(until);
                 }
             }
-            other => {
-                let mut c = SerialNmCtx {
-                    node: self.node_id(),
-                    ctx,
-                };
-                self.handle_shardable(other, &mut c);
-            }
-        }
-    }
-
-    /// Every data-path and control arm that touches the world only
-    /// through [`NmCtx`] — runnable serially or on a parallel window
-    /// worker with byte-identical effects.
-    fn handle_shardable<C: NmCtx>(&mut self, msg: Msg, ctx: &mut C) {
-        match msg {
             Msg::Fragment {
                 job,
                 chunk,
                 attempt,
             } => {
-                if ctx.world().job(job).attempt != attempt {
+                if ctx.world_ref().job(job).attempt != attempt {
                     return; // fragment of a lost incarnation
                 }
                 let now = ctx.now();
                 let (fs, placement, load, write_sigma) = {
-                    let w = ctx.world();
+                    let w = ctx.world_ref();
                     (
                         w.cfg.fs,
                         w.cfg.placement,
@@ -509,7 +374,7 @@ impl NodeManager {
                     )
                 };
                 let bytes = {
-                    let w = ctx.world();
+                    let w = ctx.world_ref();
                     let t = &w.job(job).transfer;
                     t.chunk_bytes(chunk, w.cfg.chunk_bytes)
                 };
@@ -531,29 +396,29 @@ impl NodeManager {
                 );
             }
             Msg::WriteDone { job, attempt, .. } => {
-                if ctx.world().job(job).attempt != attempt {
+                if ctx.world_ref().job(job).attempt != attempt {
                     return; // write for a lost incarnation
                 }
                 // Bump the per-node fragment counter the MM's
                 // COMPARE-AND-WRITE flow control watches.
                 let var = ctx
-                    .world()
+                    .world_ref()
                     .job(job)
                     .transfer
                     .written_var
                     .expect("transfer without flow-control var");
-                ctx.mem_add(var, 1);
+                ctx.world().mech.memory.add(self.node_id(), var, 1);
             }
             Msg::LaunchCmd { job, attempt } => {
-                if ctx.world().job(job).attempt != attempt {
+                if ctx.world_ref().job(job).attempt != attempt {
                     return; // launch of a lost incarnation
                 }
                 let now = ctx.now();
                 let (costs, load) = {
-                    let w = ctx.world();
+                    let w = ctx.world_ref();
                     (w.cfg.daemon, w.cfg.load)
                 };
-                let ranks_here = ctx.world().job(job).alloc().ranks_on(self.node);
+                let ranks_here = ctx.world_ref().job(job).alloc().ranks_on(self.node);
                 if ranks_here == 0 {
                     return;
                 }
@@ -564,7 +429,7 @@ impl NodeManager {
                         forked: 0,
                         exited: 0,
                         started_at: None,
-                        cursor: ctx.world().job(job).workload.cursor(),
+                        cursor: ctx.world_ref().job(job).workload.cursor(),
                         done: false,
                         done_at: None,
                         attempt,
@@ -583,7 +448,7 @@ impl NodeManager {
                 // Fork each rank through its own Program Launcher, staggered
                 // by the sequential dispatch loop.
                 for r in 0..ranks_here {
-                    let pl = ctx.world().wiring.pls[self.node as usize][r as usize];
+                    let pl = ctx.world_ref().wiring.pls[self.node as usize][r as usize];
                     let dispatch = SimSpan::from_micros(30) * u64::from(r);
                     ctx.send_at(pl, ready + dispatch, Msg::Fork { job, attempt });
                 }
@@ -625,7 +490,7 @@ impl NodeManager {
                 // shorter than the service time melt the NM down (§3.2.1's
                 // ≈ 300 µs floor). We track overruns for the stats.
                 let (service, timeslice) = {
-                    let w = ctx.world();
+                    let w = ctx.world_ref();
                     (
                         w.cfg.load.inflate(w.cfg.daemon.nm_strobe_service),
                         w.cfg.timeslice,
@@ -634,11 +499,13 @@ impl NodeManager {
                 let start = now.max(self.busy_until);
                 self.busy_until = start + service;
                 if self.busy_until.saturating_since(now) > timeslice * 4 {
-                    ctx.count_nm_overrun();
+                    let w = ctx.world();
+                    w.stats.nm_overruns += 1;
+                    w.metric_inc("nm.overruns");
                 }
                 // Close the interval that ran under the previous slot (or,
                 // under implicit coscheduling, the locally-timeshared mix).
-                if ctx.world().cfg.scheduler == crate::config::SchedulerKind::ImplicitCosched {
+                if ctx.world_ref().cfg.scheduler == crate::config::SchedulerKind::ImplicitCosched {
                     self.advance_ics(now, ctx);
                     self.current_slot = slot as usize;
                     self.last_strobe = now;
@@ -655,18 +522,20 @@ impl NodeManager {
                 if self.epoch_stale(epoch, ctx) {
                     return; // heartbeat from a deposed MM, fenced off
                 }
-                let drop_prob = ctx.world().cfg.faults.heartbeat_drop_prob;
+                let drop_prob = ctx.world_ref().cfg.faults.heartbeat_drop_prob;
                 if drop_prob > 0.0 && ctx.rng().uniform() < drop_prob {
-                    ctx.count_hb_drop();
+                    let w = ctx.world();
+                    w.stats.hb_drops += 1;
+                    w.metric_inc("fault.hb_drops");
                     return;
                 }
-                if let Some(var) = ctx.world().hb_var {
+                if let Some(var) = ctx.world_ref().hb_var {
                     // Write the round number (not +1): for a healthy node this
                     // is identical to incrementing once per round, but a node
                     // that comes back after missing rounds catches up in a
                     // single beat — which is what the MM's rejoin scan polls
                     // for.
-                    ctx.mem_write(var, round);
+                    ctx.world().mech.memory.write(self.node_id(), var, round);
                 }
             }
             Msg::FlushReports => {
@@ -675,7 +544,7 @@ impl NodeManager {
                     return;
                 }
                 let (mm, qsnet, load, os_mean) = {
-                    let w = ctx.world();
+                    let w = ctx.world_ref();
                     (
                         w.wiring.mm.expect("MM not wired"),
                         w.qsnet,
@@ -717,7 +586,7 @@ impl NodeManager {
                 self.pending_reports.clear();
                 let mut announce = Vec::new();
                 for &(job, ref local) in &self.local {
-                    let rec = ctx.world().job(job);
+                    let rec = ctx.world_ref().job(job);
                     if rec.state.is_terminal() || rec.attempt != local.attempt {
                         continue;
                     }
@@ -796,54 +665,6 @@ impl Component<World, Msg> for NodeManager {
         for msg in msgs.drain(..) {
             ctx.next_batch_message();
             self.handle_body(msg, ctx);
-        }
-    }
-
-    /// Everything whose world writes fit in a [`NodeShard`]: the batchable
-    /// data path (a superset, as the contract requires) plus the per-node
-    /// control messages — strobes, heartbeats, launch commands, report
-    /// flushes. Fault/replication injections (fail/rejoin/stall, resync)
-    /// mutate shared tables and stay serial.
-    fn shardable(&self, msg: &Msg) -> bool {
-        matches!(
-            msg,
-            Msg::Fragment { .. }
-                | Msg::WriteDone { .. }
-                | Msg::LaunchCmd { .. }
-                | Msg::ForkDone { .. }
-                | Msg::PlExited { .. }
-                | Msg::Strobe { .. }
-                | Msg::Heartbeat { .. }
-                | Msg::FlushReports
-        )
-    }
-
-    fn handle_shard(&mut self, msgs: &mut Vec<Msg>, sctx: &mut ShardContext<'_, World, Msg>) {
-        // Same preamble hoisting as `handle_batch`, and sound for the same
-        // reason: no shardable message mutates the dead/stalled flags, so
-        // the per-message outcome is identical across the window slice.
-        if self.failed {
-            for _ in msgs.drain(..) {
-                sctx.next_message(); // a dead node answers nothing
-            }
-            return;
-        }
-        if let Some(until) = self.stalled_until {
-            if sctx.now() >= until {
-                self.stalled_until = None;
-            } else {
-                // Defer each message to the stall's end, in order.
-                for msg in msgs.drain(..) {
-                    sctx.next_message();
-                    sctx.send_self_at(until, msg);
-                }
-                return;
-            }
-        }
-        for msg in msgs.drain(..) {
-            sctx.next_message();
-            let mut c = ShardNmCtx { ctx: sctx };
-            self.handle_shardable(msg, &mut c);
         }
     }
 

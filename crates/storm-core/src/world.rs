@@ -8,9 +8,9 @@ use crate::matrix::GangMatrix;
 use crate::replica::{MmCoreState, MmRole, ReplStats, ReplicaState};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use storm_mech::{Mechanisms, NodeId, NodeSet, VarId};
+use storm_mech::{Mechanisms, NodeSet};
 use storm_net::{Nic, QsNetModel};
-use storm_sim::{ComponentId, GroupTargets, ShardWorld, SimSpan, SimTime};
+use storm_sim::{ComponentId, GroupTargets, SimSpan, SimTime};
 use storm_telemetry::Telemetry;
 
 /// Component wiring: where each dæmon lives in the simulation.
@@ -499,89 +499,6 @@ impl World {
     /// Jobs currently assigned to a slot (empty for out-of-range slots).
     pub fn jobs_in_slot(&self, slot: usize) -> &[JobId] {
         self.slot_jobs.get(slot).map(Vec::as_slice).unwrap_or(&[])
-    }
-}
-
-/// The slice of shared world state a Node Manager's shardable handlers may
-/// mutate, detached for parallel window execution (DESIGN.md §18): the
-/// node's global-memory variable/event rows plus buffered stat and metric
-/// deltas that [`ShardWorld::restore_shard`] folds back into the shared
-/// counters at merge time.
-#[derive(Debug)]
-pub struct NodeShard {
-    node: NodeId,
-    vars: Vec<i64>,
-    events: Vec<Option<SimTime>>,
-    nm_overruns: u64,
-    hb_drops: u64,
-}
-
-impl NodeShard {
-    /// Read this node's copy of `var`.
-    pub fn var(&self, var: VarId) -> i64 {
-        self.vars[var.0 as usize]
-    }
-
-    /// Write this node's copy of `var` (audit retirement is moot: shard
-    /// extraction refuses while CAW auditing is enabled).
-    pub fn set_var(&mut self, var: VarId, value: i64) {
-        self.vars[var.0 as usize] = value;
-    }
-
-    /// Add `delta` to this node's copy of `var`.
-    pub fn add_var(&mut self, var: VarId, delta: i64) {
-        self.vars[var.0 as usize] += delta;
-    }
-
-    /// Buffer one `stats.nm_overruns` / `nm.overruns` bump.
-    pub fn count_nm_overrun(&mut self) {
-        self.nm_overruns += 1;
-    }
-
-    /// Buffer one `stats.hb_drops` / `fault.hb_drops` bump.
-    pub fn count_hb_drop(&mut self) {
-        self.hb_drops += 1;
-    }
-}
-
-impl ShardWorld for World {
-    type Shard = NodeShard;
-
-    /// Only Node Managers shard (they are the only components declaring
-    /// shardable messages), and only while the CAW audit trail is off —
-    /// a shard-local `write`/`add` could not retire the global audit
-    /// entry. Refusal leaves the world untouched; the engine falls back
-    /// to serial delivery for the whole window.
-    fn extract_shard(&mut self, component: ComponentId) -> Option<NodeShard> {
-        if self.mech.memory.caw_audit_enabled() {
-            return None;
-        }
-        // NMs are registered in ascending node order, so the wiring list
-        // is sorted and the reverse map is a binary search.
-        let node = self.wiring.nms.binary_search(&component).ok()?;
-        let node = NodeId(u32::try_from(node).expect("node index"));
-        let (vars, events) = self.mech.memory.take_node_rows(node);
-        Some(NodeShard {
-            node,
-            vars,
-            events,
-            nm_overruns: 0,
-            hb_drops: 0,
-        })
-    }
-
-    fn restore_shard(&mut self, _component: ComponentId, shard: NodeShard) {
-        self.mech
-            .memory
-            .restore_node_rows(shard.node, shard.vars, shard.events);
-        self.stats.nm_overruns += shard.nm_overruns;
-        for _ in 0..shard.nm_overruns {
-            self.metric_inc("nm.overruns");
-        }
-        self.stats.hb_drops += shard.hb_drops;
-        for _ in 0..shard.hb_drops {
-            self.metric_inc("fault.hb_drops");
-        }
     }
 }
 

@@ -19,14 +19,25 @@ pub struct ExploreReport {
     pub failure: Option<(Scenario, RunOutcome)>,
 }
 
+/// Most runs the bounded-exhaustive tier may take.
+pub const EXHAUSTIVE_CAP: u64 = 4096;
+
+/// Runs the bounded-exhaustive tier takes for `(amplitude, prefix_len)`:
+/// `(amplitude+1) ^ prefix_len`, or `None` when that overflows `u64` —
+/// which callers must treat as over [`EXHAUSTIVE_CAP`].
+pub fn exhaustive_runs(amplitude: u64, prefix_len: u32) -> Option<u64> {
+    amplitude.checked_add(1)?.checked_pow(prefix_len)
+}
+
 /// Bounded-exhaustive tier: enumerate **every** tie script over the first
 /// `prefix_len` insertions with values `0..=amplitude` — `(amplitude+1) ^
-/// prefix_len` runs, so keep both small (the driver caps the product at
-/// 4096). Ties beyond the prefix are zero (insertion order), so the
-/// enumeration is exhaustive over a bounded window of the schedule space.
+/// prefix_len` runs, so keep both small (panics past [`EXHAUSTIVE_CAP`]).
+/// Ties beyond the prefix are zero (insertion order), so the enumeration
+/// is exhaustive over a bounded window of the schedule space.
 pub fn explore_exhaustive(base: &Scenario, amplitude: u64, prefix_len: u32) -> ExploreReport {
-    let total = (amplitude + 1).pow(prefix_len);
-    assert!(total <= 4096, "bounded-exhaustive tier capped at 4096 runs");
+    let total = exhaustive_runs(amplitude, prefix_len)
+        .filter(|&runs| runs <= EXHAUSTIVE_CAP)
+        .expect("bounded-exhaustive tier capped at 4096 runs");
     let mut digests = BTreeSet::new();
     let mut runs = 0;
     for index in 0..total {
@@ -107,6 +118,24 @@ mod tests {
         assert_eq!(report.runs, 8);
         assert!(report.failure.is_none(), "{:?}", report.failure);
         assert!(report.distinct >= 1);
+    }
+
+    #[test]
+    fn run_count_overflow_is_over_the_cap() {
+        assert_eq!(exhaustive_runs(3, 4), Some(256));
+        assert_eq!(exhaustive_runs(1, 32), Some(1 << 32));
+        assert_eq!(exhaustive_runs(3, 32), None, "4^32 overflows u64");
+        assert_eq!(exhaustive_runs(u64::MAX, 1), None);
+        // A long prefix at amplitude 0 is one all-zero script, not zero runs.
+        let report = explore_exhaustive(&Scenario::two_node_launch(), 0, 32);
+        assert_eq!(report.runs, 1);
+        assert!(report.failure.is_none(), "{:?}", report.failure);
+    }
+
+    #[test]
+    #[should_panic(expected = "capped at 4096 runs")]
+    fn overflowing_window_is_refused_not_wrapped() {
+        explore_exhaustive(&Scenario::two_node_launch(), 3, 32);
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub mod runner;
 pub mod scenario;
 pub mod shrink;
 
-pub use explore::{explore_exhaustive, explore_swarm, ExploreReport};
+pub use explore::{
+    exhaustive_runs, explore_exhaustive, explore_swarm, ExploreReport, EXHAUSTIVE_CAP,
+};
 pub use oracle::{check_all, standard_suite, Oracle, Violation};
 pub use repro::{replay, ReplayReport, Repro};
 pub use runner::{run_scenario, run_scenario_caught, RunOutcome};
@@ -50,7 +52,9 @@ pub use shrink::{minimize_ties, shrink};
 
 /// Everything a DST harness or test needs.
 pub mod prelude {
-    pub use crate::explore::{explore_exhaustive, explore_swarm, ExploreReport};
+    pub use crate::explore::{
+        exhaustive_runs, explore_exhaustive, explore_swarm, ExploreReport, EXHAUSTIVE_CAP,
+    };
     pub use crate::oracle::{check_all, standard_suite, Oracle, Violation};
     pub use crate::repro::{replay, ReplayReport, Repro};
     pub use crate::runner::{run_scenario, run_scenario_caught, RunOutcome};
@@ -58,5 +62,5 @@ pub mod prelude {
         AppKind, FaultKind, FaultSpec, Injection, InjectionKind, JobEvent, OrderSpec, Scenario,
     };
     pub use crate::shrink::{minimize_ties, shrink};
-    pub use storm_sim::{DeliveryOrder, QueueBackend};
+    pub use storm_sim::DeliveryOrder;
 }

@@ -3,7 +3,6 @@
 //! ```text
 //! storm-dst explore  [--scenario two-node-launch|small-chaos] [--amplitude A]
 //!                    [--prefix P] [--seeds N] [--delay-us D] [--out DIR]
-//!                    [--backend heap|wheel]
 //! storm-dst replay   <DST_repro_*.json | CKPT_*.json>
 //! storm-dst selftest [--out DIR]
 //! ```
@@ -37,7 +36,7 @@ const EXIT_REPLAY_DIVERGED: u8 = 12;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: storm-dst explore [--scenario NAME] [--amplitude A] [--prefix P] \
-         [--seeds N] [--delay-us D] [--out DIR] [--backend heap|wheel]\n       \
+         [--seeds N] [--delay-us D] [--out DIR]\n       \
          storm-dst replay <DST_repro_*.json | CKPT_*.json>  \
          (exit 10: violation reproduced, 0: checkpoint replayed, 11: bad artifact, 12: diverged)\n       \
          storm-dst selftest [--out DIR]\n\
@@ -53,7 +52,6 @@ struct Flags {
     seeds: u64,
     delay_us: u64,
     out: String,
-    backend: Option<QueueBackend>,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -64,7 +62,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         seeds: 64,
         delay_us: 20,
         out: ".".into(),
-        backend: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -84,13 +81,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.delay_us = value("--delay-us")?.parse().map_err(|e| format!("{e}"))?
             }
             "--out" => flags.out = value("--out")?,
-            "--backend" => {
-                flags.backend = Some(match value("--backend")?.as_str() {
-                    "heap" => QueueBackend::Heap,
-                    "wheel" => QueueBackend::Wheel,
-                    other => return Err(format!("unknown backend {other:?}")),
-                })
-            }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -98,16 +88,12 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 }
 
 fn base_scenario(flags: &Flags) -> Result<Scenario, String> {
-    let mut s = match flags.scenario.as_str() {
-        "two-node-launch" => Scenario::two_node_launch(),
-        "small-chaos" => Scenario::small_chaos(),
-        "mm-failover" => Scenario::mm_failover(),
-        other => return Err(format!("unknown scenario {other:?}")),
-    };
-    if let Some(b) = flags.backend {
-        s = s.with_backend(b);
+    match flags.scenario.as_str() {
+        "two-node-launch" => Ok(Scenario::two_node_launch()),
+        "small-chaos" => Ok(Scenario::small_chaos()),
+        "mm-failover" => Ok(Scenario::mm_failover()),
+        other => Err(format!("unknown scenario {other:?}")),
     }
-    Ok(s)
 }
 
 /// Shrink a failure, write its artifact under `out`, and report.
@@ -124,14 +110,23 @@ fn write_artifact(out_dir: &str, scenario: &Scenario, outcome: &RunOutcome) -> R
     repro
 }
 
+/// The tie amplitude for the bounded-exhaustive tier: at most 3, lowered
+/// until the run count over `prefix` insertions fits [`EXHAUSTIVE_CAP`].
+/// A count that overflows `u64` is over the cap; amplitude 0 (one run)
+/// always fits.
+fn exhaustive_amplitude(amplitude: u64, prefix: u32) -> u64 {
+    let mut amp = amplitude.min(3);
+    while exhaustive_runs(amp, prefix).is_none_or(|runs| runs > EXHAUSTIVE_CAP) {
+        amp -= 1;
+    }
+    amp
+}
+
 fn cmd_explore(flags: &Flags) -> Result<ExitCode, String> {
     let base = base_scenario(flags)?;
     base.validate()?;
     // Tier 1: bounded-exhaustive over a small window (cap the product).
-    let mut amp = flags.amplitude.min(3);
-    while (amp + 1).pow(flags.prefix) > 4096 {
-        amp -= 1;
-    }
+    let amp = exhaustive_amplitude(flags.amplitude, flags.prefix);
     let exhaustive = explore_exhaustive(&base, amp, flags.prefix);
     println!(
         "exhaustive: {} runs, {} distinct interleavings (amplitude {amp}, prefix {})",
@@ -301,5 +296,23 @@ fn main() -> ExitCode {
             eprintln!("storm-dst: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prefix_32_lowers_the_amplitude_instead_of_overflowing() {
+        assert_eq!(exhaustive_amplitude(3, 6), 3, "4^6 = 4096 is at the cap");
+        assert_eq!(exhaustive_amplitude(3, 7), 2, "4^7 is over, 3^7 fits");
+        // 4^32 overflows u64: it must count as over the cap, leaving the
+        // single all-zero script rather than wrapping to zero runs.
+        let args = ["--prefix", "32", "--seeds", "2"].map(String::from);
+        let f = parse_flags(&args).expect("flags parse");
+        assert_eq!(f.prefix, 32);
+        assert_eq!(exhaustive_amplitude(f.amplitude, f.prefix), 0);
+        assert_eq!(cmd_explore(&f), Ok(ExitCode::SUCCESS));
     }
 }

@@ -71,7 +71,6 @@ fn build_cluster(s: &Scenario) -> Cluster {
         .with_seed(s.seed);
     cfg.cpus_per_node = s.cpus_per_node;
     cfg.mpl_max = s.mpl_max;
-    cfg.queue_backend = s.backend.or(cfg.queue_backend);
     cfg.delivery_order = delivery_order(&s.order);
     cfg = cfg.with_mm_standbys(s.mm_standbys);
     if s.heartbeat_every > 0 {

@@ -5,7 +5,6 @@
 //! byte-identically on another machine.
 
 use crate::json::{self, num, Value};
-use storm_sim::QueueBackend;
 
 /// Which application a scenario job runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,8 +157,6 @@ pub struct Scenario {
     pub mm_standbys: u32,
     /// Run deadline, milliseconds.
     pub horizon_ms: u64,
-    /// Pinned event-queue backend; `None` follows the environment default.
-    pub backend: Option<QueueBackend>,
     /// Job submissions.
     pub jobs: Vec<JobEvent>,
     /// Timed faults.
@@ -183,7 +180,6 @@ impl Scenario {
             heartbeat_every: 0,
             mm_standbys: 0,
             horizon_ms: 40,
-            backend: None,
             jobs: vec![JobEvent {
                 at_ms: 0,
                 ranks: 4,
@@ -208,7 +204,6 @@ impl Scenario {
             heartbeat_every: 4,
             mm_standbys: 0,
             horizon_ms: 120,
-            backend: None,
             jobs: vec![
                 JobEvent {
                     at_ms: 0,
@@ -251,7 +246,6 @@ impl Scenario {
             heartbeat_every: 4,
             mm_standbys: 2,
             horizon_ms: 200,
-            backend: None,
             jobs: vec![
                 JobEvent {
                     at_ms: 0,
@@ -283,12 +277,6 @@ impl Scenario {
     /// Builder: install a deliberate corruption.
     pub fn with_injection(mut self, injection: Injection) -> Self {
         self.injection = Some(injection);
-        self
-    }
-
-    /// Builder: pin the queue backend.
-    pub fn with_backend(mut self, backend: QueueBackend) -> Self {
-        self.backend = Some(backend);
         self
     }
 
@@ -441,14 +429,6 @@ impl Scenario {
             ("heartbeat_every".into(), num(self.heartbeat_every)),
             ("mm_standbys".into(), num(self.mm_standbys)),
             ("horizon_ms".into(), num(self.horizon_ms)),
-            (
-                "backend".into(),
-                match self.backend {
-                    None => Value::Null,
-                    Some(QueueBackend::Heap) => Value::Str("heap".into()),
-                    Some(QueueBackend::Wheel) => Value::Str("wheel".into()),
-                },
-            ),
             ("jobs".into(), Value::Arr(jobs)),
             ("faults".into(), Value::Arr(faults)),
             ("order".into(), order),
@@ -559,14 +539,6 @@ impl Scenario {
             // artifacts.
             mm_standbys: v.get("mm_standbys").and_then(Value::as_u64).unwrap_or(0) as u32,
             horizon_ms: v.req_u64("horizon_ms")?,
-            backend: match v.req("backend")? {
-                Value::Null => None,
-                b => match b.as_str() {
-                    Some("heap") => Some(QueueBackend::Heap),
-                    Some("wheel") => Some(QueueBackend::Wheel),
-                    _ => return Err("backend must be \"heap\", \"wheel\" or null".into()),
-                },
-            },
             jobs,
             faults,
             order,
@@ -597,7 +569,6 @@ mod tests {
             .with_order(OrderSpec::Script {
                 ties: vec![0, 3, 0, 1],
             })
-            .with_backend(QueueBackend::Heap)
             .with_injection(Injection {
                 at_ms: 30,
                 kind: InjectionKind::CawTear { node: 1 },
@@ -623,6 +594,20 @@ mod tests {
             let back = Scenario::from_json(&json::parse(&s.to_json_string()).unwrap()).unwrap();
             assert_eq!(back, s);
         }
+    }
+
+    #[test]
+    fn repros_carrying_the_retired_backend_key_still_parse() {
+        // Artifacts written before the queue backend stopped being a
+        // scenario setting carry a `"backend"` key; keys are read by name,
+        // so it is ignored and the rest decodes unchanged.
+        let s = Scenario::small_chaos();
+        let Value::Obj(mut members) = s.to_json() else {
+            panic!("a scenario serialises to an object");
+        };
+        members.push(("backend".into(), Value::Str("heap".into())));
+        let back = Scenario::from_json(&Value::Obj(members)).unwrap();
+        assert_eq!(back, s);
     }
 
     #[test]

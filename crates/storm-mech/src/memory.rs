@@ -152,41 +152,6 @@ impl GlobalMemory {
         self.vars[node.index()][var.0 as usize] = value;
     }
 
-    /// Is the CAW write-visibility audit trail enabled? Parallel shard
-    /// extraction refuses to split the memory while auditing is on,
-    /// because `write`/`add` on a shard could not retire the *global*
-    /// audit entry without cross-shard communication.
-    pub fn caw_audit_enabled(&self) -> bool {
-        self.caw_audit.is_some()
-    }
-
-    /// Detach one node's variable and event rows, leaving empty rows in
-    /// place. Used by parallel shard extraction so a worker can mutate the
-    /// node's memory with exclusive ownership; pair with
-    /// [`GlobalMemory::restore_node_rows`]. Panics if auditing is enabled
-    /// (see [`GlobalMemory::caw_audit_enabled`]).
-    pub fn take_node_rows(&mut self, node: NodeId) -> (Vec<i64>, Vec<Option<SimTime>>) {
-        assert!(
-            self.caw_audit.is_none(),
-            "cannot shard global memory while CAW auditing is enabled"
-        );
-        (
-            std::mem::take(&mut self.vars[node.index()]),
-            std::mem::take(&mut self.events[node.index()]),
-        )
-    }
-
-    /// Re-attach rows detached by [`GlobalMemory::take_node_rows`].
-    pub fn restore_node_rows(
-        &mut self,
-        node: NodeId,
-        vars: Vec<i64>,
-        events: Vec<Option<SimTime>>,
-    ) {
-        self.vars[node.index()] = vars;
-        self.events[node.index()] = events;
-    }
-
     /// Is `event` visible as signalled to an observer on `node` at `now`?
     pub fn event_signalled(&self, node: NodeId, event: EventId, now: SimTime) -> bool {
         match self.events[node.index()][event.0 as usize] {

@@ -22,26 +22,21 @@
 //! batching via [`Component::batchable`]: the maximal run of consecutive
 //! pops at one instant bound for one component is drained into a reusable
 //! scratch vector and applied through a single [`Component::handle_batch`]
-//! call, preserving `(time, tie, seq)` order exactly. Batching
-//! auto-disables while a [`DeliveryOrder`] hook is installed (nonzero
-//! ties may legally interleave a freshly-pushed event *between* already
-//! drained ones), which also keeps the interleaving digest untouched.
+//! call, preserving `(time, tie, seq)` order exactly. Batching is
+//! suspended while a [`DeliveryOrder`] hook is installed (nonzero ties may
+//! legally interleave a freshly-pushed event *between* already drained
+//! ones), which also keeps the interleaving digest untouched — and makes
+//! any hook, even an inert one, the per-message reference path.
 
 use crate::arena::{ArenaState, ArenaStats, EventArena, PayloadId};
 use crate::queue::{
     DeliveryOrder, DeliveryOrderState, EventQueue, QueueAccounting, QueueBackend, QueueStats,
 };
 use crate::rng::DeterministicRng;
-use crate::shard::{ParallelExec, ShardContext, ShardWorld, WindowExec, WindowOutput};
 use crate::time::{SimSpan, SimTime};
 use crate::trace::{TraceRecord, Tracer};
 use std::fmt;
 use std::sync::Arc;
-
-/// Windows shorter than this run serially even with threads configured:
-/// the scoped-pool spawn cost would eat the win. Exposed for the shard
-/// property tests, which need to force both paths.
-pub(crate) const PAR_WINDOW_MIN: usize = 128;
 
 /// Identifies a component within one [`Simulation`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -312,35 +307,6 @@ pub trait Component<W, M> {
         }
     }
 
-    /// Opt `msg` into parallel window execution: when this returns `true`
-    /// (default `false`), the engine may hand the message to
-    /// [`Component::handle_shard`] on a worker thread as part of a
-    /// same-instant window, instead of delivering it through
-    /// [`Component::handle`] / [`Component::handle_batch`].
-    ///
-    /// Contract for shardable messages — what keeps a parallel window
-    /// byte-identical to the serial run (DESIGN.md §18): handlers must
-    /// mutate only the component's own state and the world shard carved
-    /// out by [`ShardWorld::extract_shard`](crate::shard::ShardWorld),
-    /// read the rest of the world as an immutable snapshot, never halt,
-    /// never read queue observables or pending-message counts, and keep
-    /// per-message semantics independent of how the window is grouped.
-    /// The shardable set must be a superset of the batchable set — the
-    /// window drain crosses targets, so a batchable-but-unshardable
-    /// message would split a run the serial engine batches.
-    fn shardable(&self, _msg: &M) -> bool {
-        false
-    }
-
-    /// Handle one target's slice of a parallel window, in pop order.
-    /// Implementations must call [`ShardContext::next_message`] before
-    /// each message and drain `msgs` completely. Only invoked for
-    /// messages that opted in via [`Component::shardable`]; the default
-    /// panics to surface a missing implementation.
-    fn handle_shard(&mut self, _msgs: &mut Vec<M>, _ctx: &mut ShardContext<'_, W, M>) {
-        unimplemented!("component declared shardable messages but no handle_shard")
-    }
-
     /// Downcast support for checkpointing: components whose internal
     /// state participates in checkpoint/restore return `Some(self)` so a
     /// harness can reach their concrete type through the dispatch table.
@@ -474,9 +440,8 @@ impl<W, M> Context<'_, W, M> {
     }
 
     /// The handling component's own deterministic RNG stream (derived
-    /// from the root seed and the component index at registration).
-    /// Per-component streams are what keep draw sequences identical
-    /// between serial and parallel window execution.
+    /// from the root seed and the component index at registration), so
+    /// one component's draws never shift another's sequence.
     pub fn rng(&mut self) -> &mut DeterministicRng {
         self.rng
     }
@@ -492,9 +457,9 @@ impl<W, M> Context<'_, W, M> {
     /// one, each group counts its undelivered members, plus whatever the
     /// engine has popped but not yet handled (a group mid-expansion, the
     /// rest of the current batch). The count is therefore identical
-    /// whether fan-outs travel grouped or per-member and whether batching
-    /// is on or off — unlike the raw queue length — so telemetry built on
-    /// it stays byte-identical across delivery modes.
+    /// whether fan-outs travel grouped or per-member and whether messages
+    /// arrive batched or one by one — unlike the raw queue length — so
+    /// telemetry built on it stays byte-identical across delivery modes.
     pub fn pending_messages(&self) -> u64 {
         self.in_flight + logical_pending(self.msgs, self.groups)
     }
@@ -546,14 +511,12 @@ pub struct Simulation<W, M> {
     /// directly by the dense component index every [`EventRef`] carries.
     /// No per-delivery checkout — the borrow is split from the rest of
     /// the engine state, so dispatch is one bounds check and one call.
-    /// `Send` so parallel windows can lend `&mut` slices to scoped
-    /// workers (the table itself never leaves the engine thread).
-    components: Vec<Box<dyn Component<W, M> + Send>>,
+    components: Vec<Box<dyn Component<W, M>>>,
     /// One deterministic RNG stream per component, derived from the root
     /// seed at registration ([`DeterministicRng::stream`] is a pure
-    /// function of `(seed, index)`). Every delivery — serial or parallel
-    /// — draws from the target's own stream, so concurrent handlers
-    /// cannot perturb each other's draw sequences.
+    /// function of `(seed, index)`). Every delivery draws from the
+    /// target's own stream, so handlers cannot perturb each other's draw
+    /// sequences.
     streams: Vec<DeterministicRng>,
     queue: EventQueue<EventRef>,
     /// Interned unicast payloads.
@@ -563,9 +526,6 @@ pub struct Simulation<W, M> {
     groups: EventArena<GroupDelivery<M>>,
     /// Reusable batch scratch buffer (capacity persists across batches).
     scratch: Vec<M>,
-    /// Same-instant batching enabled? (Configuration; the engine
-    /// additionally requires no [`DeliveryOrder`] hook to be installed.)
-    batching: bool,
     rng: DeterministicRng,
     tracer: Tracer,
     halt: bool,
@@ -576,16 +536,6 @@ pub struct Simulation<W, M> {
     /// Hard cap on handler invocations; guards against accidental event
     /// storms.
     max_events: u64,
-    /// Worker count for parallel window execution (1 = serial).
-    threads: usize,
-    /// Minimum window length worth fanning out (see [`PAR_WINDOW_MIN`]).
-    par_min: usize,
-    /// Windows actually executed in parallel (not replayed serially) —
-    /// lets tests and benches assert the parallel path was exercised.
-    par_windows: u64,
-    /// The type-erased window executor, installed by
-    /// [`Simulation::set_threads`] when `threads > 1`.
-    window_exec: Option<Box<dyn WindowExec<W, M>>>,
 }
 
 impl<W, M> Simulation<W, M> {
@@ -623,17 +573,12 @@ impl<W, M> Simulation<W, M> {
             msgs: EventArena::new(),
             groups: EventArena::new(),
             scratch: Vec::new(),
-            batching: true,
             rng: DeterministicRng::new(seed),
             tracer: Tracer::disabled(),
             halt: false,
             delivered: 0,
             handled: 0,
             max_events: u64::MAX,
-            threads: 1,
-            par_min: PAR_WINDOW_MIN,
-            par_windows: 0,
-            window_exec: None,
         }
     }
 
@@ -653,54 +598,18 @@ impl<W, M> Simulation<W, M> {
         self.max_events = cap;
     }
 
-    /// Toggle same-instant batching (on by default). Purely a throughput
-    /// knob: batched and unbatched runs are byte-identical in trace,
-    /// stats, and digest. Batching is additionally suspended — regardless
-    /// of this setting — while a [`DeliveryOrder`] hook is installed.
-    pub fn set_event_batching(&mut self, on: bool) {
-        self.batching = on;
-    }
-
-    /// Whether same-instant batching is configured on (see
-    /// [`Simulation::set_event_batching`]).
-    pub fn event_batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Register a component, returning its id. Components are `Send` so
-    /// parallel windows can execute them on scoped workers; a component
-    /// never migrates threads mid-handler and needs no synchronisation.
-    pub fn add_component(&mut self, c: impl Component<W, M> + Send + 'static) -> ComponentId {
+    /// Register a component, returning its id.
+    pub fn add_component(&mut self, c: impl Component<W, M> + 'static) -> ComponentId {
         self.add_boxed(Box::new(c))
     }
 
     /// Register a boxed component.
-    pub fn add_boxed(&mut self, c: Box<dyn Component<W, M> + Send>) -> ComponentId {
+    pub fn add_boxed(&mut self, c: Box<dyn Component<W, M>>) -> ComponentId {
         let ix = u32::try_from(self.components.len()).expect("too many components");
         assert!(ix < GROUP_TARGET, "too many components");
         self.components.push(c);
         self.streams.push(self.rng.stream(u64::from(ix)));
         ComponentId(ix)
-    }
-
-    /// Worker count for parallel window execution (see
-    /// [`Simulation::set_threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// How many windows executed on the parallel path so far. Zero in
-    /// serial mode; tests use this to prove byte-identity runs were not
-    /// vacuously serial.
-    pub fn parallel_windows(&self) -> u64 {
-        self.par_windows
-    }
-
-    /// Tune the minimum same-instant window length worth fanning out to
-    /// workers; shorter windows run serially. Exists for tests and
-    /// benches that need to force the parallel path on small windows.
-    pub fn set_parallel_window_min(&mut self, min: usize) {
-        self.par_min = min.max(1);
     }
 
     /// Schedule an initial message delivery.
@@ -815,28 +724,6 @@ impl<W, M> Simulation<W, M> {
     }
 }
 
-impl<W, M> Simulation<W, M>
-where
-    W: ShardWorld + Sync + 'static,
-    M: Clone + Send + 'static,
-{
-    /// Configure parallel window execution on `threads` workers
-    /// (`<= 1` restores serial execution). Parallel runs are
-    /// byte-identical to serial ones — trace, stats, digest, telemetry
-    /// — per the DESIGN.md §18 zero-perturbation contract; parallelism
-    /// is additionally suspended, like batching, while a
-    /// [`DeliveryOrder`] hook is installed.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.threads = threads;
-        self.window_exec = if threads > 1 {
-            Some(Box::new(ParallelExec::<W, M>::default()))
-        } else {
-            None
-        };
-    }
-}
-
 impl<W, M: Clone> Simulation<W, M> {
     /// Deliver the next event, if any. Returns `false` when the queue is
     /// empty or the simulation has been halted.
@@ -847,7 +734,8 @@ impl<W, M: Clone> Simulation<W, M> {
     /// their own reserved `(time, seq)` slot, so interleaving with every
     /// other pending event matches per-member sends exactly. A unicast
     /// entry whose component opted the message into batching additionally
-    /// drains its same-instant run (see [`Component::batchable`]).
+    /// drains its same-instant run (see [`Component::batchable`]) unless a
+    /// [`DeliveryOrder`] hook is installed.
     pub fn step(&mut self) -> bool {
         if self.halt {
             return false;
@@ -858,276 +746,12 @@ impl<W, M: Clone> Simulation<W, M> {
         debug_assert!(time >= self.now, "event queue violated time order");
         self.now = time;
         self.delivered += 1;
-        if !eref.is_group() && self.batching && self.queue.delivery_order().is_none() {
-            if self.window_exec.is_some()
-                && self.components[eref.target as usize].shardable(self.msgs.get(eref.payload))
-            {
-                self.deliver_parallel_window(time, eref);
-            } else {
-                self.deliver_maybe_batched(time, eref);
-            }
+        if !eref.is_group() && self.queue.delivery_order().is_none() {
+            self.deliver_maybe_batched(time, eref);
         } else {
             self.apply(time, eref);
         }
         true
-    }
-
-    /// Drain the maximal run of consecutive same-instant *shardable*
-    /// unicast pops into a window and execute it across worker threads,
-    /// merging outputs back in canonical serial order (see
-    /// [`crate::shard`]). Falls back to an exact serial replay for short
-    /// or single-target windows and when the world refuses shard
-    /// extraction. The first non-window pop is carried and applied right
-    /// after, exactly like the batch path's carry.
-    fn deliver_parallel_window(&mut self, time: SimTime, first: EventRef) {
-        let mut window: Vec<(u32, PayloadId)> = vec![(first.target, first.payload)];
-        let mut carry = None;
-        let mut multi_target = false;
-        while self.queue.peek_time() == Some(time) {
-            let Some((_, next)) = self.queue.pop() else {
-                break;
-            };
-            self.delivered += 1;
-            let shardable = !next.is_group()
-                && self.components[next.target as usize].shardable(self.msgs.get(next.payload));
-            if !shardable {
-                carry = Some(next);
-                break;
-            }
-            multi_target |= next.target != first.target;
-            window.push((next.target, next.payload));
-        }
-        let outs = if multi_target && window.len() >= self.par_min {
-            self.run_window_parallel(&window)
-        } else {
-            None
-        };
-        match outs {
-            Some(outs) => {
-                self.par_windows += 1;
-                self.merge_window(time, &window, outs, carry.is_some());
-            }
-            None => self.replay_window_serially(time, &window, carry.is_some()),
-        }
-        if let Some(next) = carry {
-            if self.halt {
-                // Shardable handlers are contractually halt-free; if one
-                // halts anyway, mirror the batch path: hand the popped
-                // successor back to the queue rather than deliver past
-                // the halt.
-                self.queue.push(time, next);
-            } else {
-                self.apply(time, next);
-            }
-        }
-    }
-
-    /// Clone the window's payloads and hand them to the installed
-    /// executor. Payloads stay live in the arena — the merge takes them
-    /// in serial order so slot reuse and live/peak trajectories match
-    /// serial runs exactly.
-    fn run_window_parallel(&mut self, window: &[(u32, PayloadId)]) -> Option<WindowOutput<M>> {
-        let exec = self.window_exec.take()?;
-        let wmsgs: Vec<(u32, M)> = window
-            .iter()
-            .map(|&(t, p)| (t, self.msgs.get(p).clone()))
-            .collect();
-        let outs = exec.run(
-            self.threads,
-            self.now,
-            self.tracer.is_enabled(),
-            &mut self.world,
-            &mut self.components,
-            &mut self.streams,
-            &wmsgs,
-        );
-        self.window_exec = Some(exec);
-        outs
-    }
-
-    /// Execute an already-drained window serially, reproducing exactly
-    /// what the serial engine would have done with these pops: maximal
-    /// same-target batchable runs go through [`Component::handle_batch`],
-    /// the event after a run is delivered singly (the batch carry), and
-    /// everything else is delivered one message at a time. Because the
-    /// whole window was popped up front, the queue's depth high-water
-    /// mark is biased by the events the serial engine would not yet have
-    /// popped at each step.
-    fn replay_window_serially(
-        &mut self,
-        _time: SimTime,
-        window: &[(u32, PayloadId)],
-        carry_popped: bool,
-    ) {
-        let total = window.len() as u64 + u64::from(carry_popped);
-        let mut virt = 0u64; // events the serial engine has popped by now
-        let mut i = 0usize;
-        while i < window.len() {
-            let (t, p) = window[i];
-            let msg = self.msgs.take(p);
-            if self.components[t as usize].batchable(&msg) {
-                let mut batch = std::mem::take(&mut self.scratch);
-                batch.push(msg);
-                let mut end = i + 1;
-                while end < window.len()
-                    && window[end].0 == t
-                    && self.components[t as usize].batchable(self.msgs.get(window[end].1))
-                {
-                    batch.push(self.msgs.take(window[end].1));
-                    end += 1;
-                }
-                let follower_in_window = end < window.len();
-                virt += (end - i) as u64;
-                if follower_in_window || (carry_popped && end == window.len()) {
-                    // The serial batch drain pops the run's successor
-                    // early (its carry) before the handler pushes.
-                    virt += 1;
-                }
-                self.queue.set_depth_bias((total - virt) as usize);
-                self.handled += batch.len() as u64;
-                assert!(
-                    self.handled <= self.max_events,
-                    "event cap exceeded ({} events): runaway simulation?",
-                    self.max_events
-                );
-                {
-                    let mut ctx = Context {
-                        now: self.now,
-                        self_id: ComponentId(t),
-                        world: &mut self.world,
-                        queue: &mut self.queue,
-                        msgs: &mut self.msgs,
-                        groups: &mut self.groups,
-                        rng: &mut self.streams[t as usize],
-                        tracer: &mut self.tracer,
-                        halt: &mut self.halt,
-                        in_flight: batch.len() as u64,
-                    };
-                    self.components[t as usize].handle_batch(&mut batch, &mut ctx);
-                }
-                debug_assert!(batch.is_empty(), "handle_batch must drain its input");
-                batch.clear();
-                self.scratch = batch;
-                if follower_in_window {
-                    let (ft, fp) = window[end];
-                    let fmsg = self.msgs.take(fp);
-                    self.deliver(ComponentId(ft), fmsg, 0);
-                    i = end + 1;
-                } else {
-                    i = end;
-                }
-            } else {
-                virt += 1;
-                self.queue.set_depth_bias((total - virt) as usize);
-                self.deliver(ComponentId(t), msg, 0);
-                i += 1;
-            }
-        }
-        self.queue.set_depth_bias(0);
-    }
-
-    /// Merge per-event worker outputs back in canonical serial order,
-    /// replaying the serial engine's accounting byte for byte: payload
-    /// takes in serial order (arena slot reuse and live/peak match),
-    /// handler pushes through the real queue (sequence numbers assigned
-    /// exactly as serial handlers would), trace records through the real
-    /// tracer (bounded-cap drops included), and the queue depth biased
-    /// by the not-yet-serially-popped remainder so `peak` matches.
-    fn merge_window(
-        &mut self,
-        _time: SimTime,
-        window: &[(u32, PayloadId)],
-        mut outs: WindowOutput<M>,
-        carry_popped: bool,
-    ) {
-        debug_assert_eq!(outs.len(), window.len());
-        let total = window.len() as u64 + u64::from(carry_popped);
-        let mut virt = 0u64;
-        let mut i = 0usize;
-        while i < window.len() {
-            let (t, p) = window[i];
-            if self.components[t as usize].batchable(self.msgs.get(p)) {
-                let mut end = i + 1;
-                while end < window.len()
-                    && window[end].0 == t
-                    && self.components[t as usize].batchable(self.msgs.get(window[end].1))
-                {
-                    end += 1;
-                }
-                let follower_in_window = end < window.len();
-                virt += (end - i) as u64;
-                if follower_in_window || (carry_popped && end == window.len()) {
-                    virt += 1;
-                }
-                // Serial drains the whole run's payloads before the
-                // batch handler runs, then counts and caps it as one.
-                for &(_, fp) in &window[i..end] {
-                    let _ = self.msgs.take(fp);
-                }
-                self.queue.set_depth_bias((total - virt) as usize);
-                self.handled += (end - i) as u64;
-                assert!(
-                    self.handled <= self.max_events,
-                    "event cap exceeded ({} events): runaway simulation?",
-                    self.max_events
-                );
-                for k in i..end {
-                    self.emit_output(&mut outs, k);
-                }
-                if follower_in_window {
-                    // The run's carry: taken and delivered singly.
-                    let (_, fp) = window[end];
-                    let _ = self.msgs.take(fp);
-                    self.count_one_handled();
-                    self.emit_output(&mut outs, end);
-                    i = end + 1;
-                } else {
-                    i = end;
-                }
-            } else {
-                virt += 1;
-                let _ = self.msgs.take(p);
-                self.queue.set_depth_bias((total - virt) as usize);
-                self.count_one_handled();
-                self.emit_output(&mut outs, i);
-                i += 1;
-            }
-        }
-        self.queue.set_depth_bias(0);
-    }
-
-    /// Replay window position `w`'s buffered sends and traces through the
-    /// real queue and tracer, in emission order.
-    fn emit_output(&mut self, outs: &mut WindowOutput<M>, w: usize) {
-        let msgs = &mut self.msgs;
-        let queue = &mut self.queue;
-        let tracer = &mut self.tracer;
-        outs.emit(
-            w,
-            |to, at, msg| {
-                let payload = msgs.alloc(msg);
-                queue.push(at, EventRef::one(to, payload));
-            },
-            |rec| {
-                let TraceRecord {
-                    time,
-                    component,
-                    label,
-                    detail,
-                } = rec;
-                tracer.record(time, component, label, || detail);
-            },
-        );
-    }
-
-    /// The single-delivery half of [`Simulation::deliver`]'s accounting.
-    fn count_one_handled(&mut self) {
-        self.handled += 1;
-        assert!(
-            self.handled <= self.max_events,
-            "event cap exceeded ({} events): runaway simulation?",
-            self.max_events
-        );
     }
 
     /// Deliver one already-popped entry: take its payload back out of the
@@ -1313,7 +937,6 @@ impl<W, M: Clone> Simulation<W, M> {
             delivered: self.delivered,
             handled: self.handled,
             max_events: self.max_events,
-            batching: self.batching,
             entries: self
                 .queue
                 .entries()
@@ -1362,7 +985,6 @@ impl<W, M: Clone> Simulation<W, M> {
         self.delivered = state.delivered;
         self.handled = state.handled;
         self.max_events = state.max_events;
-        self.batching = state.batching;
         self.msgs = EventArena::import_state(state.msgs);
         self.groups = EventArena::import_state(ArenaState {
             slots: state
@@ -1450,8 +1072,6 @@ pub struct EngineState<M> {
     pub handled: u64,
     /// Runaway-guard cap on handler invocations.
     pub max_events: u64,
-    /// Same-instant batching configuration.
-    pub batching: bool,
     /// Every pending queue entry.
     pub entries: Vec<QueuedEventState>,
     /// Queue lifetime counters and interleaving digest.
@@ -1864,9 +1484,11 @@ mod tests {
     /// A batching component: records deliveries like [`Recorder`] plus the
     /// batch sizes its `handle_batch` override observed, and counts
     /// pending messages per delivery so batched/unbatched equivalence of
-    /// the compensated pending count is checked too.
+    /// the compensated pending count is checked too. `batching: false`
+    /// opts every message out — the per-message reference twin.
     struct BatchRecorder {
         batch_sizes: Vec<usize>,
+        batching: bool,
     }
     impl Component<RecWorld, u32> for BatchRecorder {
         fn handle(&mut self, msg: u32, ctx: &mut Context<'_, RecWorld, u32>) {
@@ -1883,7 +1505,7 @@ mod tests {
         }
 
         fn batchable(&self, msg: &u32) -> bool {
-            *msg < 100
+            self.batching && *msg < 100
         }
 
         fn handle_batch(&mut self, msgs: &mut Vec<u32>, ctx: &mut Context<'_, RecWorld, u32>) {
@@ -1895,15 +1517,22 @@ mod tests {
         }
     }
 
-    fn batch_run(batching: bool) -> (RecWorld, u64, u64) {
+    fn batch_recorder() -> BatchRecorder {
+        BatchRecorder {
+            batch_sizes: Vec::new(),
+            batching: true,
+        }
+    }
+
+    /// `per_message` installs an inert hook (an empty tie script): any
+    /// hook suspends batching, so that run is the per-message reference.
+    fn batch_run(per_message: bool) -> (RecWorld, u64, u64) {
         let mut sim = Simulation::new(RecWorld::new(), 11);
-        let a = sim.add_component(BatchRecorder {
-            batch_sizes: Vec::new(),
-        });
-        let b = sim.add_component(BatchRecorder {
-            batch_sizes: Vec::new(),
-        });
-        sim.set_event_batching(batching);
+        let a = sim.add_component(batch_recorder());
+        let b = sim.add_component(batch_recorder());
+        if per_message {
+            sim.set_delivery_order(Some(DeliveryOrder::script(Vec::new())));
+        }
         let t = SimTime::from_micros(50);
         // A run for a, one non-batchable interloper (>= 100), a run for b,
         // then more for a at the same instant, plus a later singleton.
@@ -1920,42 +1549,49 @@ mod tests {
 
     #[test]
     fn batching_is_byte_identical_and_counts_match() {
-        let (on, delivered_on, handled_on) = batch_run(true);
-        let (off, delivered_off, handled_off) = batch_run(false);
-        assert_eq!(on, off, "trace identical with batching on and off");
-        assert_eq!(delivered_on, delivered_off, "pops identical");
-        assert_eq!(handled_on, handled_off, "handler invocations identical");
+        let (batched, delivered_batched, handled_batched) = batch_run(false);
+        let (single, delivered_single, handled_single) = batch_run(true);
+        assert_eq!(batched, single, "trace identical batched and per-message");
+        assert_eq!(delivered_batched, delivered_single, "pops identical");
+        assert_eq!(
+            handled_batched, handled_single,
+            "handler invocations identical"
+        );
     }
 
     #[test]
     fn batching_suspends_under_a_delivery_order_hook() {
-        // With a permuting hook installed the engine must fall back to
-        // per-message delivery (ties can reorder same-instant events), and
-        // the hooked trace must be independent of the batching toggle.
+        // Message 7 pushes 8 at the same instant. Under this script 7
+        // draws tie 0 and the queued 1 and 2 draw tie 1, so the fresh 8
+        // (tie 0 once the script runs out) must pop before them. A batch
+        // drain at 7 would already hold 1 and 2 and deliver 8 last — so
+        // the engine must deliver per message, exactly like a component
+        // that opts nothing into batching.
         let run = |batching: bool| {
             let mut sim = Simulation::new(RecWorld::new(), 2);
             let a = sim.add_component(BatchRecorder {
                 batch_sizes: Vec::new(),
+                batching,
             });
-            sim.set_event_batching(batching);
-            sim.set_delivery_order(Some(DeliveryOrder::script(vec![2, 1, 0])));
+            sim.set_delivery_order(Some(DeliveryOrder::script(vec![0, 1, 1])));
             let t = SimTime::from_micros(9);
-            for msg in [1u32, 2, 3] {
+            for msg in [7u32, 1, 2] {
                 sim.post(t, a, msg);
             }
             sim.run_to_completion();
             let digest = sim.interleaving_digest();
             (sim.into_world(), digest)
         };
-        let (on, digest_on) = run(true);
-        let (off, digest_off) = run(false);
-        assert_eq!(on, off);
-        assert_eq!(digest_on, digest_off);
-        // The scripted ties actually permuted (batching did not flatten
-        // the permutation away).
+        let (batchable, digest_batchable) = run(true);
+        let (reference, digest_reference) = run(false);
+        assert_eq!(batchable, reference);
+        assert_eq!(digest_batchable, digest_reference);
         assert_eq!(
-            on.iter().map(|&(_, _, v)| v / 1000).collect::<Vec<_>>(),
-            vec![3, 2, 1]
+            batchable
+                .iter()
+                .map(|&(_, _, v)| v / 1000)
+                .collect::<Vec<_>>(),
+            vec![7, 8, 1, 2]
         );
     }
 
@@ -1979,7 +1615,7 @@ mod tests {
         // Run to a midpoint (with a group mid-flight and traces on),
         // export, import into a freshly built simulation, and finish
         // both: worlds, counters, and traces must match exactly.
-        let build = |batching: bool| {
+        let build = || {
             let mut sim = Simulation::new(RecWorld::new(), 23);
             let fan = sim.add_component(FanOut {
                 targets: GroupTargets::Strided {
@@ -1996,22 +1632,21 @@ mod tests {
             for _ in 0..6 {
                 sim.add_component(Recorder);
             }
-            sim.set_event_batching(batching);
             sim.enable_tracing();
             sim.post(SimTime::ZERO, fan, 7);
             sim.post(SimTime::from_micros(10), fan, 900);
             sim
         };
-        let mut orig = build(true);
-        let mut half = build(true);
+        let mut orig = build();
+        let mut half = build();
         // Stop mid-run, with fan-out remainders still parked.
         orig.run_until(SimTime::from_micros(12));
         half.run_until(SimTime::from_micros(12));
         let state = half.export_engine_state();
-        // Import into a fresh sim that was built differently (events
-        // posted at construction get discarded, batching differs). The
-        // world is the harness's to carry — copy it across.
-        let mut restored = build(false);
+        // Import into a fresh sim (events posted at construction get
+        // discarded). The world is the harness's to carry — copy it
+        // across.
+        let mut restored = build();
         *restored.world_mut() = half.world().clone();
         restored.import_engine_state(state);
         assert_eq!(restored.now(), orig.now());

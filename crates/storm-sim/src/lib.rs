@@ -8,10 +8,11 @@
 //!
 //! * [`SimTime`] / [`SimSpan`] — nanosecond-resolution instants and durations.
 //! * [`EventQueue`] — an event queue with a total (time, sequence) order,
-//!   which makes every run bit-for-bit reproducible for a given seed. Two
-//!   backends — a hierarchical timing wheel (default) and the reference
-//!   binary heap — pop in bit-identical order. Entries carry only a dense
-//!   event reference; payloads are interned in [`EventArena`].
+//!   which makes every run bit-for-bit reproducible for a given seed. The
+//!   engine runs on a hierarchical timing wheel; the reference binary
+//!   heap pops in bit-identical order and stays as the specification the
+//!   wheel is tested against. Entries carry only a dense event reference;
+//!   payloads are interned in [`EventArena`].
 //! * [`EventArena`] — a generational slab arena for in-flight message
 //!   payloads, so queue reshuffles move machine words, not messages.
 //! * [`Simulation`] / [`Component`] / [`Context`] — a small actor framework:
@@ -23,13 +24,10 @@
 //! * [`trace`] — a lightweight event trace used by tests to assert
 //!   determinism and by examples to print timelines.
 //!
-//! The engine is deliberately simple — no `unsafe`, no wall-clock time —
-//! because reproducibility of the *simulated* timings is the property
-//! every experiment in the paper reproduction depends on. Parallel
-//! intra-timeslice window execution ([`shard`], opt-in via
-//! `Simulation::set_threads`) keeps that property: worker outputs are
-//! merged back in canonical serial order, byte-identical to a
-//! single-threaded run.
+//! The engine is deliberately simple — one serial event path, no
+//! `unsafe`, no wall-clock time — because reproducibility of the
+//! *simulated* timings is the property every experiment in the paper
+//! reproduction depends on.
 //!
 //! ## Example
 //!
@@ -69,7 +67,6 @@ pub mod arena;
 pub mod engine;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -84,6 +81,5 @@ pub use queue::{
     QueueStats,
 };
 pub use rng::DeterministicRng;
-pub use shard::{ShardContext, ShardWorld};
 pub use time::{SimSpan, SimTime};
 pub use trace::{intern_label, TraceRecord, Tracer};

@@ -598,12 +598,6 @@ pub struct EventQueue<E> {
     pushed: u64,
     popped: u64,
     peak: usize,
-    /// Transient depth adjustment for the peak high-water mark: during a
-    /// parallel-window merge the engine has already popped events the
-    /// serial engine would still be holding, so pushes credit the depth
-    /// with the not-yet-serially-popped remainder to keep `peak`
-    /// byte-identical to serial runs. Always zero between deliveries.
-    depth_bias: usize,
     order: Option<DeliveryOrder>,
     pop_digest: u64,
 }
@@ -661,17 +655,9 @@ impl<E> EventQueue<E> {
             pushed: 0,
             popped: 0,
             peak: 0,
-            depth_bias: 0,
             order: None,
             pop_digest: 0xCBF2_9CE4_8422_2325,
         }
-    }
-
-    /// Set the transient peak-accounting depth bias (see the field doc).
-    /// Engine-internal: only the parallel-window merge sets a nonzero
-    /// bias, and it resets to zero before the window completes.
-    pub(crate) fn set_depth_bias(&mut self, bias: usize) {
-        self.depth_bias = bias;
     }
 
     /// Install (or remove) the delivery-order hook. Applies to events
@@ -710,7 +696,7 @@ impl<E> EventQueue<E> {
             Inner::Wheel(w) => w.insert(entry),
         }
         self.pushed += 1;
-        self.peak = self.peak.max(self.len() + self.depth_bias);
+        self.peak = self.peak.max(self.len());
     }
 
     /// Schedule `event` at absolute instant `time` (plus the hook's
@@ -1221,24 +1207,43 @@ mod tests {
 
     #[test]
     fn seeded_orders_match_across_backends() {
-        // The same seeded hook must reorder identically on heap and wheel:
-        // the tie is part of the total order, not a backend detail.
+        // The same seeded hook — with and without a bounded delivery
+        // delay — must reorder identically on heap and wheel: tie and
+        // delay are part of the total order, not a backend detail. Pops
+        // interleave with pushes as in an engine run, so delayed entries
+        // also land in buckets the wheel is already draining.
         for seed in 0..4u64 {
-            let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-            let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-            heap.set_delivery_order(Some(DeliveryOrder::seeded(seed, 7)));
-            wheel.set_delivery_order(Some(DeliveryOrder::seeded(seed, 7)));
-            for i in 0..5_000u64 {
-                let t = SimTime::from_micros((i * 13) % 97);
-                heap.push(t, i);
-                wheel.push(t, i);
-            }
-            loop {
-                let (h, w) = (heap.pop(), wheel.pop());
-                assert_eq!(h, w);
-                if h.is_none() {
-                    break;
+            for delay in [SimSpan::ZERO, SimSpan::from_micros(20)] {
+                let order = DeliveryOrder::seeded(seed, 7).with_max_delay(delay);
+                let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+                let mut wheel = EventQueue::with_backend_and_granularity(
+                    QueueBackend::Wheel,
+                    SimSpan::from_micros(1),
+                );
+                heap.set_delivery_order(Some(order.clone()));
+                wheel.set_delivery_order(Some(order));
+                let mut floor = 0u64; // pops never go back in time in real use
+                for i in 0..5_000u64 {
+                    let t = SimTime::from_nanos(floor + (i * 13) % 97 * 1_000);
+                    heap.push(t, i);
+                    wheel.push(t, i);
+                    if i % 3 == 2 {
+                        let (h, w) = (heap.pop(), wheel.pop());
+                        assert_eq!(h, w);
+                        if let Some((t, _)) = h {
+                            floor = t.as_nanos();
+                        }
+                    }
                 }
+                loop {
+                    let (h, w) = (heap.pop(), wheel.pop());
+                    assert_eq!(h, w);
+                    if h.is_none() {
+                        break;
+                    }
+                }
+                assert_eq!(heap.pop_digest(), wheel.pop_digest(), "seed {seed}");
+                assert_eq!(heap.stats(), wheel.stats(), "seed {seed}");
             }
         }
     }

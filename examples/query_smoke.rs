@@ -2,8 +2,7 @@
 //! instrumented cluster with standing queries, freezes it mid-run to a
 //! checkpoint artifact, proves restore→resume is byte-identical to the
 //! uninterrupted run, and writes the sample `CKPT_*.json` plus the alert
-//! log CI uploads. Honours `STORM_QUEUE_BACKEND`, so the same binary
-//! smokes both queue backends.
+//! log CI uploads.
 //!
 //! Output paths override with `CKPT_OUT` / `ALERTS_OUT`.
 //!

@@ -185,82 +185,6 @@ fn group_delivery_is_byte_identical_to_unicast() {
     );
 }
 
-/// The timing wheel is a *data-structure* change in the event queue, not a
-/// semantic one: with the same seed, a run on the hierarchical wheel must
-/// be byte-identical — trace, statistics, job metrics, handler invocations,
-/// and even queue-pop counts — to one on the reference binary heap.
-#[test]
-fn wheel_backend_is_byte_identical_to_heap() {
-    let wheel =
-        mixed_workload_run_cfg(mixed_workload_cfg(true).with_queue_backend(QueueBackend::Wheel));
-    let heap =
-        mixed_workload_run_cfg(mixed_workload_cfg(true).with_queue_backend(QueueBackend::Heap));
-    assert_eq!(wheel.trace, heap.trace, "event traces");
-    assert_eq!(wheel.stats, heap.stats, "cluster statistics");
-    assert_eq!(wheel.jobs, heap.jobs, "job states and metrics");
-    assert_eq!(wheel.messages, heap.messages, "handler invocations");
-    assert_eq!(wheel.events, heap.events, "queue pops");
-}
-
-/// Same-timeslice event batching is a *dispatch* change in the engine, not
-/// a semantic one: when a run of same-instant events targets one component,
-/// the engine drains them into a single `handle_batch` call instead of
-/// dispatching each through the component table. With the same seed a
-/// batched run must be byte-identical — trace, statistics, job metrics,
-/// handler invocations, queue pops — to the per-message run, on both queue
-/// backends, on the mixed launch + gang + fault workload.
-#[test]
-fn event_batching_is_byte_identical_to_per_message_delivery() {
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        let batched = mixed_workload_run_cfg(
-            mixed_workload_cfg(true)
-                .with_queue_backend(backend)
-                .with_event_batching(true),
-        );
-        let single = mixed_workload_run_cfg(
-            mixed_workload_cfg(true)
-                .with_queue_backend(backend)
-                .with_event_batching(false),
-        );
-        assert_eq!(batched.trace, single.trace, "event traces ({backend:?})");
-        assert_eq!(
-            batched.stats, single.stats,
-            "cluster statistics ({backend:?})"
-        );
-        assert_eq!(
-            batched.jobs, single.jobs,
-            "job states and metrics ({backend:?})"
-        );
-        assert_eq!(
-            batched.messages, single.messages,
-            "handler invocations ({backend:?})"
-        );
-        assert_eq!(batched.events, single.events, "queue pops ({backend:?})");
-    }
-}
-
-/// Under a DST delivery-order hook the engine suspends batching (the hook
-/// may interleave targets within an instant), so a hooked run must be
-/// byte-identical whatever the batching setting says.
-#[test]
-fn event_batching_defers_to_a_delivery_order_hook() {
-    use storm::sim::DeliveryOrder;
-    let hook = |on| {
-        mixed_workload_run_cfg(
-            mixed_workload_cfg(true)
-                .with_delivery_order(DeliveryOrder::seeded(0x9E37, 3))
-                .with_event_batching(on),
-        )
-    };
-    let on = hook(true);
-    let off = hook(false);
-    assert_eq!(on.trace, off.trace, "event traces");
-    assert_eq!(on.stats, off.stats, "cluster statistics");
-    assert_eq!(on.jobs, off.jobs, "job states and metrics");
-    assert_eq!(on.messages, off.messages, "handler invocations");
-    assert_eq!(on.events, off.events, "queue pops");
-}
-
 /// Idle fast-forward leaps the clock over quiescent timeslices instead of
 /// strobing them; every *simulation* observable — trace, statistics, job
 /// metrics — must still match the fully-strobed run bit for bit. Only the
@@ -482,11 +406,11 @@ fn gang_runs_are_deterministic() {
 /// `Cluster::checkpoint()` and resuming the artifact with
 /// `Cluster::restore()` must reproduce the uninterrupted run *exactly* —
 /// same trace, same stats, same telemetry, same interleaving digest,
-/// same final checkpoint bytes — under both event-queue backends.
-fn checkpoint_resume_roundtrip(backend: QueueBackend) {
+/// same final checkpoint bytes.
+#[test]
+fn checkpoint_restore_resume_is_byte_identical_on_wheel() {
     let cfg = ClusterConfig::paper_cluster()
         .with_seed(41)
-        .with_queue_backend(backend)
         .with_telemetry(true)
         .with_fault_detection(4);
     let mut live = Cluster::new(cfg);
@@ -530,16 +454,6 @@ fn checkpoint_resume_roundtrip(backend: QueueBackend) {
         resumed.checkpoint(),
         "final checkpoints must be byte-identical"
     );
-}
-
-#[test]
-fn checkpoint_restore_resume_is_byte_identical_on_heap() {
-    checkpoint_resume_roundtrip(QueueBackend::Heap);
-}
-
-#[test]
-fn checkpoint_restore_resume_is_byte_identical_on_wheel() {
-    checkpoint_resume_roundtrip(QueueBackend::Wheel);
 }
 
 /// The continuous-query zero-cost contract: with no queries registered
@@ -639,122 +553,5 @@ fn chrome_trace_is_valid_and_ordering_is_deterministic() {
     assert!(
         instant_ts.windows(2).all(|w| w[0] <= w[1]),
         "instants non-decreasing in time"
-    );
-}
-
-/// One unicast (no group delivery) run with everything observable turned
-/// on, for the parallel-execution lock-step comparisons below. The low
-/// window floor makes the 64-node cluster's same-instant fan-outs
-/// (strobes, heartbeats, write completions) form real parallel windows.
-fn threads_run(threads: u32, backend: QueueBackend) -> (String, String, u64) {
-    let mut cfg = ClusterConfig::paper_cluster()
-        .with_seed(909)
-        .with_queue_backend(backend)
-        .with_threads(threads)
-        .with_telemetry(true)
-        .with_group_delivery(false)
-        .with_fault_detection(4);
-    cfg.mpl_max = 2;
-    let mut c = Cluster::new(cfg);
-    c.set_parallel_window_min(8);
-    c.enable_tracing();
-    c.submit(JobSpec::new(AppSpec::do_nothing_mb(12), 256));
-    c.submit_at(
-        SimTime::from_millis(30),
-        JobSpec::new(
-            AppSpec::Synthetic {
-                compute: SimSpan::from_millis(500),
-            },
-            64,
-        ),
-    );
-    c.run_until(SimTime::from_secs(2));
-    let observables = format!(
-        "events={} queue={:?} arena={:?} stats={:?}",
-        c.events_delivered(),
-        c.queue_stats(),
-        c.arena_stats(),
-        c.world().stats,
-    );
-    let telemetry = c.metrics_snapshot().to_json();
-    (
-        format!("{observables} trace={}", c.trace()),
-        telemetry,
-        c.parallel_windows(),
-    )
-}
-
-/// The tentpole contract: any worker-thread count reproduces the serial
-/// run byte for byte — trace, queue/arena accounting (peaks included),
-/// cluster stats, and every telemetry gauge — under both queue backends,
-/// with the parallel path provably exercised (window counter > 0).
-#[test]
-fn parallel_threads_are_byte_identical_across_backends() {
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        let (serial, serial_tel, w1) = threads_run(1, backend);
-        assert_eq!(w1, 0, "threads=1 must stay serial");
-        for threads in [2, 4] {
-            let (par, par_tel, wn) = threads_run(threads, backend);
-            assert!(
-                wn > 0,
-                "parallel path must actually run ({backend:?}, threads={threads})"
-            );
-            assert_eq!(
-                serial, par,
-                "{backend:?} threads={threads}: observables diverged"
-            );
-            assert_eq!(
-                serial_tel, par_tel,
-                "{backend:?} threads={threads}: telemetry snapshots diverged"
-            );
-        }
-    }
-}
-
-/// Checkpoints pin the resolved thread count, and a restored cluster —
-/// even one that ends up executing a *different* mix of parallel and
-/// serial windows (the window floor is not checkpointed) — replays the
-/// run byte-identically: the thread count is purely a wall-clock knob.
-#[test]
-fn checkpoint_pins_threads_and_restores_byte_identically() {
-    let cfg = ClusterConfig::paper_cluster()
-        .with_seed(77)
-        .with_threads(4)
-        .with_telemetry(true)
-        .with_group_delivery(false)
-        .with_fault_detection(4);
-    let mut live = Cluster::new(cfg);
-    live.set_parallel_window_min(8);
-    live.enable_tracing();
-    live.submit(JobSpec::new(AppSpec::do_nothing_mb(8), 128));
-    live.run_until(SimTime::from_millis(45));
-    let artifact = live.checkpoint();
-    assert!(
-        artifact.contains("\"threads\": 4") || artifact.contains("\"threads\":4"),
-        "checkpoint must pin the resolved thread count"
-    );
-
-    let mut resumed = Cluster::restore(&artifact).expect("restore");
-    assert_eq!(
-        resumed.threads(),
-        4,
-        "restored cluster resolves pinned threads"
-    );
-    live.run_until(SimTime::from_millis(400));
-    resumed.run_until(SimTime::from_millis(400));
-    assert!(
-        live.parallel_windows() > 0,
-        "live run must exercise parallel windows"
-    );
-    assert_eq!(live.trace(), resumed.trace(), "event traces");
-    assert_eq!(
-        live.metrics_snapshot().to_json(),
-        resumed.metrics_snapshot().to_json(),
-        "telemetry snapshots"
-    );
-    assert_eq!(
-        live.checkpoint(),
-        resumed.checkpoint(),
-        "final checkpoints must be byte-identical"
     );
 }

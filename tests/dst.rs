@@ -21,7 +21,11 @@ fn mixed_cfg() -> ClusterConfig {
         .with_fault_detection(4)
 }
 
-fn mixed_run(cfg: ClusterConfig) -> (String, ClusterStats, u64, u64) {
+/// Everything a run exposes: trace, stats, job states and metrics, handler
+/// invocations and queue pops.
+type MixedRun = (String, ClusterStats, Vec<(JobState, JobMetrics)>, u64, u64);
+
+fn mixed_run(cfg: ClusterConfig) -> MixedRun {
     let mut c = Cluster::new(cfg);
     c.enable_tracing();
     c.submit(JobSpec::new(AppSpec::do_nothing_mb(12), 256));
@@ -37,9 +41,16 @@ fn mixed_run(cfg: ClusterConfig) -> (String, ClusterStats, u64, u64) {
     c.fail_node_at(SimTime::from_millis(40), 9);
     c.rejoin_node_at(SimTime::from_millis(120), 9);
     c.run_until(SimTime::from_millis(300));
+    let jobs = c
+        .report()
+        .jobs
+        .iter()
+        .map(|j| (j.state, j.metrics.clone()))
+        .collect();
     (
         c.trace(),
         c.world().stats.clone(),
+        jobs,
         c.messages_handled(),
         c.events_delivered(),
     )
@@ -48,7 +59,9 @@ fn mixed_run(cfg: ClusterConfig) -> (String, ClusterStats, u64, u64) {
 /// The zero-drift contract: an *inert* delivery-order hook — an empty tie
 /// script, or a seeded order with amplitude 0 — must leave the run
 /// byte-identical to no hook at all. Every tie is 0, so the total order
-/// `(time, 0, seq)` collapses to the classic `(time, seq)`.
+/// `(time, 0, seq)` collapses to the classic `(time, seq)`. Any installed
+/// hook also suspends same-instant batching, so this is equally the proof
+/// that the batched default matches per-message delivery.
 #[test]
 fn inert_dst_hooks_cause_zero_behavioral_drift() {
     let plain = mixed_run(mixed_cfg());
@@ -58,10 +71,15 @@ fn inert_dst_hooks_cause_zero_behavioral_drift() {
     assert_eq!(plain.0, seeded.0, "trace: amplitude-0 seed vs none");
     assert_eq!(plain.1, scripted.1, "stats: empty script vs none");
     assert_eq!(plain.1, seeded.1, "stats: amplitude-0 seed vs none");
-    assert_eq!(plain.2, scripted.2, "handler invocations");
-    assert_eq!(plain.2, seeded.2, "handler invocations");
-    assert_eq!(plain.3, scripted.3, "queue pops");
-    assert_eq!(plain.3, seeded.3, "queue pops");
+    assert_eq!(plain.2, scripted.2, "job states and metrics: empty script");
+    assert_eq!(
+        plain.2, seeded.2,
+        "job states and metrics: amplitude-0 seed"
+    );
+    assert_eq!(plain.3, scripted.3, "handler invocations");
+    assert_eq!(plain.3, seeded.3, "handler invocations");
+    assert_eq!(plain.4, scripted.4, "queue pops");
+    assert_eq!(plain.4, seeded.4, "queue pops");
 }
 
 /// A *non*-inert order must actually reorder: same workload, amplitude 3,
@@ -100,26 +118,6 @@ fn swarm_explores_at_least_100_distinct_interleavings() {
         "only {} distinct interleavings in 128 seeded runs",
         report.distinct
     );
-}
-
-/// The same seeded order must execute the same interleaving on both event
-/// queue backends: the wheel is a data-structure change, not a semantic
-/// one, even under DST reordering with bounded delays.
-#[test]
-fn seeded_order_is_backend_independent() {
-    let scenario = |backend| {
-        Scenario::two_node_launch()
-            .with_order(OrderSpec::Seeded {
-                seed: 11,
-                amplitude: 3,
-                delay_us: 20,
-            })
-            .with_backend(backend)
-    };
-    let heap = run_scenario(&scenario(QueueBackend::Heap));
-    let wheel = run_scenario(&scenario(QueueBackend::Wheel));
-    assert!(!heap.failed(), "violation: {:?}", heap.violation);
-    assert_eq!(heap, wheel, "heap and wheel must agree on the outcome");
 }
 
 /// Acceptance criterion: an intentionally seeded oracle violation shrinks
