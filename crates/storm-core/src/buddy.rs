@@ -67,7 +67,7 @@ impl BuddyAllocator {
             } else {
                 1 << (31 - block.leading_zeros())
             };
-            a.carve(start, order_for(block));
+            assert!(a.carve(start, order_for(block)), "the tail is free");
             start += block;
         }
         a
@@ -141,14 +141,18 @@ impl BuddyAllocator {
         self.free[order].insert(start);
     }
 
-    /// Mark a specific aligned block as allocated (used for the reserved
-    /// tail and by tests). Panics if the block is not exactly free.
-    fn carve(&mut self, start: u32, order: u32) {
+    /// Mark a specific aligned block as allocated (the reserved tail,
+    /// quarantines, checkpoint replay). Returns `false`, changing nothing,
+    /// when the block is not free.
+    fn carve(&mut self, start: u32, order: u32) -> bool {
+        if order as usize >= self.free.len() {
+            return false;
+        }
         // Split larger blocks until a block of exactly (start, order) is free.
         loop {
             if self.free[order as usize].remove(&start) {
                 self.allocated.insert(start, order);
-                return;
+                return true;
             }
             // Find an enclosing free block and split it once.
             let mut split_done = false;
@@ -161,7 +165,9 @@ impl BuddyAllocator {
                     break;
                 }
             }
-            assert!(split_done, "carve({start}, {order}): block not free");
+            if !split_done {
+                return false;
+            }
         }
     }
 
@@ -182,7 +188,7 @@ impl BuddyAllocator {
         if node >= self.usable || self.quarantined.contains(&node) || !self.is_free(node) {
             return false;
         }
-        self.carve(node, 0);
+        assert!(self.carve(node, 0), "a free node carves");
         // Track it as quarantined rather than allocated: it must neither
         // show up in `allocations()` nor coalesce with freed neighbours.
         self.allocated.remove(&node);
@@ -246,16 +252,25 @@ impl BuddyAllocator {
     /// and re-carving each allocation. Free blocks always sit in the unique
     /// maximal buddy decomposition of the unallocated space (eager
     /// coalescing in [`BuddyAllocator::free`] maintains it), so replay
-    /// reproduces the free lists exactly.
-    pub fn import_state(state: BuddyState) -> Self {
+    /// reproduces the free lists exactly. An image that does not replay —
+    /// no usable node, or a quarantine or allocation outside the usable
+    /// nodes or overlapping another — is an error.
+    pub fn import_state(state: BuddyState) -> Result<Self, String> {
+        if state.usable == 0 {
+            return Err("no usable nodes".into());
+        }
         let mut b = BuddyAllocator::new(state.usable);
         for node in state.quarantined {
-            assert!(b.quarantine(node), "checkpointed quarantine must replay");
+            if !b.quarantine(node) {
+                return Err(format!("quarantine of node {node} does not replay"));
+            }
         }
         for (start, order) in state.allocated {
-            b.carve(start, order);
+            if !b.carve(start, order) {
+                return Err(format!("allocation ({start}, {order}) does not replay"));
+            }
         }
-        b
+        Ok(b)
     }
 }
 

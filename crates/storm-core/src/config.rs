@@ -374,7 +374,8 @@ impl ClusterConfig {
         if self.heartbeat_every == 0 {
             return Err("heartbeat_every must be ≥ 1".into());
         }
-        self.faults.validate(self.nodes, self.mm_standbys + 1)?;
+        self.faults
+            .validate(self.nodes, self.mm_standbys.saturating_add(1))?;
         self.load.validate()?;
         Ok(())
     }

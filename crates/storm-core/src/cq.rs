@@ -99,26 +99,6 @@ pub struct ContinuousQuery {
 }
 
 impl ContinuousQuery {
-    pub(crate) fn from_parts(
-        name: String,
-        cond: Condition,
-        last_depth: Option<u64>,
-        streak: u32,
-        firings: u64,
-    ) -> Self {
-        Self {
-            name,
-            cond,
-            last_depth,
-            streak,
-            firings,
-        }
-    }
-
-    pub(crate) fn eval_state(&self) -> (Option<u64>, u32) {
-        (self.last_depth, self.streak)
-    }
-
     /// Returns `(fired, observed)` and updates growth-tracking state.
     fn check(&mut self, s: &ClusterSample) -> (bool, u64) {
         match self.cond {
@@ -141,10 +121,10 @@ impl ContinuousQuery {
 /// alert log they fire into.
 #[derive(Debug)]
 pub struct ContinuousQueries {
-    queries: Vec<ContinuousQuery>,
-    alerts: Vec<Alert>,
-    cap: usize,
-    dropped: u64,
+    pub(crate) queries: Vec<ContinuousQuery>,
+    pub(crate) alerts: Vec<Alert>,
+    pub(crate) cap: usize,
+    pub(crate) dropped: u64,
 }
 
 impl Default for ContinuousQueries {
@@ -229,21 +209,6 @@ impl ContinuousQueries {
                     self.dropped += 1;
                 }
             }
-        }
-    }
-
-    /// Rebuild a registry from checkpointed parts.
-    pub(crate) fn from_parts(
-        queries: Vec<ContinuousQuery>,
-        alerts: Vec<Alert>,
-        cap: usize,
-        dropped: u64,
-    ) -> Self {
-        Self {
-            queries,
-            alerts,
-            cap,
-            dropped,
         }
     }
 }

@@ -268,21 +268,31 @@ impl GangMatrix {
     }
 
     /// Rebuild a matrix from an exported image. See
-    /// [`GangMatrix::export_state`].
-    pub fn import_state(state: MatrixState) -> Self {
-        GangMatrix {
-            nodes: state.nodes,
-            mpl_max: state.mpl_max,
-            slots: state
-                .slots
-                .into_iter()
-                .map(|s| Slot {
-                    buddy: BuddyAllocator::import_state(s.buddy),
+    /// [`GangMatrix::export_state`]. Every slot's allocator must span the
+    /// matrix's nodes and replay (see [`BuddyAllocator::import_state`]).
+    pub fn import_state(state: MatrixState) -> Result<Self, String> {
+        let nodes = state.nodes;
+        let slots = (0..)
+            .zip(state.slots)
+            .map(|(i, s)| {
+                if s.buddy.usable != nodes {
+                    let usable = s.buddy.usable;
+                    return Err(format!("slot {i}: {usable} usable nodes of {nodes}"));
+                }
+                let buddy =
+                    BuddyAllocator::import_state(s.buddy).map_err(|e| format!("slot {i}: {e}"))?;
+                Ok(Slot {
+                    buddy,
                     jobs: s.jobs,
                 })
-                .collect(),
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(GangMatrix {
+            nodes,
+            mpl_max: state.mpl_max,
+            slots,
             quarantined: state.quarantined.into_iter().collect(),
-        }
+        })
     }
 
     /// Check the one-to-one mapping invariant: within every slot, no two

@@ -75,7 +75,7 @@ impl Repro {
                 detail: v.req_str("detail")?.to_string(),
             },
             digest: doc.req_u64("digest")?,
-            event_count: doc.req_u64("event_count")? as usize,
+            event_count: crate::scenario::req_int(&doc, "event_count")?,
         })
     }
 }

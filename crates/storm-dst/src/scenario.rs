@@ -167,6 +167,12 @@ pub struct Scenario {
     pub injection: Option<Injection>,
 }
 
+/// Required integer member `key`, converted without truncation: a value
+/// that does not fit `T` is an error.
+pub(crate) fn req_int<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
+    T::try_from(v.req_u64(key)?).map_err(|_| format!("member {key:?} is out of range"))
+}
+
 impl Scenario {
     /// The smallest interesting scenario: a two-node cluster launching one
     /// tiny binary — the schedule-space-exploration benchmark workload.
@@ -456,7 +462,7 @@ impl Scenario {
                 };
                 Ok(JobEvent {
                     at_ms: j.req_u64("at_ms")?,
-                    ranks: j.req_u64("ranks")? as u32,
+                    ranks: req_int(j, "ranks")?,
                     app: kind,
                 })
             })
@@ -478,7 +484,7 @@ impl Scenario {
                 };
                 Ok(FaultSpec {
                     at_ms: f.req_u64("at_ms")?,
-                    node: f.req_u64("node")? as u32,
+                    node: req_int(f, "node")?,
                     kind,
                 })
             })
@@ -508,16 +514,16 @@ impl Scenario {
                 let kind = match inj.req_str("kind")? {
                     "completed_skew" => InjectionKind::CompletedSkew,
                     "quarantine_desync" => InjectionKind::QuarantineDesync {
-                        node: inj.req_u64("node")? as u32,
+                        node: req_int(inj, "node")?,
                     },
                     "hb_regress" => InjectionKind::HbRegress,
                     "matrix_tear" => InjectionKind::MatrixTear,
                     "caw_tear" => InjectionKind::CawTear {
-                        node: inj.req_u64("node")? as u32,
+                        node: req_int(inj, "node")?,
                     },
                     "job_vanish" => InjectionKind::JobVanish,
                     "replica_skew" => InjectionKind::ReplicaSkew {
-                        rank: inj.req_u64("rank")? as u32,
+                        rank: req_int(inj, "rank")?,
                     },
                     "dual_active" => InjectionKind::DualActive,
                     other => return Err(format!("unknown injection kind {other:?}")),
@@ -530,14 +536,17 @@ impl Scenario {
         };
         Ok(Scenario {
             name: v.req_str("name")?.to_string(),
-            nodes: v.req_u64("nodes")? as u32,
-            cpus_per_node: v.req_u64("cpus_per_node")? as u32,
-            mpl_max: v.req_u64("mpl_max")? as usize,
+            nodes: req_int(v, "nodes")?,
+            cpus_per_node: req_int(v, "cpus_per_node")?,
+            mpl_max: req_int(v, "mpl_max")?,
             seed: v.req_u64("seed")?,
-            heartbeat_every: v.req_u64("heartbeat_every")? as u32,
+            heartbeat_every: req_int(v, "heartbeat_every")?,
             // Optional for backward compatibility with pre-replication
             // artifacts.
-            mm_standbys: v.get("mm_standbys").and_then(Value::as_u64).unwrap_or(0) as u32,
+            mm_standbys: match v.get("mm_standbys") {
+                Some(_) => req_int(v, "mm_standbys")?,
+                None => 0,
+            },
             horizon_ms: v.req_u64("horizon_ms")?,
             jobs,
             faults,
@@ -608,6 +617,36 @@ mod tests {
         members.push(("backend".into(), Value::Str("heap".into())));
         let back = Scenario::from_json(&Value::Obj(members)).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn integers_that_do_not_fit_are_rejected_not_truncated() {
+        // 4294967298 used to decode as `as u32` truncation: 2 nodes.
+        let rewrite = |path: &[&str], n: u64| {
+            let mut v = Scenario::small_chaos().to_json();
+            let mut at = &mut v;
+            for key in path {
+                at = match at {
+                    Value::Obj(m) => &mut m.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                    Value::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                    _ => unreachable!("path runs through containers"),
+                };
+            }
+            *at = json::num(n);
+            Scenario::from_json(&v)
+        };
+        let err = rewrite(&["nodes"], 4_294_967_298).unwrap_err();
+        assert!(err.contains("\"nodes\" is out of range"), "{err}");
+        for path in [
+            &["cpus_per_node"][..],
+            &["heartbeat_every"],
+            &["mm_standbys"],
+            &["jobs", "0", "ranks"],
+            &["faults", "0", "node"],
+        ] {
+            assert!(rewrite(path, 1 << 32).is_err(), "{path:?}");
+            assert!(rewrite(path, 3).is_ok(), "{path:?}");
+        }
     }
 
     #[test]

@@ -206,17 +206,35 @@ impl<T> EventArena<T> {
     }
 
     /// Rebuild an arena from an exported image. See
-    /// [`EventArena::export_state`].
-    pub fn import_state(state: ArenaState<T>) -> Self {
-        let live = state.slots.iter().filter(|(_, v)| v.is_some()).count();
-        let mut slots = Vec::with_capacity(state.reserve.max(state.slots.len()));
+    /// [`EventArena::export_state`]. Fails, rather than aborting, when the
+    /// slot table cannot be allocated, and when the free list does not
+    /// name every empty slot exactly once (each occupied slot it named
+    /// would later be overwritten or taken twice).
+    pub fn import_state(state: ArenaState<T>) -> Result<Self, String> {
+        let mut slots = Vec::new();
+        slots
+            .try_reserve_exact(state.reserve.max(state.slots.len()))
+            .map_err(|e| format!("reserve {}: {e}", state.reserve))?;
         slots.extend(state.slots.into_iter().map(|(gen, val)| Slot { gen, val }));
-        EventArena {
+        let live = slots.iter().filter(|s| s.val.is_some()).count();
+        let mut listed = vec![false; slots.len()];
+        for &ix in &state.free {
+            let ix = ix as usize;
+            if slots.get(ix).is_none_or(|s| s.val.is_some())
+                || std::mem::replace(&mut listed[ix], true)
+            {
+                return Err(format!("free-list entry {ix} does not name an empty slot"));
+            }
+        }
+        if live + state.free.len() != slots.len() {
+            return Err("an empty slot is missing from the free list".into());
+        }
+        Ok(EventArena {
             slots,
             free: state.free,
             live,
             peak: state.peak,
-        }
+        })
     }
 }
 
@@ -298,7 +316,7 @@ mod tests {
         a.take(ids[4]);
         let reborn = a.alloc(100u64); // reuses a freed slot under a new gen
         let before = a.stats();
-        let mut b = EventArena::import_state(a.export_state());
+        let mut b = EventArena::import_state(a.export_state()).unwrap();
         assert_eq!(b.stats(), before);
         assert_eq!(b.get(ids[0]), &0);
         assert_eq!(b.get(reborn), &100);

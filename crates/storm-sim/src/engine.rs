@@ -200,6 +200,25 @@ pub struct GroupState<M> {
     pub msg: M,
 }
 
+impl<M> GroupDelivery<M> {
+    /// Whether a checkpointed group can still be delivered among `n`
+    /// components: a member is left, every member is registered, and a
+    /// fan-out tree branches.
+    fn deliverable(&self, n: usize) -> bool {
+        let members = match &self.targets {
+            GroupTargets::Strided { first, stride, len } => {
+                let last =
+                    u64::from(first.0) + u64::from(*stride) * u64::from(len.saturating_sub(1));
+                last < n as u64
+            }
+            GroupTargets::List(ids) => ids.iter().all(|id| id.index() < n),
+        };
+        let branches =
+            !matches!(self.schedule, GroupSchedule::FanoutTree { fanout, .. } if fanout < 2);
+        self.cursor < self.targets.len() && members && branches
+    }
+}
+
 impl<M> From<GroupDelivery<M>> for GroupState<M> {
     fn from(g: GroupDelivery<M>) -> Self {
         GroupState {
@@ -979,14 +998,22 @@ impl<W, M: Clone> Simulation<W, M> {
     /// run continues byte-identically to the run the image was exported
     /// from — pop order, RNG draws, digests, and trace all resume
     /// mid-stream.
-    pub fn import_engine_state(&mut self, state: EngineState<M>) {
-        self.now = state.now;
-        self.halt = state.halt;
-        self.delivered = state.delivered;
-        self.handled = state.handled;
-        self.max_events = state.max_events;
-        self.msgs = EventArena::import_state(state.msgs);
-        self.groups = EventArena::import_state(ArenaState {
+    ///
+    /// An image that contradicts this simulation is rejected before
+    /// anything is overwritten: a stream count other than the component
+    /// count, a queue entry before the clock, one that names no live
+    /// payload (or one another entry names too), and a recipient that is
+    /// no registered component.
+    pub fn import_engine_state(&mut self, state: EngineState<M>) -> Result<(), String> {
+        let n = self.components.len();
+        if state.streams.len() != n {
+            return Err(format!(
+                "{} RNG streams for {n} components",
+                state.streams.len()
+            ));
+        }
+        let msgs = EventArena::import_state(state.msgs).map_err(|e| format!("msgs: {e}"))?;
+        let groups = EventArena::import_state(ArenaState {
             slots: state
                 .groups
                 .slots
@@ -996,7 +1023,30 @@ impl<W, M: Clone> Simulation<W, M> {
             free: state.groups.free,
             peak: state.groups.peak,
             reserve: state.groups.reserve,
-        });
+        })
+        .map_err(|e| format!("groups: {e}"))?;
+        let mut named = std::collections::HashSet::new();
+        for e in &state.entries {
+            let id = PayloadId::from_raw(e.payload.0, e.payload.1);
+            let deliverable = if e.target == GROUP_TARGET {
+                groups.try_get(id).is_some_and(|g| g.deliverable(n))
+            } else {
+                (e.target as usize) < n && msgs.try_get(id).is_some()
+            };
+            if !deliverable || e.time < state.now || !named.insert((e.target == GROUP_TARGET, id)) {
+                return Err(format!(
+                    "queue entry (time {}, seq {}) is not a pending delivery",
+                    e.time, e.seq
+                ));
+            }
+        }
+        self.now = state.now;
+        self.halt = state.halt;
+        self.delivered = state.delivered;
+        self.handled = state.handled;
+        self.max_events = state.max_events;
+        self.msgs = msgs;
+        self.groups = groups;
         self.queue.clear();
         self.queue
             .set_delivery_order(state.order.map(DeliveryOrder::import_state));
@@ -1017,11 +1067,6 @@ impl<W, M: Clone> Simulation<W, M> {
         // Per-component streams: seeds are re-derived from the root seed
         // (a pure function of `(seed, index)`), mid-run positions come
         // from the image.
-        assert_eq!(
-            state.streams.len(),
-            self.components.len(),
-            "checkpoint stream count does not match registered components"
-        );
         self.streams = state
             .streams
             .iter()
@@ -1037,6 +1082,7 @@ impl<W, M: Clone> Simulation<W, M> {
             state.trace_records,
             state.trace_dropped,
         );
+        Ok(())
     }
 }
 
@@ -1648,7 +1694,7 @@ mod tests {
         // across.
         let mut restored = build();
         *restored.world_mut() = half.world().clone();
-        restored.import_engine_state(state);
+        restored.import_engine_state(state).unwrap();
         assert_eq!(restored.now(), orig.now());
         assert_eq!(restored.pending_messages(), orig.pending_messages());
         orig.run_to_completion();

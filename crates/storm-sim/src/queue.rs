@@ -82,6 +82,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `x` reduced to `0..=max`; `max == u64::MAX` keeps the whole range.
+fn uniform_upto(x: u64, max: u64) -> u64 {
+    x.checked_rem(max.wrapping_add(1)).unwrap_or(x)
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum OrderMode {
     /// Draw ties from a SplitMix64 stream: tie `i` is a pure function of
@@ -159,14 +164,7 @@ impl DeliveryOrder {
     pub fn regenerate_ties(seed: u64, amplitude: u64, n: u64) -> Vec<u64> {
         let mut state = seed;
         (0..n)
-            .map(|_| {
-                let x = splitmix64(&mut state);
-                if amplitude == 0 {
-                    0
-                } else {
-                    x % (amplitude + 1)
-                }
-            })
+            .map(|_| uniform_upto(splitmix64(&mut state), amplitude))
             .collect()
     }
 
@@ -215,17 +213,8 @@ impl DeliveryOrder {
         match &mut self.mode {
             OrderMode::Seeded { state, amplitude } => {
                 let x = splitmix64(state);
-                let tie = if *amplitude == 0 {
-                    0
-                } else {
-                    x % (*amplitude + 1)
-                };
-                let delay = if self.max_delay.is_zero() {
-                    SimSpan::ZERO
-                } else {
-                    SimSpan::from_nanos((x >> 32) % (self.max_delay.as_nanos() + 1))
-                };
-                (tie, delay)
+                let delay = uniform_upto(x >> 32, self.max_delay.as_nanos());
+                (uniform_upto(x, *amplitude), SimSpan::from_nanos(delay))
             }
             OrderMode::Script(ties) => (
                 ties.get((self.draws - 1) as usize).copied().unwrap_or(0),

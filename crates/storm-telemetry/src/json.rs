@@ -1,10 +1,10 @@
 //! Minimal hand-rolled JSON support (the repo vendors no serde): a
-//! string escaper used by the exporters, a recursive-descent validator
-//! used by tests and the CI smoke bench to assert emitted artifacts
-//! actually parse, and a [`Value`] model with a parser and writer for the
-//! self-contained artifacts the workspace emits and replays (DST repro
-//! files, cluster checkpoints). Numbers keep their source token so 64-bit
-//! seeds round-trip without `f64` precision loss.
+//! string escaper used by the exporters, and a [`Value`] model with one
+//! strict parser and a writer for the self-contained artifacts the
+//! workspace emits and replays (DST repro files, cluster checkpoints).
+//! [`validate_json`] is the same parser with the value thrown away, so
+//! what validates is exactly what parses. Numbers keep their source
+//! token so 64-bit seeds round-trip without `f64` precision loss.
 
 /// Append `s` to `out` with JSON string escaping (quotes, backslashes,
 /// and control characters).
@@ -21,190 +21,6 @@ pub fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
-    }
-}
-
-/// Check that `s` is a single well-formed JSON value (with nothing but
-/// whitespace after it). Returns a byte offset plus message on failure.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    p.value(0)?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
-}
-
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<(), String> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            self.value(depth + 1)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value(depth + 1)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                c if c < 0x20 => return Err(self.err("raw control char in string")),
-                _ => self.i += 1,
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let digits = |p: &mut Self| -> Result<(), String> {
-            let start = p.i;
-            while p.peek().is_some_and(|c| c.is_ascii_digit()) {
-                p.i += 1;
-            }
-            if p.i == start {
-                Err(p.err("expected digits"))
-            } else {
-                Ok(())
-            }
-        };
-        digits(self)?;
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            digits(self)?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            digits(self)?;
-        }
-        Ok(())
     }
 }
 
@@ -288,167 +104,202 @@ impl Value {
     }
 }
 
-/// Parse a JSON document. Recursive descent over the full value grammar
-/// (escapes decoded, whitespace tolerated); errors carry a byte offset.
+/// Nesting limit for arrays and objects, so hostile input cannot
+/// exhaust the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document: one value with nothing but whitespace around
+/// it. The grammar is strict — numbers are `-?digits(.digits)?
+/// ([eE][+-]?digits)?`, strings accept exactly the JSON escapes and no
+/// raw control characters, and nesting stops at 128 levels — and one
+/// pass over the input suffices. Errors carry a byte offset.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    p_skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+    let mut p = Parser { s: input, i: 0 };
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.i != input.len() {
+        return Err(p.err("trailing data"));
     }
     Ok(value)
 }
 
-fn p_skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Check that `s` is a single well-formed JSON value (see [`parse`]).
+pub fn validate_json(s: &str) -> Result<(), String> {
+    parse(s).map(|_| ())
 }
 
-fn p_expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    p_skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {pos}", char::from(byte)))
-    }
+struct Parser<'a> {
+    s: &'a str,
+    i: usize,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    p_skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
-        _ => Err(format!("unexpected input at byte {pos}")),
+impl Parser<'_> {
+    fn err(&self, msg: &str) -> String {
+        format!("{msg} at byte {}", self.i)
     }
-}
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.i).copied()
     }
-}
 
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.peek() == Some(c);
+        self.i += usize::from(hit);
+        hit
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    if *pos == start {
-        return Err(format!("empty number at byte {start}"));
-    }
-    Ok(Value::Num(
-        std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|_| "non-utf8 number".to_string())?
-            .to_string(),
-    ))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    p_expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar (possibly multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "non-utf8 string")?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.i += 1;
         }
     }
-}
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    p_expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    p_skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
     }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        p_skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
+
+    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
+        if self.s[self.i..].starts_with(lit) {
+            self.i += lit.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected '{lit}'")))
+        }
+    }
+
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.i;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.i += 1;
+        }
+        if self.i == start {
+            Err(self.err("expected digits"))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.i;
+        self.eat(b'-');
+        self.digits()?;
+        if self.eat(b'.') {
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            self.digits()?;
+        }
+        Ok(Value::Num(self.s[start..self.i].to_string()))
+    }
+
+    /// A string at the opening quote. Runs of plain characters are copied
+    /// as whole slices: each run ends at an ASCII byte, so it lies on
+    /// `char` boundaries of the already-valid UTF-8 input.
+    fn string(&mut self) -> Result<String, String> {
+        self.i += 1;
+        let mut out = String::new();
+        let s = self.s;
+        loop {
+            let run = s.as_bytes()[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .ok_or_else(|| self.err("unterminated string"))?;
+            out.push_str(&s[self.i..self.i + run]);
+            self.i += run;
+            match s.as_bytes()[self.i] {
+                b'"' => {
+                    self.i += 1;
+                    return Ok(out);
+                }
+                b'\\' => self.i += 1,
+                _ => return Err(self.err("raw control character in string")),
+            }
+            out.push(match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let code = self
+                        .s
+                        .get(self.i + 1..self.i + 5)
+                        .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.i += 4;
+                    char::from_u32(code).unwrap_or('\u{FFFD}')
+                }
+                _ => return Err(self.err("bad escape")),
+            });
+            self.i += 1;
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
+        self.i += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.eat(b']') {
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth + 1)?);
+            self.skip_ws();
+            if self.eat(b']') {
                 return Ok(Value::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+            if !self.eat(b',') {
+                return Err(self.err("expected ',' or ']'"));
+            }
         }
     }
-}
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    p_expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    p_skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(members));
-    }
-    loop {
-        p_skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        p_expect(bytes, pos, b':')?;
-        members.push((key, parse_value(bytes, pos)?));
-        p_skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
+        self.i += 1;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.eat(b'}') {
+            return Ok(Value::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.err("expected a string key"));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if !self.eat(b':') {
+                return Err(self.err("expected ':'"));
+            }
+            members.push((key, self.value(depth + 1)?));
+            self.skip_ws();
+            if self.eat(b'}') {
                 return Ok(Value::Obj(members));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+            if !self.eat(b',') {
+                return Err(self.err("expected ',' or '}'"));
+            }
         }
     }
 }
@@ -572,6 +423,37 @@ mod tests {
             "\"bad \\q escape\"",
         ] {
             assert!(validate_json(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+        let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        parse(&ok).unwrap();
+        let over = format!("[{ok}]");
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_strict_grammar() {
+        for bad in ["1-2", "-", "--5", "1e", "[1.2.3]", "1.", ".5", "+1", "1e+"] {
+            assert!(parse(bad).is_err(), "parse accepted {bad}");
+            assert!(validate_json(bad).is_err(), "validate_json accepted {bad}");
+        }
+        for ok in ["0", "-0", "12", "-1.5", "2e10", "2E-3", "1.25e+2"] {
+            assert_eq!(parse(ok), Ok(Value::Num(ok.into())), "{ok}");
+        }
+    }
+
+    #[test]
+    fn strings_decode_every_json_escape() {
+        let v = parse(r#""\"\\\/\b\f\n\r\téA""#).unwrap();
+        assert_eq!(v.as_str(), Some("\"\\/\u{8}\u{c}\n\r\té\u{41}"));
+        assert_eq!(parse(r#""a€b\n€""#).unwrap().as_str(), Some("a€b\n€"));
+        for bad in [r#""\u12g4""#, r#""\u12""#, "\"raw\ttab\"", r#""\x""#] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
         }
     }
 

@@ -456,6 +456,46 @@ fn checkpoint_restore_resume_is_byte_identical_on_wheel() {
     );
 }
 
+/// The same contract at the 16384-node envelope: two gang-scheduled
+/// SWEEP3D jobs with heartbeats, checkpointed mid-run, restored and
+/// resumed, end in the same checkpoint bytes as the uninterrupted run.
+/// It also guards restore time, which once grew quadratically with
+/// checkpoint size (minutes at this size). Slow in debug builds, so it only
+/// runs on request: `cargo test --release --test determinism --
+/// --ignored`.
+#[test]
+#[ignore = "16384 nodes; run in release mode with --ignored"]
+fn checkpoint_restore_resume_is_byte_identical_at_16384_nodes() {
+    let cfg = ClusterConfig::gang_cluster()
+        .with_nodes(16_384)
+        .with_seed(16)
+        .with_fault_detection(4);
+    let mut live = Cluster::new(cfg);
+    for at in [0, 40] {
+        live.submit_at(
+            SimTime::from_millis(at),
+            JobSpec::new(AppSpec::sweep3d_default(), 2 * 16_384).with_ranks_per_node(2),
+        );
+    }
+    live.run_until(SimTime::from_secs(2));
+    let artifact = live.checkpoint();
+    let started = std::time::Instant::now();
+    let mut resumed = Cluster::restore(&artifact).expect("restore");
+    let restore_time = started.elapsed();
+    assert!(
+        restore_time < std::time::Duration::from_secs(30),
+        "restoring {} MB took {restore_time:?}",
+        artifact.len() >> 20
+    );
+    live.run_until(SimTime::from_secs(4));
+    resumed.run_until(SimTime::from_secs(4));
+    assert_eq!(live.world().stats, resumed.world().stats, "cluster stats");
+    assert!(
+        live.checkpoint() == resumed.checkpoint(),
+        "final checkpoints must be byte-identical"
+    );
+}
+
 /// The continuous-query zero-cost contract: with no queries registered
 /// the boundary hook is a single branch, so a run on a cluster that
 /// never touches the query surface is byte-identical to one that has it
