@@ -4,15 +4,14 @@
 //!
 //! Usage: `bench_gate <baseline.json> <current.json>`
 //!
-//! For every `(nodes, group_delivery)` row present in both files the gate
-//! compares `events_per_sec`; the pass bar is applied at the **largest
-//! common node count** (4096 on a full run, 256 under
-//! `STORM_BENCH_SMOKE=1`), where per-event cost dominates and wall-clock
-//! noise is smallest relative to the run length. A row fails when current
-//! throughput drops more than the tolerance below baseline
-//! (`STORM_BENCH_GATE_TOLERANCE`, default `0.15`). Smaller rows are
-//! reported but advisory — sub-second runs on shared CI runners are too
-//! noisy to gate on.
+//! Rows are keyed by `nodes`, and the gate compares `handlers_per_sec`,
+//! handler invocations per second of wall time. The pass bar applies at
+//! the **largest common node count** (16384 on a full run, 256 under
+//! `STORM_BENCH_SMOKE=1`), where per-message cost dominates and
+//! wall-clock noise is smallest relative to the run length: that row
+//! fails when current throughput is more than [`TOLERANCE`] below
+//! baseline. Smaller rows are reported but advisory — sub-millisecond
+//! runs on shared CI runners are too noisy to gate on.
 //!
 //! The artifacts are the hand-rolled JSON the benches emit (the repo
 //! vendors no serde); rows are one object per line, which is what this
@@ -22,12 +21,17 @@
 
 use std::process::ExitCode;
 
+/// Largest tolerated throughput drop, as a fraction of baseline. Loose on
+/// purpose: hosted runners vary run to run, so the gate catches gross
+/// regressions (a lost fast path, an accidental superlinear hot loop),
+/// not single-digit noise.
+const TOLERANCE: f64 = 0.5;
+
 /// One parsed throughput row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Row {
     nodes: u64,
-    group: bool,
-    events_per_sec: f64,
+    handlers_per_sec: f64,
 }
 
 /// Pull `"key": <number>` out of a row line.
@@ -41,28 +45,13 @@ fn field_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Pull `"key": true|false` out of a row line.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 fn parse_rows(contents: &str) -> Vec<Row> {
     contents
         .lines()
         .filter_map(|line| {
             Some(Row {
                 nodes: field_num(line, "nodes")? as u64,
-                group: field_bool(line, "group_delivery")?,
-                events_per_sec: field_num(line, "events_per_sec")?,
+                handlers_per_sec: field_num(line, "handlers_per_sec")?,
             })
         })
         .collect()
@@ -82,10 +71,6 @@ fn main() -> ExitCode {
         eprintln!("usage: bench_gate <baseline.json> <current.json>");
         return ExitCode::FAILURE;
     }
-    let tolerance: f64 = std::env::var("STORM_BENCH_GATE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.15);
     let baseline = load_rows(&args[1]);
     let current = load_rows(&args[2]);
 
@@ -98,24 +83,21 @@ fn main() -> ExitCode {
 
     println!(
         "bench_gate: tolerance {:.0}% | gating at {} nodes",
-        tolerance * 100.0,
+        TOLERANCE * 100.0,
         gate_nodes
     );
     println!(
-        "{:>6} {:>8} {:>14} {:>14} {:>8}  verdict",
-        "nodes", "mode", "baseline ev/s", "current ev/s", "ratio"
+        "{:>6} {:>16} {:>16} {:>8}  verdict",
+        "nodes", "baseline hnd/s", "current hnd/s", "ratio"
     );
     let mut failed = false;
     for b in &baseline {
-        let Some(c) = current
-            .iter()
-            .find(|c| c.nodes == b.nodes && c.group == b.group)
-        else {
+        let Some(c) = current.iter().find(|c| c.nodes == b.nodes) else {
             continue;
         };
-        let ratio = c.events_per_sec / b.events_per_sec;
+        let ratio = c.handlers_per_sec / b.handlers_per_sec;
         let gated = b.nodes == gate_nodes;
-        let ok = ratio >= 1.0 - tolerance;
+        let ok = ratio >= 1.0 - TOLERANCE;
         let verdict = match (gated, ok) {
             (true, true) => "ok",
             (true, false) => {
@@ -126,17 +108,12 @@ fn main() -> ExitCode {
             (false, false) => "slow (advisory)",
         };
         println!(
-            "{:>6} {:>8} {:>14.0} {:>14.0} {:>7.2}x  {}",
-            b.nodes,
-            if b.group { "group" } else { "unicast" },
-            b.events_per_sec,
-            c.events_per_sec,
-            ratio,
-            verdict
+            "{:>6} {:>16.0} {:>16.0} {:>7.2}x  {}",
+            b.nodes, b.handlers_per_sec, c.handlers_per_sec, ratio, verdict
         );
     }
     if failed {
-        println!("bench_gate: FAIL — events/sec regressed beyond tolerance");
+        println!("bench_gate: FAIL — handler invocations/sec regressed beyond tolerance");
         ExitCode::FAILURE
     } else {
         println!("bench_gate: pass");
@@ -151,27 +128,29 @@ mod tests {
     const SAMPLE: &str = r#"{
   "bench": "simcore",
   "rows": [
-    {"nodes": 64, "group_delivery": false, "events_per_sec": 1000000.0, "events_per_timeslice": 9.1},
-    {"nodes": 64, "group_delivery": true, "events_per_sec": 2000000.0, "events_per_timeslice": 4.2},
-    {"nodes": 4096, "group_delivery": false, "events_per_sec": 4235481.0, "events_per_timeslice": 700.0}
-  ]
+    {"nodes": 64, "events_delivered": 794, "messages_handled": 8885, "wall_seconds": 0.000800, "handlers_per_sec": 11106250.0, "events_per_timeslice": 6.25},
+    {"nodes": 4096, "events_delivered": 794, "messages_handled": 530000, "wall_seconds": 0.020000, "handlers_per_sec": 26500000.0, "events_per_timeslice": 6.25}
+  ],
+  "repetitions": 3,
+  "handlers_per_event_at_4096": 667.5
 }"#;
 
     #[test]
     fn rows_parse_from_the_bench_artifact_shape() {
         let rows = parse_rows(SAMPLE);
-        assert_eq!(rows.len(), 3);
         assert_eq!(
-            rows[0],
-            Row {
-                nodes: 64,
-                group: false,
-                events_per_sec: 1_000_000.0
-            }
+            rows,
+            vec![
+                Row {
+                    nodes: 64,
+                    handlers_per_sec: 11_106_250.0
+                },
+                Row {
+                    nodes: 4096,
+                    handlers_per_sec: 26_500_000.0
+                },
+            ]
         );
-        assert!(rows[1].group);
-        assert_eq!(rows[2].nodes, 4096);
-        assert!((rows[2].events_per_sec - 4_235_481.0).abs() < 1e-9);
     }
 
     #[test]

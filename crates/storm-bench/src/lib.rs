@@ -107,14 +107,11 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The exact worker count [`parallel_sweep`] uses for `n_configs`
+/// The worker count [`parallel_sweep`] uses for `n_configs`
 /// configurations: `available_parallelism` capped by the configuration
 /// count, falling back to **1** (a serial sweep) when the runtime cannot
-/// report core counts. Benches must report this value instead of
-/// re-deriving `available_parallelism` themselves — the two used to
-/// disagree on fallback, so an artifact could claim a parallel sweep
-/// (or silently record `1`) while the driver did the opposite.
-pub fn sweep_workers(n_configs: usize) -> usize {
+/// report core counts.
+fn sweep_workers(n_configs: usize) -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -123,8 +120,9 @@ pub fn sweep_workers(n_configs: usize) -> usize {
 
 /// Run independent experiment configurations in parallel across threads
 /// (each simulation is single-threaded and deterministic; the sweep across
-/// configurations is embarrassingly parallel). The worker count is exactly
-/// [`sweep_workers`]`(configs.len())`.
+/// configurations is embarrassingly parallel). The worker count is
+/// `available_parallelism` capped by the configuration count, and 1 when
+/// the runtime cannot report core counts.
 pub fn parallel_sweep<C, R>(configs: Vec<C>, f: impl Fn(&C) -> R + Sync) -> Vec<R>
 where
     C: Send + Sync,

@@ -43,7 +43,7 @@ use crate::msg::{Msg, ReportKind};
 use crate::nm::{NmLocalJobState, NmState, NodeManager};
 use crate::pl::ProgramLauncher;
 use crate::replica::{Decision, MmCoreState, MmRole, ReplStats, ReplicaState};
-use crate::world::{ClusterStats, IdleLeap, NodeTable, World};
+use crate::world::{ClusterStats, IdleLeap, NodeTable, Wiring, World};
 use std::collections::VecDeque;
 use std::fmt::Arguments;
 use std::ops::Range;
@@ -66,7 +66,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 2;
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 type R<T> = Result<T, String>;
 
@@ -453,7 +453,6 @@ record!(ClusterConfig {
     faults,
     failure_policy,
     mm_standbys,
-    group_delivery,
     telemetry,
     delivery_order,
     fast_forward,
@@ -562,7 +561,6 @@ tagged!(Decision, "decision" {
 tagged!(Msg, "message tag" {
     "submit" => Submit(job),
     "tick" => Tick,
-    "collect" => Collect,
     "read_done" => ReadDone { job, chunk, attempt },
     "bcast_freed" => BcastFreed { job, chunk, attempt },
     "flow_poll" => FlowPoll { job, attempt },
@@ -827,7 +825,6 @@ record!(IdleLeap {
 // Dæmons.
 record!(MmState {
     tick_scheduled,
-    collect_scheduled,
     pending_reports,
     ticks,
     last_tick_at,
@@ -1062,6 +1059,111 @@ fn daemon_mut<T: 'static>(sim: &mut Simulation<World, Msg>, id: ComponentId) -> 
         .expect("wiring points at a dæmon of the wired kind")
 }
 
+/// The dæmon kind that handles `msg` (a component's `name()`); each kind
+/// panics on the others' messages.
+fn addressee(msg: &Msg) -> &'static str {
+    match msg {
+        Msg::Submit(_)
+        | Msg::Tick
+        | Msg::ReadDone { .. }
+        | Msg::BcastFreed { .. }
+        | Msg::FlowPoll { .. }
+        | Msg::NmReport { .. }
+        | Msg::Kill(_)
+        | Msg::RequeueJob(_)
+        | Msg::MmBeat { .. }
+        | Msg::MmWatchdog
+        | Msg::MmFail
+        | Msg::ReplLog { .. }
+        | Msg::ReplCheckpoint { .. } => "MM",
+        Msg::Fragment { .. }
+        | Msg::WriteDone { .. }
+        | Msg::LaunchCmd { .. }
+        | Msg::Strobe { .. }
+        | Msg::Heartbeat { .. }
+        | Msg::ForkDone { .. }
+        | Msg::PlExited { .. }
+        | Msg::FailNode
+        | Msg::RejoinNode
+        | Msg::StallNode { .. }
+        | Msg::FlushReports
+        | Msg::Resync { .. } => "NM",
+        Msg::Fork { .. } => "PL",
+    }
+}
+
+/// The payload a checkpointed `(slot, generation)` handle names, if live.
+fn live<T>(arena: &ArenaState<T>, (slot, gen): (u32, u32)) -> Option<&T> {
+    let (at, val) = arena.slots.get(slot as usize)?;
+    val.as_ref().filter(|_| *at == gen)
+}
+
+/// Every pending message must reach a dæmon of the kind that handles it:
+/// a unicast the MM, NM or PL its variant names, and a group — the MM's
+/// fan-outs — only NMs, with an NM message. Entries whose payload or
+/// target does not resolve are left to the engine import, which refuses
+/// them.
+fn check_addressees(engine: &EngineState<Msg>, wiring: &Wiring) -> R<()> {
+    let wired = (wiring.mms.iter().map(|&id| (id, "MM")))
+        .chain(wiring.nms.iter().map(|&id| (id, "NM")))
+        .chain(wiring.pls.iter().flatten().map(|&id| (id, "PL")));
+    let mut kinds = Vec::new();
+    for (id, kind) in wired {
+        kinds.resize(kinds.len().max(id.index() + 1), None);
+        kinds[id.index()] = Some(kind);
+    }
+    let kind_of = |ix: u64| kinds.get(usize::try_from(ix).ok()?).copied().flatten();
+    let tag = |msg: &Msg| tag_of(&msg.enc()).unwrap_or_default().to_string();
+    for (i, e) in engine.entries.iter().enumerate() {
+        // `u32::MAX` is the engine's group-entry sentinel.
+        if e.target == u32::MAX {
+            let Some(g) = live(&engine.groups, e.payload) else {
+                continue;
+            };
+            let wants = addressee(&g.msg);
+            if wants != "NM" {
+                return Err(format!(
+                    "engine.entries[{i}]: {wants} message {} in a group delivery",
+                    tag(&g.msg)
+                ));
+            }
+            // The first member that is not an NM. A strided scan stops
+            // within one step past the last component; a zero stride
+            // repeats its first member.
+            let stray = match g.targets {
+                GroupTargets::Strided { first, stride, len } => {
+                    let n = if stride == 0 { len.min(1) } else { len };
+                    (0..n)
+                        .map(|r| first.index() as u64 + u64::from(stride) * u64::from(r))
+                        .find(|&ix| kind_of(ix) != Some("NM"))
+                }
+                GroupTargets::List(ref ids) => ids
+                    .iter()
+                    .map(|id| id.index() as u64)
+                    .find(|&ix| kind_of(ix) != Some("NM")),
+            };
+            if let Some((ix, Some(is))) = stray.map(|ix| (ix, kind_of(ix))) {
+                return Err(format!(
+                    "engine.entries[{i}]: group delivery of {} reaches {is} #{ix}",
+                    tag(&g.msg)
+                ));
+            }
+        } else if let (Some(msg), Some(is)) =
+            (live(&engine.msgs, e.payload), kind_of(u64::from(e.target)))
+        {
+            let wants = addressee(msg);
+            if wants != is {
+                return Err(format!(
+                    "engine.entries[{i}]: {wants} message {} addressed to {is} #{}",
+                    tag(msg),
+                    e.target
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The embedded config's layout sizes must match the document's own
 /// tables, so a corrupt size fails here rather than in an allocation
 /// [`Cluster::new`] cannot make.
@@ -1172,6 +1274,7 @@ impl Cluster {
         let mut cluster = Cluster::new(cfg);
         cluster.set_next_job_counter(next_job);
         let sim = cluster.sim_mut();
+        check_addressees(&engine, &sim.world().wiring)?;
         // The engine image replaces construction-time posts wholesale.
         sim.import_engine_state(engine)
             .map_err(|e| format!("engine: {e}"))?;
@@ -1263,22 +1366,26 @@ mod tests {
         let v99 = r#"{"version": 99, "kind": "storm-checkpoint"}"#;
         let err = Cluster::restore(v99).err().expect("v99 must be rejected");
         assert!(err.contains("version"), "got: {err}");
-        let wrong_kind = r#"{"version": 2, "kind": "something-else"}"#;
-        assert!(Cluster::restore(wrong_kind).is_err());
-        // A well-formed checkpoint relabelled as version 1 (the layout that
-        // still carried `queue_backend`, `event_batching` and `threads`)
-        // must be refused up front, not half-decoded.
+        let wrong_kind = r#"{"version": 3, "kind": "something-else"}"#;
+        let err = Cluster::restore(wrong_kind).err().expect("wrong kind");
+        assert!(err.contains("not a storm-checkpoint"), "got: {err}");
+        // A well-formed checkpoint relabelled as an older version must be
+        // refused up front, not half-decoded: version 1 still carried
+        // `queue_backend`, `event_batching` and `threads`, version 2 the
+        // per-NM delivery switch and the MM's collect flag.
         let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
         let key = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
-        let v1 = current.replacen(&key, "\"version\":1", 1);
-        let err = Cluster::restore(&v1)
-            .err()
-            .expect("a version-1 artifact must be rejected");
-        assert!(
-            err.contains("unsupported checkpoint version 1"),
-            "got: {err}"
-        );
+        for old in [1, 2] {
+            let relabelled = current.replacen(&key, &format!("\"version\":{old}"), 1);
+            let err = Cluster::restore(&relabelled)
+                .err()
+                .unwrap_or_else(|| panic!("a version-{old} artifact must be rejected"));
+            assert!(
+                err.contains(&format!("unsupported checkpoint version {old}")),
+                "got: {err}"
+            );
+        }
     }
 
     /// One value of every enum variant the format can carry, with its
@@ -1338,7 +1445,6 @@ mod tests {
         fn mm_with(role: MmRole) -> MmState {
             MmState {
                 tick_scheduled: true,
-                collect_scheduled: false,
                 pending_reports: vec![(1, JobId(2), 3, ReportKind::Started)],
                 ticks: 4,
                 last_tick_at: None,
@@ -1368,7 +1474,6 @@ mod tests {
             let msgs = [
                 (Msg::Submit(j), r#"["submit",3]"#),
                 (Msg::Tick, r#"["tick"]"#),
-                (Msg::Collect, r#"["collect"]"#),
                 (
                     Msg::ReadDone {
                         job: j,
@@ -1697,7 +1802,7 @@ mod tests {
             check(
                 &mm_with(MmRole::Active),
                 None,
-                r#"{"tick_scheduled":true,"collect_scheduled":false,"pending_reports":[[1,2,3,["started"]]],"ticks":4,"last_tick_at":null,"detected_failed":[5],"rank":1,"role":"active","epoch":6,"last_beat_seen":7,"beats_sent":8}"#,
+                r#"{"tick_scheduled":true,"pending_reports":[[1,2,3,["started"]]],"ticks":4,"last_tick_at":null,"detected_failed":[5],"rank":1,"role":"active","epoch":6,"last_beat_seen":7,"beats_sent":8}"#,
                 &mut bad,
             );
             check(

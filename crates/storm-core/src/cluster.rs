@@ -334,9 +334,8 @@ impl Cluster {
     }
 
     /// Total component handler invocations. Unlike [`events_delivered`],
-    /// this counts every member of a group delivery, so it is identical
-    /// with and without `group_delivery` — which the determinism tests
-    /// exploit.
+    /// this counts every member of a group delivery: it is the number of
+    /// messages the dæmons actually process.
     ///
     /// [`events_delivered`]: Cluster::events_delivered
     pub fn messages_handled(&self) -> u64 {
@@ -345,7 +344,7 @@ impl Cluster {
 
     /// Raw event-queue accounting (push/pop totals, current and peak
     /// depth) straight from the queue — no cloning. Depth counts a
-    /// group-delivery entry once, so it differs across delivery modes.
+    /// group-delivery entry once, however many members it has left.
     pub fn queue_stats(&self) -> QueueStats {
         self.sim.queue_stats()
     }

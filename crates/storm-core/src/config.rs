@@ -155,14 +155,6 @@ pub struct ClusterConfig {
     /// standbys configured is byte-identical (trace, stats, jobs) to a
     /// standby-free run.
     pub mm_standbys: u32,
-    /// Deliver MM fan-outs (strobes, heartbeats, launch commands, fragment
-    /// notifications) as single group-delivery events expanded lazily by
-    /// the engine, instead of one queue entry per destination NM. Both
-    /// modes produce byte-identical traces and statistics; group delivery
-    /// keeps the event queue O(jobs) per timeslice instead of O(nodes),
-    /// which is what makes 4096-node runs tractable. `false` exists to
-    /// prove the equivalence in tests and to measure the win.
-    pub group_delivery: bool,
     /// Record telemetry (metrics registry + per-job lifecycle spans).
     /// Off by default: recording is synchronous bookkeeping inside
     /// existing handlers, so enabling it never changes event counts, the
@@ -220,7 +212,6 @@ impl ClusterConfig {
             faults: FaultSchedule::default(),
             failure_policy: FailurePolicy::default(),
             mm_standbys: 0,
-            group_delivery: true,
             telemetry: false,
             delivery_order: None,
             fast_forward: true,
@@ -297,12 +288,6 @@ impl ClusterConfig {
     /// Builder: configure `n` standby MM replicas.
     pub fn with_mm_standbys(mut self, n: u32) -> Self {
         self.mm_standbys = n;
-        self
-    }
-
-    /// Builder: toggle engine-level group delivery of MM fan-outs.
-    pub fn with_group_delivery(mut self, on: bool) -> Self {
-        self.group_delivery = on;
         self
     }
 

@@ -9,9 +9,9 @@
 //!
 //! In keeping with the paper, the MM "can issue commands and receive the
 //! notification of events only at the beginning of a timeslice": scheduling
-//! decisions and launch commands happen on `Tick` (every timeslice), report
-//! processing on `Collect` boundaries (every `min(timeslice,
-//! max_event_collect)`). The transfer pipeline's intermediate events
+//! decisions, launch commands and report processing happen on `Tick`
+//! (every `min(timeslice, max_event_collect)`), and the gang matrix rotates
+//! on timeslice boundaries. The transfer pipeline's intermediate events
 //! (`ReadDone`, `BcastFreed`, `FlowPoll`) are serviced immediately — they
 //! are handled by the NIC and its lightweight helper process, not by the
 //! MM host process.
@@ -101,7 +101,6 @@ impl DetectedSet {
 #[derive(Debug, Default)]
 pub struct MachineManager {
     tick_scheduled: bool,
-    collect_scheduled: bool,
     pending_reports: Vec<(u32, JobId, u32, ReportKind)>,
     ticks: u64,
     /// Instant of the last executed tick — deduplicates the superseded
@@ -168,10 +167,6 @@ impl MachineManager {
             ctx.send_self_at(at, Msg::Tick);
             self.tick_scheduled = true;
         }
-    }
-
-    fn ensure_collect(&mut self, ctx: &mut Context<'_, World, Msg>) {
-        self.ensure_tick(ctx);
     }
 
     /// Heartbeats per scheduling quantum (≥ 1).
@@ -250,10 +245,8 @@ impl MachineManager {
     }
 
     /// Deliver `msg` to the NMs of `set`, member `rank` arriving at
-    /// `schedule.arrival(base, rank)`. With `cfg.group_delivery` this is a
-    /// single group event the engine expands lazily in node order; without
-    /// it, one queue entry per NM (the legacy shape). Both consume the same
-    /// sequence-number width, so traces are byte-identical either way.
+    /// `schedule.arrival(base, rank)`: a single group event the engine
+    /// expands lazily in node order.
     fn fan_out(
         &self,
         ctx: &mut Context<'_, World, Msg>,
@@ -262,15 +255,8 @@ impl MachineManager {
         schedule: GroupSchedule,
         msg: Msg,
     ) {
-        if ctx.world_ref().cfg.group_delivery {
-            let targets = ctx.world_ref().wiring.nm_targets(set);
-            ctx.multicast(&targets, base, schedule, msg);
-        } else {
-            for rank in 0..set.len() {
-                let nm = ctx.world_ref().wiring.nms[set.get(rank).index()];
-                ctx.send_at(nm, schedule.arrival(base, rank), msg.clone());
-            }
-        }
+        let targets = ctx.world_ref().wiring.nm_targets(set);
+        ctx.multicast(&targets, base, schedule, msg);
     }
 
     // ------------------------------------------------------- replication —
@@ -532,7 +518,6 @@ impl MachineManager {
         self.ticks = next.boundaries_since(SimTime::ZERO, period);
         self.last_tick_at = None;
         self.tick_scheduled = false;
-        self.collect_scheduled = false;
         ctx.send_self_at(next, Msg::Tick);
         self.tick_scheduled = true;
     }
@@ -966,7 +951,7 @@ impl MachineManager {
         if caw.satisfied {
             ctx.world().job_mut(job).transfer_confirmed = Some(caw.complete);
             ctx.trace("mm.transfer_confirmed", || format!("{job}"));
-            self.ensure_collect(ctx);
+            self.ensure_tick(ctx);
         } else {
             self.schedule_poll(job, ctx);
         }
@@ -1582,9 +1567,9 @@ impl Component<World, Msg> for MachineManager {
                 self.strobe(ctx);
                 if ctx.world_ref().telemetry.is_enabled() {
                     // Per-timeslice health sample. `pending_messages()` is
-                    // the logical count, identical across delivery modes;
-                    // the raw queue depth/peak gauges count a group entry
-                    // once, so they vary across delivery modes.
+                    // the logical count (a group counts its undelivered
+                    // members); the raw queue depth/peak gauges count a
+                    // group entry once.
                     let pending = ctx.pending_messages();
                     let qs = ctx.queue_stats();
                     let ar = ctx.arena_stats();
@@ -1627,10 +1612,6 @@ impl Component<World, Msg> for MachineManager {
                     self.ensure_tick(ctx);
                 }
             }
-            Msg::Collect => {
-                self.collect_scheduled = false;
-                self.process_events(ctx);
-            }
             Msg::ReadDone { job, attempt, .. } => {
                 if ctx.world_ref().job(job).attempt != attempt {
                     return; // read for a lost incarnation
@@ -1665,7 +1646,7 @@ impl Component<World, Msg> for MachineManager {
                 attempt,
             } => {
                 self.pending_reports.push((node, job, attempt, kind));
-                self.ensure_collect(ctx);
+                self.ensure_tick(ctx);
             }
             Msg::RequeueJob(job) => {
                 // Disarm the pending-timer record first: after a failover
@@ -1703,45 +1684,6 @@ impl Component<World, Msg> for MachineManager {
         "MM"
     }
 
-    /// NM reports are pure buffer appends on the active MM — the
-    /// highest-volume message class it receives (one per node per job
-    /// event), and the classic same-instant pile-up: a whole allocation's
-    /// reports landing on one collection boundary.
-    fn batchable(&self, msg: &Msg) -> bool {
-        self.role == MmRole::Active && matches!(msg, Msg::NmReport { .. })
-    }
-
-    /// Drain a same-instant report batch into the buffer in one pass and
-    /// arm the collect boundary once. Byte-identical to the per-message
-    /// path: `ensure_collect` calls after the first at one instant are
-    /// no-ops (the tick is already scheduled at this very boundary), and
-    /// buffering pushes nothing to the event queue, so sequence numbers
-    /// are untouched.
-    fn handle_batch(&mut self, msgs: &mut Vec<Msg>, ctx: &mut Context<'_, World, Msg>) {
-        let mut buffered = false;
-        for msg in msgs.drain(..) {
-            ctx.next_batch_message();
-            match msg {
-                Msg::NmReport {
-                    node,
-                    job,
-                    kind,
-                    attempt,
-                } if self.role == MmRole::Active => {
-                    self.pending_reports.push((node, job, attempt, kind));
-                    buffered = true;
-                }
-                // `batchable` only admits active-role reports, and the
-                // role cannot change mid-batch (no batchable handler
-                // mutates it) — but stay correct if it ever does.
-                other => self.handle(other, ctx),
-            }
-        }
-        if buffered {
-            self.ensure_collect(ctx);
-        }
-    }
-
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }
@@ -1760,8 +1702,6 @@ impl Component<World, Msg> for MachineManager {
 pub struct MmState {
     /// Whether a `Tick` is in flight.
     pub tick_scheduled: bool,
-    /// Whether a `Collect` is in flight.
-    pub collect_scheduled: bool,
     /// Buffered `(node, job, attempt, kind)` NM reports.
     pub pending_reports: Vec<(u32, JobId, u32, ReportKind)>,
     /// Ticks executed so far.
@@ -1787,7 +1727,6 @@ impl MachineManager {
     pub fn export_state(&self) -> MmState {
         MmState {
             tick_scheduled: self.tick_scheduled,
-            collect_scheduled: self.collect_scheduled,
             pending_reports: self.pending_reports.clone(),
             ticks: self.ticks,
             last_tick_at: self.last_tick_at,
@@ -1808,7 +1747,6 @@ impl MachineManager {
         }
         MachineManager {
             tick_scheduled: state.tick_scheduled,
-            collect_scheduled: state.collect_scheduled,
             pending_reports: state.pending_reports,
             ticks: state.ticks,
             last_tick_at: state.last_tick_at,

@@ -43,10 +43,6 @@ pub enum Msg {
     /// Timeslice boundary: rotate the gang matrix, run the scheduling
     /// policy, issue launch commands, run fault-detection rounds.
     Tick,
-    /// Event-collection boundary: process buffered NM reports (scheduled on
-    /// demand when reports arrive between ticks and the collect period is
-    /// shorter than the timeslice).
-    Collect,
     /// The filesystem finished reading one chunk of a job's binary.
     ReadDone {
         /// Which job's transfer.

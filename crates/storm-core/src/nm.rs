@@ -316,10 +316,23 @@ impl NodeManager {
     }
 }
 
-impl NodeManager {
-    /// The main dispatch, entered only after the dead/stalled preamble in
-    /// [`Component::handle`] (or once per batch in `handle_batch`).
-    fn handle_body(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
+impl Component<World, Msg> for NodeManager {
+    fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
+        if self.failed && !matches!(msg, Msg::FailNode | Msg::RejoinNode) {
+            return; // a dead node answers nothing
+        }
+        if let Some(until) = self.stalled_until {
+            if ctx.now() >= until {
+                self.stalled_until = None;
+            } else if !matches!(msg, Msg::FailNode | Msg::RejoinNode | Msg::StallNode { .. }) {
+                // A stalled dæmon processes nothing until the stall ends;
+                // messages are deferred, not lost, so heartbeat replies
+                // arrive late — exactly what lets the MM tell a slow node
+                // from a dead one.
+                ctx.send_self_at(until, msg);
+                return;
+            }
+        }
         match msg {
             Msg::FailNode => {
                 self.failed = true;
@@ -602,69 +615,6 @@ impl NodeManager {
                 }
             }
             other => panic!("NM received unexpected message {other:?}"),
-        }
-    }
-}
-
-impl Component<World, Msg> for NodeManager {
-    fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
-        if self.failed && !matches!(msg, Msg::FailNode | Msg::RejoinNode) {
-            return; // a dead node answers nothing
-        }
-        if let Some(until) = self.stalled_until {
-            if ctx.now() >= until {
-                self.stalled_until = None;
-            } else if !matches!(msg, Msg::FailNode | Msg::RejoinNode | Msg::StallNode { .. }) {
-                // A stalled dæmon processes nothing until the stall ends;
-                // messages are deferred, not lost, so heartbeat replies
-                // arrive late — exactly what lets the MM tell a slow node
-                // from a dead one.
-                ctx.send_self_at(until, msg);
-                return;
-            }
-        }
-        self.handle_body(msg, ctx);
-    }
-
-    /// The data-path messages — fragment writes, write completions, fork
-    /// acks, rank exits — dominate event volume during a launch and touch
-    /// only local tables, so they batch. Control messages (strobes, fail /
-    /// stall injections, flushes) stay per-message: several mutate the
-    /// dead/stalled flags the batch preamble hoists.
-    fn batchable(&self, msg: &Msg) -> bool {
-        matches!(
-            msg,
-            Msg::Fragment { .. }
-                | Msg::WriteDone { .. }
-                | Msg::ForkDone { .. }
-                | Msg::PlExited { .. }
-        )
-    }
-
-    fn handle_batch(&mut self, msgs: &mut Vec<Msg>, ctx: &mut Context<'_, World, Msg>) {
-        // The dead/stalled checks run once for the whole batch instead of
-        // per message. Sound because no batchable message mutates either
-        // flag (FailNode/RejoinNode/StallNode are never batchable), so the
-        // per-message outcome is identical for every message in the run.
-        if self.failed {
-            msgs.clear(); // a dead node answers nothing
-            return;
-        }
-        if let Some(until) = self.stalled_until {
-            if ctx.now() >= until {
-                self.stalled_until = None;
-            } else {
-                // Defer the whole batch to the stall's end, in order.
-                for msg in msgs.drain(..) {
-                    ctx.next_batch_message();
-                    ctx.send_self_at(until, msg);
-                }
-                return;
-            }
-        }
-        for msg in msgs.drain(..) {
-            ctx.next_batch_message();
-            self.handle_body(msg, ctx);
         }
     }
 

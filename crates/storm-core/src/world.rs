@@ -507,6 +507,7 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use storm_apps::AppSpec;
+    use storm_mech::NodeId;
 
     #[test]
     fn world_builds_for_paper_cluster() {
@@ -551,6 +552,29 @@ mod tests {
         let b = 1_000_000;
         assert!(loaded.comm_span(b) > quiet.comm_span(b).mul_f64(5.0));
         assert_eq!(quiet.comm_span(0), SimSpan::ZERO);
+    }
+
+    #[test]
+    fn nm_targets_address_the_wired_nms_in_set_order() {
+        // The real layout: NMs at a fixed component stride, PLs between.
+        let cluster = crate::cluster::Cluster::new(ClusterConfig::paper_cluster().with_nodes(8));
+        let wiring = &cluster.world().wiring;
+        let sets = [
+            NodeSet::All(8),
+            NodeSet::Range { start: 2, len: 5 },
+            NodeSet::List(vec![NodeId(6), NodeId(0), NodeId(3)]),
+        ];
+        for set in &sets {
+            let targets = wiring.nm_targets(set);
+            assert_eq!(targets.len(), set.len(), "{set:?}");
+            for r in 0..set.len() {
+                assert_eq!(
+                    targets.get(r),
+                    wiring.nms[set.get(r).index()],
+                    "{set:?} member {r}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v2.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v3.json");
 
 /// The value at a dotted path of object keys and array indices.
 fn at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
@@ -111,6 +111,29 @@ fn a_group_member_outside_the_cluster_is_refused() {
     refused(
         set("engine.groups.slots.1.1.targets.1", num(99_999)),
         "is not a pending delivery",
+    );
+}
+
+#[test]
+fn a_message_for_the_wrong_daemon_kind_is_refused() {
+    // Entry 3 delivers the pending `mm_watchdog` (msgs slot 2) to a
+    // standby MM; component 1 is node 0's NM, which would panic on it.
+    refused(
+        set("engine.entries.3.3", num(1)),
+        "engine.entries[3]: MM message mm_watchdog addressed to NM #1",
+    );
+    // Entry 1 is a fragment fan-out over group slot 1: its first member
+    // moved onto the MM (component 0), or its message swapped for a tick.
+    refused(
+        set("engine.groups.slots.1.1.targets.1", num(0)),
+        "engine.entries[1]: group delivery of fragment reaches MM #0",
+    );
+    refused(
+        set(
+            "engine.groups.slots.1.1.msg",
+            Value::Arr(vec![Value::Str("tick".into())]),
+        ),
+        "engine.entries[1]: MM message tick in a group delivery",
     );
 }
 

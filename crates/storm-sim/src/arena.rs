@@ -143,12 +143,6 @@ impl<T> EventArena<T> {
         val
     }
 
-    /// Borrow the payload behind `id`; panics when stale.
-    pub fn get(&self, id: PayloadId) -> &T {
-        self.try_get(id)
-            .unwrap_or_else(|| panic!("stale payload id {id:?}"))
-    }
-
     /// Borrow the payload behind `id`, or `None` when the id no longer
     /// names a live payload (freed, or its slot reused under a newer
     /// generation).
@@ -263,7 +257,7 @@ mod tests {
         let x = a.alloc("x");
         let y = a.alloc("y");
         assert_eq!(a.live(), 2);
-        assert_eq!(a.get(x), &"x");
+        assert_eq!(a.try_get(x), Some(&"x"));
         assert_eq!(a.take(x), "x");
         assert_eq!(a.live(), 1);
         assert_eq!(a.take(y), "y");
@@ -281,7 +275,7 @@ mod tests {
         a.take(first);
         let second = a.alloc(2u64);
         // Same slot, new generation: the stale id is dead, not aliased.
-        assert_eq!(a.get(second), &2);
+        assert_eq!(a.try_get(second), Some(&2));
         assert!(a.try_get(first).is_none());
         assert_eq!(a.stats().capacity, 1, "slot was reused, not grown");
     }
@@ -318,12 +312,12 @@ mod tests {
         let before = a.stats();
         let mut b = EventArena::import_state(a.export_state()).unwrap();
         assert_eq!(b.stats(), before);
-        assert_eq!(b.get(ids[0]), &0);
-        assert_eq!(b.get(reborn), &100);
+        assert_eq!(b.try_get(ids[0]), Some(&0));
+        assert_eq!(b.try_get(reborn), Some(&100));
         assert!(b.try_get(ids[1]).is_none());
         // Raw round trip of a handle.
         let (ix, gen) = reborn.to_raw();
-        assert_eq!(b.get(PayloadId::from_raw(ix, gen)), &100);
+        assert_eq!(b.try_get(PayloadId::from_raw(ix, gen)), Some(&100));
         // Free-list pop order survives: the next two allocs in each arena
         // land in the same slots.
         let na = a.alloc(7u64);

@@ -11,22 +11,16 @@
 //! engine delivers them in `(time, insertion-sequence)` order, so any two
 //! runs with the same inputs and seed produce identical traces.
 //!
-//! ## The batched, arena-backed hot loop (DESIGN.md §16)
+//! ## The arena-backed hot loop (DESIGN.md §16)
 //!
 //! The queue itself carries only a dense [`EventRef`] — target component
 //! index plus a generational [`PayloadId`] into a slab arena — so heap
 //! sifts and wheel bucket moves shuffle a few machine words per entry no
 //! matter how large the message type is. Components live in a flat
 //! dispatch table indexed by that component index (no per-delivery
-//! checkout/check-in), and a component may opt messages into same-instant
-//! batching via [`Component::batchable`]: the maximal run of consecutive
-//! pops at one instant bound for one component is drained into a reusable
-//! scratch vector and applied through a single [`Component::handle_batch`]
-//! call, preserving `(time, tie, seq)` order exactly. Batching is
-//! suspended while a [`DeliveryOrder`] hook is installed (nonzero ties may
-//! legally interleave a freshly-pushed event *between* already drained
-//! ones), which also keeps the interleaving digest untouched — and makes
-//! any hook, even an inert one, the per-message reference path.
+//! checkout/check-in). Every pop takes one path: a unicast entry is one
+//! [`Component::handle`] call, a group entry one call per member in rank
+//! order, with or without a [`DeliveryOrder`] hook installed.
 
 use crate::arena::{ArenaState, ArenaStats, EventArena, PayloadId};
 use crate::queue::{
@@ -296,36 +290,6 @@ pub trait Component<W, M> {
         std::any::type_name::<Self>()
     }
 
-    /// Opt `msg` into same-instant batching: when this returns `true`
-    /// (default `false`), the engine may drain the maximal run of
-    /// consecutive same-instant pops bound for this component into one
-    /// [`Component::handle_batch`] call instead of one [`Component::
-    /// handle`] call each.
-    ///
-    /// Contract for batchable messages — what keeps a batched run
-    /// byte-identical to the unbatched one: their handlers must not halt
-    /// the simulation and must not read queue observables
-    /// ([`Context::peek_next_event`], [`Context::queue_stats`]) — drained
-    /// messages are no longer *in* the queue while the batch runs.
-    /// [`Context::pending_messages`] stays exact as long as the batch
-    /// handler calls [`Context::next_batch_message`] before each message
-    /// (the default [`Component::handle_batch`] does).
-    fn batchable(&self, _msg: &M) -> bool {
-        false
-    }
-
-    /// Handle a same-instant batch of messages, in delivery order. The
-    /// default drains the vector through [`Component::handle`] one
-    /// message at a time — components overriding this amortize per-batch
-    /// work but must preserve exactly that per-message order (and drain
-    /// `msgs` completely).
-    fn handle_batch(&mut self, msgs: &mut Vec<M>, ctx: &mut Context<'_, W, M>) {
-        for msg in msgs.drain(..) {
-            ctx.next_batch_message();
-            self.handle(msg, ctx);
-        }
-    }
-
     /// Downcast support for checkpointing: components whose internal
     /// state participates in checkpoint/restore return `Some(self)` so a
     /// harness can reach their concrete type through the dispatch table.
@@ -365,10 +329,9 @@ pub struct Context<'a, W, M> {
     rng: &'a mut DeterministicRng,
     tracer: &'a mut Tracer,
     halt: &'a mut bool,
-    /// Messages delivered out of the queue but not yet handled: the
-    /// undelivered members of a group mid-expansion, or the not-yet-handled
-    /// remainder of the current batch. They live in neither the queue nor a
-    /// handler, so [`Context::pending_messages`] must add them back in.
+    /// The undelivered members of a group mid-expansion: popped from the
+    /// queue but not yet handled, so [`Context::pending_messages`] must
+    /// add them back in.
     in_flight: u64,
 }
 
@@ -473,21 +436,13 @@ impl<W, M> Context<'_, W, M> {
     }
 
     /// Logical messages awaiting delivery: each unicast payload counts
-    /// one, each group counts its undelivered members, plus whatever the
-    /// engine has popped but not yet handled (a group mid-expansion, the
-    /// rest of the current batch). The count is therefore identical
-    /// whether fan-outs travel grouped or per-member and whether messages
-    /// arrive batched or one by one — unlike the raw queue length — so
-    /// telemetry built on it stays byte-identical across delivery modes.
+    /// one, each group counts its undelivered members, including those of
+    /// a group mid-expansion. The count is therefore what per-member sends
+    /// would leave queued — unlike the raw queue length, which counts a
+    /// group entry once — so telemetry built on it does not depend on how
+    /// a fan-out is encoded.
     pub fn pending_messages(&self) -> u64 {
         self.in_flight + logical_pending(self.msgs, self.groups)
-    }
-
-    /// Mark the next message of the current batch as handled — called by
-    /// [`Component::handle_batch`] implementations before each message so
-    /// [`Context::pending_messages`] matches the unbatched run exactly.
-    pub fn next_batch_message(&mut self) {
-        self.in_flight = self.in_flight.saturating_sub(1);
     }
 
     /// The instant of the earliest pending event, if any — lets a periodic
@@ -543,8 +498,6 @@ pub struct Simulation<W, M> {
     /// Interned group deliveries (rare, large; kept out of the unicast
     /// arena so its slots stay message-sized).
     groups: EventArena<GroupDelivery<M>>,
-    /// Reusable batch scratch buffer (capacity persists across batches).
-    scratch: Vec<M>,
     rng: DeterministicRng,
     tracer: Tracer,
     halt: bool,
@@ -591,7 +544,6 @@ impl<W, M> Simulation<W, M> {
             queue,
             msgs: EventArena::new(),
             groups: EventArena::new(),
-            scratch: Vec::new(),
             rng: DeterministicRng::new(seed),
             tracer: Tracer::disabled(),
             halt: false,
@@ -679,7 +631,7 @@ impl<W, M> Simulation<W, M> {
     /// Raw queue accounting (push/pop totals, current and peak depth),
     /// returned by value without cloning queue contents. Unlike
     /// [`Simulation::pending_messages`], depth counts a group entry once,
-    /// so it differs across delivery modes (but not across backends).
+    /// so it depends on how fan-outs are encoded (but not on the backend).
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
@@ -701,9 +653,7 @@ impl<W, M> Simulation<W, M> {
     /// the DST entry point for exploring same-timestamp delivery
     /// permutations. Install before posting the first event so every
     /// insertion is keyed; `None` (the default) keeps the engine's classic
-    /// `(time, seq)` order bit-identical. While a hook is installed,
-    /// same-instant batching is suspended (ties may legally order a
-    /// freshly-pushed event between already-drained ones).
+    /// `(time, seq)` order bit-identical.
     pub fn set_delivery_order(&mut self, order: Option<DeliveryOrder>) {
         self.queue.set_delivery_order(order);
     }
@@ -717,7 +667,7 @@ impl<W, M> Simulation<W, M> {
     }
 
     /// Logical messages awaiting delivery (see
-    /// [`Context::pending_messages`]); identical across delivery modes.
+    /// [`Context::pending_messages`]).
     pub fn pending_messages(&self) -> u64 {
         logical_pending(&self.msgs, &self.groups)
     }
@@ -751,10 +701,7 @@ impl<W, M: Clone> Simulation<W, M> {
     /// order; members whose arrival instant lies beyond the popped entry's
     /// (a fan-out tree's deeper ranks) are re-inserted as one entry at
     /// their own reserved `(time, seq)` slot, so interleaving with every
-    /// other pending event matches per-member sends exactly. A unicast
-    /// entry whose component opted the message into batching additionally
-    /// drains its same-instant run (see [`Component::batchable`]) unless a
-    /// [`DeliveryOrder`] hook is installed.
+    /// other pending event matches per-member sends exactly.
     pub fn step(&mut self) -> bool {
         if self.halt {
             return false;
@@ -765,11 +712,7 @@ impl<W, M: Clone> Simulation<W, M> {
         debug_assert!(time >= self.now, "event queue violated time order");
         self.now = time;
         self.delivered += 1;
-        if !eref.is_group() && self.queue.delivery_order().is_none() {
-            self.deliver_maybe_batched(time, eref);
-        } else {
-            self.apply(time, eref);
-        }
+        self.apply(time, eref);
         true
     }
 
@@ -782,79 +725,6 @@ impl<W, M: Clone> Simulation<W, M> {
         } else {
             let msg = self.msgs.take(eref.payload);
             self.deliver(ComponentId(eref.target), msg, 0);
-        }
-    }
-
-    /// Unicast delivery with the same-instant batch fast path. With no
-    /// [`DeliveryOrder`] hook installed (the caller checked), every tie is
-    /// zero and anything a handler pushes at this instant receives a later
-    /// sequence number than everything already queued — so the maximal run
-    /// of consecutive same-instant, same-target, batchable pops drained
-    /// here is exactly the run the unbatched engine would deliver
-    /// back-to-back, and handling it as one batch preserves the delivery
-    /// order byte for byte.
-    fn deliver_maybe_batched(&mut self, time: SimTime, eref: EventRef) {
-        let target = ComponentId(eref.target);
-        let ix = eref.target as usize;
-        let msg = self.msgs.take(eref.payload);
-        if !self.components[ix].batchable(&msg) {
-            self.deliver(target, msg, 0);
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.scratch);
-        batch.push(msg);
-        // The first same-instant pop that is *not* part of the run is
-        // already out of the queue; it is applied right after the batch,
-        // exactly where the unbatched engine would have delivered it.
-        let mut carry = None;
-        while self.queue.peek_time() == Some(time) {
-            let Some((_, next)) = self.queue.pop() else {
-                break;
-            };
-            self.delivered += 1;
-            let same_run = !next.is_group()
-                && next.target == eref.target
-                && self.components[ix].batchable(self.msgs.get(next.payload));
-            if !same_run {
-                carry = Some(next);
-                break;
-            }
-            batch.push(self.msgs.take(next.payload));
-        }
-        self.handled += batch.len() as u64;
-        assert!(
-            self.handled <= self.max_events,
-            "event cap exceeded ({} events): runaway simulation?",
-            self.max_events
-        );
-        {
-            let mut ctx = Context {
-                now: self.now,
-                self_id: target,
-                world: &mut self.world,
-                queue: &mut self.queue,
-                msgs: &mut self.msgs,
-                groups: &mut self.groups,
-                rng: &mut self.streams[ix],
-                tracer: &mut self.tracer,
-                halt: &mut self.halt,
-                in_flight: batch.len() as u64,
-            };
-            self.components[ix].handle_batch(&mut batch, &mut ctx);
-        }
-        debug_assert!(batch.is_empty(), "handle_batch must drain its input");
-        batch.clear();
-        self.scratch = batch;
-        if let Some(next) = carry {
-            if self.halt {
-                // Batchable handlers are contractually halt-free; if one
-                // halts anyway, hand the already-popped successor back to
-                // the queue (fresh sequence number — unobservable after a
-                // halt) rather than deliver past the halt.
-                self.queue.push(time, next);
-            } else {
-                self.apply(time, next);
-            }
         }
     }
 
@@ -1525,120 +1395,6 @@ mod tests {
         ] {
             assert_eq!(run(false, schedule), run(true, schedule));
         }
-    }
-
-    /// A batching component: records deliveries like [`Recorder`] plus the
-    /// batch sizes its `handle_batch` override observed, and counts
-    /// pending messages per delivery so batched/unbatched equivalence of
-    /// the compensated pending count is checked too. `batching: false`
-    /// opts every message out — the per-message reference twin.
-    struct BatchRecorder {
-        batch_sizes: Vec<usize>,
-        batching: bool,
-    }
-    impl Component<RecWorld, u32> for BatchRecorder {
-        fn handle(&mut self, msg: u32, ctx: &mut Context<'_, RecWorld, u32>) {
-            let now = ctx.now();
-            let id = ctx.self_id().0;
-            let pending = u32::try_from(ctx.pending_messages()).unwrap();
-            ctx.world().push((now, id, msg * 1000 + pending));
-            if msg == 7 {
-                // Push more same-instant work from inside a batch: new
-                // events get later sequence numbers, so they sort after
-                // the drained run in both modes.
-                ctx.send_self_at(now, 8);
-            }
-        }
-
-        fn batchable(&self, msg: &u32) -> bool {
-            self.batching && *msg < 100
-        }
-
-        fn handle_batch(&mut self, msgs: &mut Vec<u32>, ctx: &mut Context<'_, RecWorld, u32>) {
-            self.batch_sizes.push(msgs.len());
-            for msg in msgs.drain(..) {
-                ctx.next_batch_message();
-                self.handle(msg, ctx);
-            }
-        }
-    }
-
-    fn batch_recorder() -> BatchRecorder {
-        BatchRecorder {
-            batch_sizes: Vec::new(),
-            batching: true,
-        }
-    }
-
-    /// `per_message` installs an inert hook (an empty tie script): any
-    /// hook suspends batching, so that run is the per-message reference.
-    fn batch_run(per_message: bool) -> (RecWorld, u64, u64) {
-        let mut sim = Simulation::new(RecWorld::new(), 11);
-        let a = sim.add_component(batch_recorder());
-        let b = sim.add_component(batch_recorder());
-        if per_message {
-            sim.set_delivery_order(Some(DeliveryOrder::script(Vec::new())));
-        }
-        let t = SimTime::from_micros(50);
-        // A run for a, one non-batchable interloper (>= 100), a run for b,
-        // then more for a at the same instant, plus a later singleton.
-        for (target, msg) in [(a, 1u32), (a, 2), (a, 300), (b, 3), (b, 7), (a, 4), (a, 5)] {
-            sim.post(t, target, msg);
-        }
-        sim.post(t + SimSpan::from_micros(5), b, 6);
-        sim.run_to_completion();
-        let delivered = sim.events_delivered();
-        let handled = sim.messages_handled();
-        assert_eq!(sim.arena_stats().live, 0);
-        (sim.into_world(), delivered, handled)
-    }
-
-    #[test]
-    fn batching_is_byte_identical_and_counts_match() {
-        let (batched, delivered_batched, handled_batched) = batch_run(false);
-        let (single, delivered_single, handled_single) = batch_run(true);
-        assert_eq!(batched, single, "trace identical batched and per-message");
-        assert_eq!(delivered_batched, delivered_single, "pops identical");
-        assert_eq!(
-            handled_batched, handled_single,
-            "handler invocations identical"
-        );
-    }
-
-    #[test]
-    fn batching_suspends_under_a_delivery_order_hook() {
-        // Message 7 pushes 8 at the same instant. Under this script 7
-        // draws tie 0 and the queued 1 and 2 draw tie 1, so the fresh 8
-        // (tie 0 once the script runs out) must pop before them. A batch
-        // drain at 7 would already hold 1 and 2 and deliver 8 last — so
-        // the engine must deliver per message, exactly like a component
-        // that opts nothing into batching.
-        let run = |batching: bool| {
-            let mut sim = Simulation::new(RecWorld::new(), 2);
-            let a = sim.add_component(BatchRecorder {
-                batch_sizes: Vec::new(),
-                batching,
-            });
-            sim.set_delivery_order(Some(DeliveryOrder::script(vec![0, 1, 1])));
-            let t = SimTime::from_micros(9);
-            for msg in [7u32, 1, 2] {
-                sim.post(t, a, msg);
-            }
-            sim.run_to_completion();
-            let digest = sim.interleaving_digest();
-            (sim.into_world(), digest)
-        };
-        let (batchable, digest_batchable) = run(true);
-        let (reference, digest_reference) = run(false);
-        assert_eq!(batchable, reference);
-        assert_eq!(digest_batchable, digest_reference);
-        assert_eq!(
-            batchable
-                .iter()
-                .map(|&(_, _, v)| v / 1000)
-                .collect::<Vec<_>>(),
-            vec![7, 8, 1, 2]
-        );
     }
 
     #[test]

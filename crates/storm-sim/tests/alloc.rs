@@ -1,12 +1,11 @@
 //! Steady-state allocation audit for the hot delivery paths.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
-//! phase (arena slots claimed, wheel buckets and the batch scratch buffer
-//! at capacity) the periodic multicast + batched-delivery loop must run
-//! **allocation-free**: group expansion moves the payload to the last
-//! member and clones it for the rest (no boxing), `GroupTargets` is either
-//! a `Copy` stride or an `Arc` list (clone is a refcount bump), and the
-//! engine's batch buffer is take-and-restored rather than reallocated.
+//! phase (arena slots claimed, wheel buckets at capacity) the periodic
+//! multicast loop must run **allocation-free**: group expansion moves the
+//! payload to the last member and clones it for the rest (no boxing), and
+//! `GroupTargets` is either a `Copy` stride or an `Arc` list (clone is a
+//! refcount bump).
 //!
 //! This file holds exactly one `#[test]` — the counter is process-global,
 //! so a sibling test running on another thread would pollute the audit.
@@ -67,8 +66,7 @@ impl Component<Counts, u64> for Hub {
     }
 }
 
-/// Receives the fan-out; batchable so the run also exercises the engine's
-/// batch drain (all leaf deliveries land at the same instant).
+/// Receives the fan-out (all leaf deliveries land at the same instant).
 struct Leaf {
     index: usize,
 }
@@ -77,14 +75,10 @@ impl Component<Counts, u64> for Leaf {
     fn handle(&mut self, _msg: u64, ctx: &mut Context<'_, Counts, u64>) {
         ctx.world()[self.index] += 1;
     }
-
-    fn batchable(&self, _msg: &u64) -> bool {
-        true
-    }
 }
 
 #[test]
-fn steady_state_multicast_and_batching_allocate_nothing() {
+fn steady_state_multicast_allocates_nothing() {
     let mut sim: Simulation<Counts, u64> = Simulation::new([0; 9], 7);
     let hub = sim.add_component(Hub {
         targets: GroupTargets::Strided {
@@ -100,7 +94,7 @@ fn steady_state_multicast_and_batching_allocate_nothing() {
     sim.post(storm_sim::SimTime::ZERO, hub, 0);
 
     // Warm-up: several full wheel revolutions' worth of rounds, so every
-    // bucket, arena slot, and the batch scratch buffer reach capacity.
+    // bucket and arena slot reaches capacity.
     for _ in 0..200_000 {
         if !sim.step() {
             panic!("driver loop must be self-sustaining");
@@ -115,7 +109,7 @@ fn steady_state_multicast_and_batching_allocate_nothing() {
     assert_eq!(
         after - before,
         0,
-        "steady-state group expansion + batched delivery must not allocate"
+        "steady-state group expansion must not allocate"
     );
 
     // Sanity: the loop really did fan out to the leaves the whole time.

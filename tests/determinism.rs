@@ -90,10 +90,9 @@ fn fault_detection_is_deterministic() {
 /// A workload exercising every MM fan-out path at once: a chunked binary
 /// broadcast + launch, gang rotation between two jobs, and a heartbeat
 /// loop that detects a crash, requeues the victim and re-admits the node.
-fn mixed_workload_cfg(group_delivery: bool) -> ClusterConfig {
+fn mixed_workload_cfg() -> ClusterConfig {
     ClusterConfig::paper_cluster()
         .with_seed(0xD15C)
-        .with_group_delivery(group_delivery)
         .with_failure_policy(FailurePolicy::requeue())
         .with_fault_detection(4)
 }
@@ -110,20 +109,7 @@ struct MixedRun {
     leaps: (u64, u64),
 }
 
-fn mixed_workload_run(
-    group_delivery: bool,
-) -> (
-    String,
-    ClusterStats,
-    Vec<(JobState, JobMetrics)>,
-    u64, // messages handled
-    u64, // events delivered (queue pops)
-) {
-    let r = mixed_workload_run_cfg(mixed_workload_cfg(group_delivery));
-    (r.trace, r.stats, r.jobs, r.messages, r.events)
-}
-
-fn mixed_workload_run_cfg(cfg: ClusterConfig) -> MixedRun {
+fn mixed_workload_run(cfg: ClusterConfig) -> MixedRun {
     let mut c = Cluster::new(cfg);
     c.enable_tracing();
     let _launch = c.submit(JobSpec::new(AppSpec::do_nothing_mb(12), 256));
@@ -164,27 +150,6 @@ fn mixed_workload_run_cfg(cfg: ClusterConfig) -> MixedRun {
     }
 }
 
-/// Group delivery is an *encoding* change in the event queue, not a
-/// semantic one: with the same seed, a run whose fan-outs travel as single
-/// group events must be byte-identical — trace, statistics, job metrics,
-/// handler invocations — to one sending a queue entry per NM. Only the
-/// queue-pop count may (and must) differ.
-#[test]
-fn group_delivery_is_byte_identical_to_unicast() {
-    let grouped = mixed_workload_run(true);
-    let unicast = mixed_workload_run(false);
-    assert_eq!(grouped.0, unicast.0, "event traces");
-    assert_eq!(grouped.1, unicast.1, "cluster statistics");
-    assert_eq!(grouped.2, unicast.2, "job states and metrics");
-    assert_eq!(grouped.3, unicast.3, "handler invocations");
-    assert!(
-        grouped.4 < unicast.4,
-        "group delivery must pop fewer queue entries ({} vs {})",
-        grouped.4,
-        unicast.4
-    );
-}
-
 /// Idle fast-forward leaps the clock over quiescent timeslices instead of
 /// strobing them; every *simulation* observable — trace, statistics, job
 /// metrics — must still match the fully-strobed run bit for bit. Only the
@@ -192,8 +157,8 @@ fn group_delivery_is_byte_identical_to_unicast() {
 /// leaped run must actually have leaped.
 #[test]
 fn fast_forward_is_byte_identical_to_full_strobing() {
-    let leaped = mixed_workload_run_cfg(mixed_workload_cfg(true).with_fast_forward(true));
-    let strobed = mixed_workload_run_cfg(mixed_workload_cfg(true).with_fast_forward(false));
+    let leaped = mixed_workload_run(mixed_workload_cfg().with_fast_forward(true));
+    let strobed = mixed_workload_run(mixed_workload_cfg().with_fast_forward(false));
     assert_eq!(leaped.trace, strobed.trace, "event traces");
     assert_eq!(leaped.stats, strobed.stats, "cluster statistics");
     assert_eq!(leaped.jobs, strobed.jobs, "job states and metrics");
@@ -251,8 +216,8 @@ fn event_count_per_timeslice_is_node_independent() {
 /// The mixed workload again, instrumented: telemetry + tracing on,
 /// returning every serialised observability artefact plus the raw trace
 /// and handler count for cross-checks against the uninstrumented run.
-fn instrumented_run(group_delivery: bool) -> (String, String, String, String, u64) {
-    instrumented_run_cfg(mixed_workload_cfg(group_delivery).with_telemetry(true))
+fn instrumented_run() -> (String, String, String, String, u64) {
+    instrumented_run_cfg(mixed_workload_cfg().with_telemetry(true))
 }
 
 fn instrumented_run_cfg(cfg: ClusterConfig) -> (String, String, String, String, u64) {
@@ -306,9 +271,9 @@ fn strip_metric_lines(snapshot: &str, families: &[&str]) -> String {
 /// may differ.
 #[test]
 fn fast_forward_telemetry_matches_full_strobing() {
-    let leaped = instrumented_run_cfg(mixed_workload_cfg(true).with_telemetry(true));
+    let leaped = instrumented_run_cfg(mixed_workload_cfg().with_telemetry(true));
     let strobed = instrumented_run_cfg(
-        mixed_workload_cfg(true)
+        mixed_workload_cfg()
             .with_telemetry(true)
             .with_fast_forward(false),
     );
@@ -332,36 +297,22 @@ fn fast_forward_telemetry_matches_full_strobing() {
 
 /// Telemetry must be as deterministic as the simulation itself: the full
 /// snapshot JSON — counters, gauges, every histogram bucket — plus the
-/// span log and Chrome trace must be byte-identical between grouped and
-/// unicast delivery, and across same-seed replays. This covers the one
-/// metric that could plausibly differ: the per-tick pending-message depth,
-/// which is defined logically rather than as raw queue entries.
+/// span log and Chrome trace must be byte-identical across same-seed
+/// replays.
 #[test]
-fn telemetry_is_byte_identical_across_modes_and_replays() {
-    let grouped = instrumented_run(true);
-    let unicast = instrumented_run(false);
-    // `sim.queue.*` gauges sample *raw* queue entries, and `sim.arena.*`
-    // raw interned payloads; both by design count a group fan-out once
-    // and a unicast fan-out N times — they are the metric families
-    // allowed to differ across delivery modes.
-    assert_eq!(
-        strip_metric_lines(&grouped.0, &["sim.queue.", "sim.arena."]),
-        strip_metric_lines(&unicast.0, &["sim.queue.", "sim.arena."]),
-        "metrics snapshots (modulo raw queue-depth gauges)"
-    );
-    assert_eq!(grouped.1, unicast.1, "job span logs");
-    assert_eq!(grouped.2, unicast.2, "chrome traces");
-    let replay = instrumented_run(true);
-    assert_eq!(grouped.0, replay.0, "same-seed snapshot replay");
-    assert_eq!(grouped.1, replay.1, "same-seed span replay");
-    assert_eq!(grouped.2, replay.2, "same-seed chrome-trace replay");
+fn telemetry_is_byte_identical_across_replays() {
+    let first = instrumented_run();
+    let replay = instrumented_run();
+    assert_eq!(first.0, replay.0, "same-seed snapshot replay");
+    assert_eq!(first.1, replay.1, "same-seed span replay");
+    assert_eq!(first.2, replay.2, "same-seed chrome-trace replay");
     // Sanity: the instrumented run actually measured something.
-    assert!(grouped.0.contains("jobs.submitted"));
-    assert!(grouped.0.contains("fault.detections"));
-    assert!(!grouped.1.is_empty(), "spans were collected");
-    validate_json(&grouped.0).unwrap();
-    validate_json(&grouped.2).unwrap();
-    for line in grouped.1.lines() {
+    assert!(first.0.contains("jobs.submitted"));
+    assert!(first.0.contains("fault.detections"));
+    assert!(!first.1.is_empty(), "spans were collected");
+    validate_json(&first.0).unwrap();
+    validate_json(&first.2).unwrap();
+    for line in first.1.lines() {
         validate_json(line).unwrap();
     }
 }
@@ -371,10 +322,10 @@ fn telemetry_is_byte_identical_across_modes_and_replays() {
 /// must equal those of the plain run of the same workload.
 #[test]
 fn telemetry_does_not_perturb_the_simulation() {
-    let plain = mixed_workload_run(true);
-    let instrumented = instrumented_run(true);
-    assert_eq!(plain.0, instrumented.3, "event traces");
-    assert_eq!(plain.3, instrumented.4, "handler invocations");
+    let plain = mixed_workload_run(mixed_workload_cfg());
+    let instrumented = instrumented_run();
+    assert_eq!(plain.trace, instrumented.3, "event traces");
+    assert_eq!(plain.messages, instrumented.4, "handler invocations");
 }
 
 #[test]
@@ -567,8 +518,8 @@ fn chrome_trace_is_valid_and_ordering_is_deterministic() {
             .collect()
     };
 
-    let first = instrumented_run(true);
-    let second = instrumented_run(true);
+    let first = instrumented_run();
+    let second = instrumented_run();
     validate_json(&first.2).unwrap();
     assert_eq!(first.2, second.2, "same-seed chrome traces byte-identical");
 

@@ -59,9 +59,7 @@ fn mixed_run(cfg: ClusterConfig) -> MixedRun {
 /// The zero-drift contract: an *inert* delivery-order hook — an empty tie
 /// script, or a seeded order with amplitude 0 — must leave the run
 /// byte-identical to no hook at all. Every tie is 0, so the total order
-/// `(time, 0, seq)` collapses to the classic `(time, seq)`. Any installed
-/// hook also suspends same-instant batching, so this is equally the proof
-/// that the batched default matches per-message delivery.
+/// `(time, 0, seq)` collapses to the classic `(time, seq)`.
 #[test]
 fn inert_dst_hooks_cause_zero_behavioral_drift() {
     let plain = mixed_run(mixed_cfg());
