@@ -26,10 +26,12 @@
 //! field name), `row!` (a positional array), `tagged!` (an enum as
 //! `["tag", fields…]`), `names!` (a fieldless enum as a string) and
 //! `via!` (a type stored as another) — so encode and decode cannot drift
-//! apart. Times and spans are integer
-//! nanoseconds, `f64` its IEEE-754 bit pattern, `Option` the value or
-//! `null`; all integers round-trip exactly through the shared
-//! [`storm_telemetry::json`] value model.
+//! apart. `enc` writes compact JSON text straight into one
+//! [`Writer`], with no value tree in between; `dec` reads the [`Value`]
+//! that [`parse`] builds, so decode errors can name the member path.
+//! Times and spans are integer nanoseconds, `f64` its IEEE-754 bit
+//! pattern, `Option` the value or `null`; all integers round-trip
+//! exactly, because a parsed number keeps its source token.
 
 use crate::buddy::BuddyState;
 use crate::cluster::Cluster;
@@ -43,7 +45,7 @@ use crate::msg::{Msg, ReportKind};
 use crate::nm::{NmLocalJobState, NmState, NodeManager};
 use crate::pl::ProgramLauncher;
 use crate::replica::{Decision, MmCoreState, MmRole, ReplStats, ReplicaState};
-use crate::world::{ClusterStats, IdleLeap, NodeTable, Wiring, World};
+use crate::world::{ClusterStats, IdleLeap, NodeTable, World};
 use std::collections::VecDeque;
 use std::fmt::Arguments;
 use std::ops::Range;
@@ -59,7 +61,7 @@ use storm_sim::{
     GroupSchedule, GroupState, GroupTargets, OrderModeState, QueueAccounting, QueuedEventState,
     SimSpan, SimTime, Simulation, TraceRecord,
 };
-use storm_telemetry::json::{num, parse, render, Value};
+use storm_telemetry::json::{parse, Value, Writer};
 use storm_telemetry::{
     Histogram, JobSpan, MetricKey, MetricValue, MetricsRegistry, Phase, SpanLog, Telemetry,
 };
@@ -74,9 +76,10 @@ type R<T> = Result<T, String>;
 // The codec
 // ---------------------------------------------------------------------------
 
-/// A checkpointed type's encoding.
+/// A checkpointed type's encoding: `enc` writes its JSON text, `dec`
+/// reads it back from the parsed [`Value`].
 trait Codec: Sized {
-    fn enc(&self) -> Value;
+    fn enc(&self, out: &mut Writer);
     fn dec(v: &Value) -> R<Self>;
 }
 
@@ -84,13 +87,13 @@ trait Codec: Sized {
 /// [`Cluster::new`] rebuilds from the config: the world and its mechanism
 /// layer. Every [`Codec`] type patches by replacement.
 trait Patch {
-    fn save(&self) -> Value;
+    fn save(&self, out: &mut Writer);
     fn load(&mut self, v: &Value) -> R<()>;
 }
 
 impl<T: Codec> Patch for T {
-    fn save(&self) -> Value {
-        self.enc()
+    fn save(&self, out: &mut Writer) {
+        self.enc(out);
     }
     fn load(&mut self, v: &Value) -> R<()> {
         *self = T::dec(v)?;
@@ -109,12 +112,15 @@ fn at(seg: Arguments<'_>, e: String) -> String {
     }
 }
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// Object member `key`, holding `value`.
+fn put<T: Codec>(out: &mut Writer, key: &str, value: &T) {
+    out.key(key);
+    value.enc(out);
 }
 
-fn list<T: Codec>(items: &[T]) -> Value {
-    Value::Arr(items.iter().map(T::enc).collect())
+/// An array of `items`, each in its own encoding.
+fn list<'a, T: Codec + 'a>(out: &mut Writer, items: impl IntoIterator<Item = &'a T>) {
+    out.arr(|out| items.into_iter().for_each(|x| x.enc(out)));
 }
 
 /// Member `key` of an object.
@@ -166,8 +172,8 @@ impl<'a> Items<'a> {
 macro_rules! record {
     (into $ty:ty { $($f:ident),* $(,)? }) => {
         impl Patch for $ty {
-            fn save(&self) -> Value {
-                obj(vec![$((stringify!($f), self.$f.save())),*])
+            fn save(&self, out: &mut Writer) {
+                out.obj(|out| { $(out.key(stringify!($f)); self.$f.save(out);)* });
             }
             fn load(&mut self, v: &Value) -> R<()> {
                 $(self.$f
@@ -182,8 +188,8 @@ macro_rules! record {
     };
     (@ [$($gen:tt)*] $ty:ty { $($f:ident),* }) => {
         impl<$($gen)*> Codec for $ty {
-            fn enc(&self) -> Value {
-                obj(vec![$((stringify!($f), self.$f.enc())),*])
+            fn enc(&self, out: &mut Writer) {
+                out.obj(|out| { $(put(out, stringify!($f), &self.$f);)* });
             }
             fn dec(v: &Value) -> R<Self> {
                 Ok(Self { $($f: field(v, stringify!($f))?),* })
@@ -199,8 +205,8 @@ macro_rules! record {
 macro_rules! row {
     ($ty:ty [$($f:ident),* $(,)?]) => {
         impl Codec for $ty {
-            fn enc(&self) -> Value {
-                Value::Arr(vec![$(self.$f.enc()),*])
+            fn enc(&self, out: &mut Writer) {
+                out.arr(|out| { $(self.$f.enc(out);)* });
             }
             fn dec(v: &Value) -> R<Self> {
                 let mut items = Items::new(v, 0, <[&str]>::len(&[$(stringify!($f)),*]))?;
@@ -217,11 +223,12 @@ macro_rules! tagged {
         $($tag:literal => $var:ident $(($($p:ident),*))? $({ $($f:ident),* })?),* $(,)?
     }) => {
         impl Codec for $ty {
-            fn enc(&self) -> Value {
+            fn enc(&self, out: &mut Writer) {
                 match self {
-                    $(Self::$var $(($($p),*))? $({ $($f),* })? => Value::Arr(vec![
-                        Value::Str($tag.into()) $($(, $p.enc())*)? $($(, $f.enc())*)?
-                    ]),)*
+                    $(Self::$var $(($($p),*))? $({ $($f),* })? => out.arr(|out| {
+                        out.str($tag);
+                        $($($p.enc(out);)*)? $($($f.enc(out);)*)?
+                    }),)*
                 }
             }
             fn dec(v: &Value) -> R<Self> {
@@ -247,8 +254,8 @@ macro_rules! tagged {
 macro_rules! names {
     ($ty:ty, $what:literal { $($var:ident => $name:literal),* $(,)? }) => {
         impl Codec for $ty {
-            fn enc(&self) -> Value {
-                Value::Str(match self { $(Self::$var => $name),* }.into())
+            fn enc(&self, out: &mut Writer) {
+                out.str(match self { $(Self::$var => $name),* });
             }
             fn dec(v: &Value) -> R<Self> {
                 match v.as_str().ok_or("expected string")? {
@@ -264,8 +271,8 @@ macro_rules! names {
 macro_rules! via {
     ($($ty:ty => $repr:ty: $to:expr, $from:expr;)*) => {$(
         impl Codec for $ty {
-            fn enc(&self) -> Value {
-                <$repr>::enc(&($to)(self))
+            fn enc(&self, out: &mut Writer) {
+                <$repr>::enc(&($to)(self), out);
             }
             fn dec(v: &Value) -> R<Self> {
                 <$repr>::dec(v).map($from)
@@ -277,8 +284,8 @@ macro_rules! via {
 macro_rules! ints {
     ($($t:ty: $what:literal),*) => {$(
         impl Codec for $t {
-            fn enc(&self) -> Value {
-                num(*self)
+            fn enc(&self, out: &mut Writer) {
+                out.num(*self);
             }
             fn dec(v: &Value) -> R<Self> {
                 let n: i128 = match v {
@@ -301,8 +308,8 @@ ints!(
 macro_rules! tuple {
     ($($t:ident $i:tt),*) => {
         impl<$($t: Codec),*> Codec for ($($t,)*) {
-            fn enc(&self) -> Value {
-                Value::Arr(vec![$(self.$i.enc()),*])
+            fn enc(&self, out: &mut Writer) {
+                out.arr(|out| { $(self.$i.enc(out);)* });
             }
             fn dec(v: &Value) -> R<Self> {
                 let mut items = Items::new(v, 0, <[&str]>::len(&[$(stringify!($t)),*]))?;
@@ -318,8 +325,8 @@ tuple!(A 0, B 1, C 2, D 3);
 tuple!(A 0, B 1, C 2, D 3, E 4, F 5);
 
 impl Codec for bool {
-    fn enc(&self) -> Value {
-        Value::Bool(*self)
+    fn enc(&self, out: &mut Writer) {
+        out.bool(*self);
     }
     fn dec(v: &Value) -> R<Self> {
         match v {
@@ -330,8 +337,8 @@ impl Codec for bool {
 }
 
 impl Codec for String {
-    fn enc(&self) -> Value {
-        Value::Str(self.clone())
+    fn enc(&self, out: &mut Writer) {
+        out.str(self);
     }
     fn dec(v: &Value) -> R<Self> {
         v.as_str()
@@ -342,8 +349,8 @@ impl Codec for String {
 
 /// Static labels (trace, metric and phase names) are interned on decode.
 impl Codec for &'static str {
-    fn enc(&self) -> Value {
-        Value::Str(String::from(*self))
+    fn enc(&self, out: &mut Writer) {
+        out.str(self);
     }
     fn dec(v: &Value) -> R<Self> {
         v.as_str()
@@ -353,8 +360,11 @@ impl Codec for &'static str {
 }
 
 impl<T: Codec> Codec for Option<T> {
-    fn enc(&self) -> Value {
-        self.as_ref().map_or(Value::Null, T::enc)
+    fn enc(&self, out: &mut Writer) {
+        match self {
+            Some(x) => x.enc(out),
+            None => out.null(),
+        }
     }
     fn dec(v: &Value) -> R<Self> {
         match v {
@@ -365,8 +375,8 @@ impl<T: Codec> Codec for Option<T> {
 }
 
 impl<T: Codec> Codec for Vec<T> {
-    fn enc(&self) -> Value {
-        list(self)
+    fn enc(&self, out: &mut Writer) {
+        list(out, self);
     }
     fn dec(v: &Value) -> R<Self> {
         let items = v.as_arr().ok_or("expected array")?;
@@ -378,8 +388,8 @@ impl<T: Codec> Codec for Vec<T> {
 }
 
 impl<T: Codec> Codec for VecDeque<T> {
-    fn enc(&self) -> Value {
-        Value::Arr(self.iter().map(T::enc).collect())
+    fn enc(&self, out: &mut Writer) {
+        list(out, self);
     }
     fn dec(v: &Value) -> R<Self> {
         Vec::dec(v).map(Into::into)
@@ -387,8 +397,8 @@ impl<T: Codec> Codec for VecDeque<T> {
 }
 
 impl<T: Codec> Codec for Arc<[T]> {
-    fn enc(&self) -> Value {
-        list(self)
+    fn enc(&self, out: &mut Writer) {
+        list(out, self.iter());
     }
     fn dec(v: &Value) -> R<Self> {
         Vec::dec(v).map(Into::into)
@@ -396,8 +406,8 @@ impl<T: Codec> Codec for Arc<[T]> {
 }
 
 impl<T: Codec> Codec for Box<T> {
-    fn enc(&self) -> Value {
-        T::enc(self)
+    fn enc(&self, out: &mut Writer) {
+        T::enc(self, out);
     }
     fn dec(v: &Value) -> R<Self> {
         T::dec(v).map(Box::new)
@@ -405,8 +415,8 @@ impl<T: Codec> Codec for Box<T> {
 }
 
 impl<const N: usize> Codec for [u64; N] {
-    fn enc(&self) -> Value {
-        list(self)
+    fn enc(&self, out: &mut Writer) {
+        list(out, self);
     }
     fn dec(v: &Value) -> R<Self> {
         Vec::dec(v)?
@@ -648,9 +658,9 @@ row!(TraceRecord [time, component, label, detail]);
 
 /// A queue entry is one flat row: `[time, tie, seq, target, slot, gen]`.
 impl Codec for QueuedEventState {
-    fn enc(&self) -> Value {
+    fn enc(&self, out: &mut Writer) {
         let (slot, gen) = self.payload;
-        (self.time, self.tie, self.seq, self.target, slot, gen).enc()
+        (self.time, self.tie, self.seq, self.target, slot, gen).enc(out);
     }
     fn dec(v: &Value) -> R<Self> {
         let (time, tie, seq, target, slot, gen) = Codec::dec(v)?;
@@ -863,12 +873,12 @@ record!(NmLocalJobState {
 /// The mechanism layer keeps its implementation and fault plan from the
 /// config; its state is the global memory and two operation counters.
 impl Patch for Mechanisms {
-    fn save(&self) -> Value {
-        obj(vec![
-            ("memory", self.memory.enc()),
-            ("xfer_count", self.xfer_count().enc()),
-            ("caw_count", self.caw_count().enc()),
-        ])
+    fn save(&self, out: &mut Writer) {
+        out.obj(|out| {
+            put(out, "memory", &self.memory);
+            put(out, "xfer_count", &self.xfer_count());
+            put(out, "caw_count", &self.caw_count());
+        });
     }
     fn load(&mut self, v: &Value) -> R<()> {
         self.memory = field(v, "memory")?;
@@ -879,8 +889,12 @@ impl Patch for Mechanisms {
 
 /// A CAW audit entry is one flat row: `[var, set, value]`.
 impl Codec for (u32, CawAudit) {
-    fn enc(&self) -> Value {
-        Value::Arr(vec![self.0.enc(), self.1.set.enc(), self.1.value.enc()])
+    fn enc(&self, out: &mut Writer) {
+        out.arr(|out| {
+            self.0.enc(out);
+            self.1.set.enc(out);
+            self.1.value.enc(out);
+        });
     }
     fn dec(v: &Value) -> R<Self> {
         let (var, set, value) = Codec::dec(v)?;
@@ -890,8 +904,8 @@ impl Codec for (u32, CawAudit) {
 
 /// A matrix placement is one flat row: `[job, start, end]`.
 impl Codec for (JobId, Range<u32>) {
-    fn enc(&self) -> Value {
-        (self.0, self.1.start, self.1.end).enc()
+    fn enc(&self, out: &mut Writer) {
+        (self.0, self.1.start, self.1.end).enc(out);
     }
     fn dec(v: &Value) -> R<Self> {
         let (job, start, end) = Codec::dec(v)?;
@@ -901,14 +915,14 @@ impl Codec for (JobId, Range<u32>) {
 
 /// An allocation's node range is two members, `nodes_start`/`nodes_end`.
 impl Codec for Allocation {
-    fn enc(&self) -> Value {
-        obj(vec![
-            ("slot", self.slot.enc()),
-            ("nodes_start", self.nodes.start.enc()),
-            ("nodes_end", self.nodes.end.enc()),
-            ("ranks_per_node", self.ranks_per_node.enc()),
-            ("ranks", self.ranks.enc()),
-        ])
+    fn enc(&self, out: &mut Writer) {
+        out.obj(|out| {
+            put(out, "slot", &self.slot);
+            put(out, "nodes_start", &self.nodes.start);
+            put(out, "nodes_end", &self.nodes.end);
+            put(out, "ranks_per_node", &self.ranks_per_node);
+            put(out, "ranks", &self.ranks);
+        });
     }
     fn dec(v: &Value) -> R<Self> {
         Ok(Allocation {
@@ -921,8 +935,8 @@ impl Codec for Allocation {
 }
 
 impl Codec for GangMatrix {
-    fn enc(&self) -> Value {
-        self.export_state().enc()
+    fn enc(&self, out: &mut Writer) {
+        self.export_state().enc(out);
     }
     fn dec(v: &Value) -> R<Self> {
         GangMatrix::import_state(MatrixState::dec(v)?)
@@ -931,11 +945,12 @@ impl Codec for GangMatrix {
 
 /// A workload is its step list plus the endless flag.
 impl Codec for Workload {
-    fn enc(&self) -> Value {
-        obj(vec![
-            ("endless", self.is_endless().enc()),
-            ("steps", list(self.steps())),
-        ])
+    fn enc(&self, out: &mut Writer) {
+        out.obj(|out| {
+            put(out, "endless", &self.is_endless());
+            out.key("steps");
+            list(out, self.steps());
+        });
     }
     fn dec(v: &Value) -> R<Self> {
         let steps: Vec<Step> = field(v, "steps")?;
@@ -950,19 +965,17 @@ impl Codec for Workload {
 
 /// The node table is stored row-wise: `[failed, failed_at, quarantined]`.
 impl Codec for NodeTable {
-    fn enc(&self) -> Value {
-        Value::Arr(
-            (0..self.len() as u32)
-                .map(|n| {
-                    (
-                        self.is_failed(n),
-                        self.failed_since(n),
-                        self.is_quarantined(n),
-                    )
-                        .enc()
-                })
-                .collect(),
-        )
+    fn enc(&self, out: &mut Writer) {
+        out.arr(|out| {
+            for n in 0..self.len() as u32 {
+                let row = (
+                    self.is_failed(n),
+                    self.failed_since(n),
+                    self.is_quarantined(n),
+                );
+                row.enc(out);
+            }
+        });
     }
     fn dec(v: &Value) -> R<Self> {
         let rows: Vec<(bool, Option<SimTime>, bool)> = Codec::dec(v)?;
@@ -982,23 +995,25 @@ impl Codec for NodeTable {
 /// A histogram's parts are flattened into its tagged array:
 /// `["histogram", buckets, count, sum, min, max]`.
 impl Codec for MetricValue {
-    fn enc(&self) -> Value {
-        let (tag, mut fields) = match self {
-            MetricValue::Counter(n) => ("counter", vec![n.enc()]),
-            MetricValue::Gauge(g) => ("gauge", vec![g.enc()]),
-            MetricValue::Histogram(h) => (
-                "histogram",
-                vec![
-                    h.bucket_counts().enc(),
-                    h.count().enc(),
-                    h.sum().enc(),
-                    h.min().enc(),
-                    h.max().enc(),
-                ],
-            ),
-        };
-        fields.insert(0, Value::Str(tag.into()));
-        Value::Arr(fields)
+    fn enc(&self, out: &mut Writer) {
+        out.arr(|out| match self {
+            MetricValue::Counter(n) => {
+                out.str("counter");
+                n.enc(out);
+            }
+            MetricValue::Gauge(g) => {
+                out.str("gauge");
+                g.enc(out);
+            }
+            MetricValue::Histogram(h) => {
+                out.str("histogram");
+                h.bucket_counts().enc(out);
+                h.count().enc(out);
+                h.sum().enc(out);
+                h.min().enc(out);
+                h.max().enc(out);
+            }
+        });
     }
     fn dec(v: &Value) -> R<Self> {
         match tag_of(v)? {
@@ -1023,12 +1038,14 @@ impl Codec for MetricValue {
 /// Telemetry is the on flag, the metric entries and the span log; the
 /// flag gates both halves on import.
 impl Codec for Telemetry {
-    fn enc(&self) -> Value {
-        obj(vec![
-            ("on", self.is_enabled().enc()),
-            ("metrics", list(self.metrics.snapshot().entries())),
-            ("spans", list(self.spans.spans())),
-        ])
+    fn enc(&self, out: &mut Writer) {
+        out.obj(|out| {
+            put(out, "on", &self.is_enabled());
+            out.key("metrics");
+            list(out, self.metrics.snapshot().entries());
+            out.key("spans");
+            list(out, self.spans.spans());
+        });
     }
     fn dec(v: &Value) -> R<Self> {
         let on = field(v, "on")?;
@@ -1098,12 +1115,65 @@ fn live<T>(arena: &ArenaState<T>, (slot, gen): (u32, u32)) -> Option<&T> {
     val.as_ref().filter(|_| *at == gen)
 }
 
-/// Every pending message must reach a dæmon of the kind that handles it:
-/// a unicast the MM, NM or PL its variant names, and a group — the MM's
-/// fan-outs — only NMs, with an NM message. Entries whose payload or
-/// target does not resolve are left to the engine import, which refuses
-/// them.
-fn check_addressees(engine: &EngineState<Msg>, wiring: &Wiring) -> R<()> {
+/// A message's tag as the checkpoint spells it: the text between the
+/// first two quotes of its `["tag", fields…]` encoding.
+fn tag(msg: &Msg) -> String {
+    let mut out = Writer::default();
+    msg.enc(&mut out);
+    out.finish()
+        .split('"')
+        .nth(1)
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// The first job `msg` names that is not one of the `jobs` records.
+fn unknown_job(msg: &Msg, jobs: usize) -> Option<JobId> {
+    let named: &[JobId] = match msg {
+        Msg::Submit(job)
+        | Msg::Kill(job)
+        | Msg::RequeueJob(job)
+        | Msg::ReadDone { job, .. }
+        | Msg::BcastFreed { job, .. }
+        | Msg::FlowPoll { job, .. }
+        | Msg::NmReport { job, .. }
+        | Msg::Fragment { job, .. }
+        | Msg::WriteDone { job, .. }
+        | Msg::LaunchCmd { job, .. }
+        | Msg::ForkDone { job, .. }
+        | Msg::PlExited { job, .. }
+        | Msg::Fork { job, .. }
+        | Msg::ReplLog {
+            decision:
+                Decision::Submit { job }
+                | Decision::Place { job, .. }
+                | Decision::Admit { job }
+                | Decision::Launch { job, .. }
+                | Decision::Complete { job }
+                | Decision::Requeue { job, .. },
+            ..
+        } => std::slice::from_ref(job),
+        Msg::ReplCheckpoint { state, .. } => &state.queue,
+        _ => &[],
+    };
+    named.iter().find(|j| j.index() >= jobs).copied()
+}
+
+/// The engine image must be able to run on. Its event cap may not lie
+/// below the events already handled, and every pending message must
+/// reach a dæmon of the kind that handles it — a unicast the MM, NM or
+/// PL its variant names, a group (the MM's fan-outs) only NMs, with an
+/// NM message — and name only jobs that have a record. Entries whose
+/// payload or target does not resolve are left to the engine import,
+/// which refuses them.
+fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
+    if engine.max_events < engine.handled {
+        return Err(format!(
+            "engine.max_events: {} is below the {} events already handled",
+            engine.max_events, engine.handled
+        ));
+    }
+    let wiring = &world.wiring;
     let wired = (wiring.mms.iter().map(|&id| (id, "MM")))
         .chain(wiring.nms.iter().map(|&id| (id, "NM")))
         .chain(wiring.pls.iter().flatten().map(|&id| (id, "PL")));
@@ -1113,10 +1183,9 @@ fn check_addressees(engine: &EngineState<Msg>, wiring: &Wiring) -> R<()> {
         kinds[id.index()] = Some(kind);
     }
     let kind_of = |ix: u64| kinds.get(usize::try_from(ix).ok()?).copied().flatten();
-    let tag = |msg: &Msg| tag_of(&msg.enc()).unwrap_or_default().to_string();
     for (i, e) in engine.entries.iter().enumerate() {
         // `u32::MAX` is the engine's group-entry sentinel.
-        if e.target == u32::MAX {
+        let msg = if e.target == u32::MAX {
             let Some(g) = live(&engine.groups, e.payload) else {
                 continue;
             };
@@ -1148,9 +1217,13 @@ fn check_addressees(engine: &EngineState<Msg>, wiring: &Wiring) -> R<()> {
                     tag(&g.msg)
                 ));
             }
-        } else if let (Some(msg), Some(is)) =
-            (live(&engine.msgs, e.payload), kind_of(u64::from(e.target)))
-        {
+            &g.msg
+        } else {
+            let (Some(msg), Some(is)) =
+                (live(&engine.msgs, e.payload), kind_of(u64::from(e.target)))
+            else {
+                continue;
+            };
             let wants = addressee(msg);
             if wants != is {
                 return Err(format!(
@@ -1159,6 +1232,46 @@ fn check_addressees(engine: &EngineState<Msg>, wiring: &Wiring) -> R<()> {
                     e.target
                 ));
             }
+            msg
+        };
+        if let Some(job) = unknown_job(msg, world.jobs.len()) {
+            return Err(format!(
+                "engine.entries[{i}]: {} message names job {}, which has no record",
+                tag(msg),
+                job.0
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Every job record must sit at its id's index, and every variable the
+/// world names must be allocated in global memory.
+fn check_world(world: &World) -> R<()> {
+    let vars = world.mech.memory.var_count();
+    let outside = |var: Option<VarId>| var.filter(|v| v.0 as usize >= vars);
+    let named = [
+        ("hb_var", world.hb_var),
+        ("mm_epoch_var", world.mm_epoch_var),
+    ];
+    for (name, var) in named {
+        if let Some(v) = outside(var) {
+            return Err(format!(
+                "world.{name}: variable {} is outside the {vars} in global memory",
+                v.0
+            ));
+        }
+    }
+    for (i, job) in world.jobs.iter().enumerate() {
+        if job.id.index() != i {
+            return Err(format!("world.jobs[{i}].id: {} is not its index", job.id.0));
+        }
+        if let Some(v) = outside(job.transfer.written_var) {
+            return Err(format!(
+                "world.jobs[{i}].transfer.written_var: variable {} is outside the {vars} in \
+                 global memory",
+                v.0
+            ));
         }
     }
     Ok(())
@@ -1201,44 +1314,41 @@ impl Cluster {
     pub fn checkpoint(&self) -> String {
         let sim = self.sim();
         let w = sim.world();
-        // Encode each dæmon's state as it is exported, so no exported
-        // copy outlives its encoding.
-        let mms: Vec<Value> = w
-            .wiring
-            .mms
-            .iter()
-            .map(|&id| daemon::<MachineManager>(sim, id).export_state().enc())
-            .collect();
-        let nms: Vec<Value> = w
-            .wiring
-            .nms
-            .iter()
-            .map(|&id| daemon::<NodeManager>(sim, id).export_state().enc())
-            .collect();
-        let pls: Vec<Vec<u64>> = w
-            .wiring
-            .pls
-            .iter()
-            .map(|ids| {
-                ids.iter()
-                    .map(|&id| daemon::<ProgramLauncher>(sim, id).fork_count())
-                    .collect()
-            })
-            .collect();
-        // Bound rather than a tail temporary: freeing the tree before the
-        // text is returned measured 25–30% faster on 3 MB documents.
-        let doc = obj(vec![
-            ("version", CHECKPOINT_VERSION.enc()),
-            ("kind", "storm-checkpoint".enc()),
-            ("config", w.cfg.enc()),
-            ("next_job", self.next_job_counter().enc()),
-            ("engine", sim.export_engine_state().enc()),
-            ("world", w.save()),
-            ("mms", Value::Arr(mms)),
-            ("nms", Value::Arr(nms)),
-            ("pls", pls.enc()),
-        ]);
-        render(&doc)
+        let mut out = Writer::default();
+        // Sections stream one after another; each dæmon's state is
+        // encoded as soon as it is exported, so no copy outlives its text.
+        out.obj(|out| {
+            put(out, "version", &CHECKPOINT_VERSION);
+            put(out, "kind", &"storm-checkpoint");
+            put(out, "config", &w.cfg);
+            put(out, "next_job", &self.next_job_counter());
+            put(out, "engine", &sim.export_engine_state());
+            out.key("world");
+            w.save(out);
+            out.key("mms");
+            out.arr(|out| {
+                for &id in &w.wiring.mms {
+                    daemon::<MachineManager>(sim, id).export_state().enc(out);
+                }
+            });
+            out.key("nms");
+            out.arr(|out| {
+                for &id in &w.wiring.nms {
+                    daemon::<NodeManager>(sim, id).export_state().enc(out);
+                }
+            });
+            out.key("pls");
+            out.arr(|out| {
+                for ids in &w.wiring.pls {
+                    out.arr(|out| {
+                        for &id in ids {
+                            daemon::<ProgramLauncher>(sim, id).fork_count().enc(out);
+                        }
+                    });
+                }
+            });
+        });
+        out.finish()
     }
 
     /// Rebuild a cluster from a [`Cluster::checkpoint`] artifact. The
@@ -1274,13 +1384,14 @@ impl Cluster {
         let mut cluster = Cluster::new(cfg);
         cluster.set_next_job_counter(next_job);
         let sim = cluster.sim_mut();
-        check_addressees(&engine, &sim.world().wiring)?;
-        // The engine image replaces construction-time posts wholesale.
-        sim.import_engine_state(engine)
-            .map_err(|e| format!("engine: {e}"))?;
         sim.world_mut()
             .load(member(doc, "world")?)
             .map_err(|e| at(format_args!(".world"), e))?;
+        check_world(sim.world())?;
+        check_engine(&engine, sim.world())?;
+        // The engine image replaces construction-time posts wholesale.
+        sim.import_engine_state(engine)
+            .map_err(|e| format!("engine: {e}"))?;
         let w = sim.world_mut();
         let (mm_ids, nm_ids, pl_ids) = (
             w.wiring.mms.clone(),
@@ -1292,7 +1403,10 @@ impl Cluster {
             *(mm_ids.get(w.mm_active_rank as usize))
                 .ok_or("world.mm_active_rank: no MM of that rank")?,
         );
-        for (&id, state) in mm_ids.iter().zip(mms) {
+        for ((r, &id), state) in (0u32..).zip(&mm_ids).zip(mms) {
+            if state.rank != r {
+                return Err(format!("mms[{r}].rank: {} is not its position", state.rank));
+            }
             *daemon_mut::<MachineManager>(sim, id) = MachineManager::import_state(state);
         }
         for ((n, &id), state) in (0u32..).zip(&nm_ids).zip(nms) {
@@ -1408,7 +1522,7 @@ mod tests {
             ComponentId, DeliveryOrderState, GroupSchedule, GroupState, GroupTargets,
             OrderModeState, SimSpan, SimTime,
         };
-        use storm_telemetry::json::{render, Value};
+        use storm_telemetry::json::{parse, render, Value, Writer};
         use storm_telemetry::registry::HISTOGRAM_BUCKETS;
         use storm_telemetry::{Histogram, MetricValue};
 
@@ -1421,7 +1535,12 @@ mod tests {
 
         impl<T: Codec> Pin for T {
             fn pin(&self) -> Value {
-                self.enc()
+                let mut out = Writer::default();
+                self.enc(&mut out);
+                let text = out.finish();
+                let value = parse(&text).expect("the encoder writes JSON");
+                assert_eq!(render(&value), text, "the encoder writes compact JSON");
+                value
             }
             fn unpin(v: &Value) -> Result<Self, String> {
                 T::dec(v)
@@ -1798,6 +1917,20 @@ mod tests {
             for (s, want) in &states {
                 check(s, None, want, &mut bad);
             }
+
+            // A name that needs every escape the writer makes: a quote, a
+            // backslash, a newline and a control character; non-ASCII text
+            // is written as it is.
+            let named = JobSpec::new(AppSpec::SpinLoop, 2)
+                .named("a\"b\\c\nd\u{1}é")
+                .with_ranks_per_node(1);
+            check(
+                &named,
+                None,
+                r#"{"name":"a\"b\\c\nd\u0001é","app":["spin_loop"],"ranks":2,"max_ranks_per_node":1,"runtime_estimate":null}"#,
+                &mut bad,
+            );
+            assert_eq!(JobSpec::unpin(&named.pin()).map(|j| j.name), Ok(named.name));
 
             check(
                 &mm_with(MmRole::Active),

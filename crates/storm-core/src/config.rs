@@ -347,6 +347,9 @@ impl ClusterConfig {
         if self.timeslice.is_zero() {
             return Err("timeslice must be positive".into());
         }
+        if self.max_event_collect.is_zero() {
+            return Err("max_event_collect must be positive".into());
+        }
         if self.chunk_bytes == 0 {
             return Err("chunk_bytes must be positive".into());
         }
@@ -467,6 +470,13 @@ mod tests {
         let mut c = base.clone();
         c.timeslice = SimSpan::ZERO;
         assert!(c.validate().is_err());
+        let mut c = base.clone();
+        c.max_event_collect = SimSpan::ZERO;
+        assert_eq!(
+            c.validate(),
+            Err("max_event_collect must be positive".into()),
+            "a zero collect period would tick the MM at no interval"
+        );
         let mut c = base;
         c.load = BackgroundLoad {
             cpu: 2.0,

@@ -171,6 +171,69 @@ fn an_nm_out_of_its_wiring_position_is_refused() {
 }
 
 #[test]
+fn a_zero_event_collection_period_is_refused() {
+    // The MM would tick at a zero period and panic on its first boundary.
+    refused(
+        set("config.max_event_collect", num(0)),
+        "embedded config invalid: max_event_collect must be positive",
+    );
+}
+
+#[test]
+fn a_pending_message_naming_a_job_with_no_record_is_refused() {
+    // The fixture has jobs 0 and 1. Entry 2 delivers the `bcast_freed`
+    // in msgs slot 9 to the MM; entry 1 is the fragment fan-out in group
+    // slot 1.
+    refused(
+        set("engine.msgs.slots.9.1.1", num(7)),
+        "engine.entries[2]: bcast_freed message names job 7, which has no record",
+    );
+    refused(
+        set("engine.groups.slots.1.1.msg.1", num(7)),
+        "engine.entries[1]: fragment message names job 7, which has no record",
+    );
+}
+
+#[test]
+fn a_job_record_off_its_index_is_refused() {
+    refused(
+        set("world.jobs.1.id", num(7)),
+        "world.jobs[1].id: 7 is not its index",
+    );
+}
+
+#[test]
+fn a_variable_outside_global_memory_is_refused() {
+    // Global memory holds 7 variables on every node.
+    for (path, want) in [
+        ("world.hb_var", "world.hb_var: variable 7"),
+        ("world.mm_epoch_var", "world.mm_epoch_var: variable 7"),
+        (
+            "world.jobs.0.transfer.written_var",
+            "world.jobs[0].transfer.written_var: variable 7",
+        ),
+    ] {
+        refused(set(path, num(7)), want);
+    }
+}
+
+#[test]
+fn an_mm_out_of_its_rank_position_is_refused() {
+    refused(
+        set("mms.2.rank", num(7)),
+        "mms[2].rank: 7 is not its position",
+    );
+}
+
+#[test]
+fn an_event_cap_below_the_events_handled_is_refused() {
+    refused(
+        set("engine.max_events", num(7)),
+        "engine.max_events: 7 is below the 631 events already handled",
+    );
+}
+
+#[test]
 fn truncated_checkpoints_are_refused() {
     for cut in (0..FIXTURE.len()).step_by(97) {
         assert!(Cluster::restore(&FIXTURE[..cut]).is_err(), "cut at {cut}");

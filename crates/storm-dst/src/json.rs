@@ -4,7 +4,7 @@
 //! with the cluster checkpoint format); this module re-exports it under
 //! the crate-local path the repro codec uses.
 
-pub use storm_core::telemetry::json::{num, parse, quote, render, Value};
+pub use storm_core::telemetry::json::{num, parse, render, Value};
 
 #[cfg(test)]
 mod tests {

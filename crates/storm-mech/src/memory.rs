@@ -79,6 +79,11 @@ impl GlobalMemory {
         self.nodes
     }
 
+    /// Number of variables allocated on every node.
+    pub fn var_count(&self) -> usize {
+        self.vars.iter().map(Vec::len).min().unwrap_or(0)
+    }
+
     /// Allocate a global variable (same id on all nodes), initialised to
     /// `init` everywhere.
     pub fn alloc_var(&mut self, init: i64) -> VarId {

@@ -1,10 +1,15 @@
 //! Minimal hand-rolled JSON support (the repo vendors no serde): a
-//! string escaper used by the exporters, and a [`Value`] model with one
-//! strict parser and a writer for the self-contained artifacts the
-//! workspace emits and replays (DST repro files, cluster checkpoints).
-//! [`validate_json`] is the same parser with the value thrown away, so
-//! what validates is exactly what parses. Numbers keep their source
-//! token so 64-bit seeds round-trip without `f64` precision loss.
+//! string escaper used by the exporters, a [`Writer`] that emits compact
+//! JSON text straight into one `String`, and a [`Value`] model with one
+//! strict parser for the self-contained artifacts the workspace emits and
+//! replays (DST repro files, cluster checkpoints). [`render`] writes a
+//! [`Value`] through the same [`Writer`], so separators and escaping have
+//! one implementation. [`validate_json`] is the parser with the value
+//! thrown away, so what validates is exactly what parses. Numbers keep
+//! their source token so 64-bit seeds round-trip without `f64` precision
+//! loss.
+
+use std::fmt::{Display, Write as _};
 
 /// Append `s` to `out` with JSON string escaping (quotes, backslashes,
 /// and control characters).
@@ -17,9 +22,96 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
+        }
+    }
+}
+
+/// Compact JSON text, written straight into one `String` with no value
+/// tree in between. Separators need no position tracking: a comma goes
+/// before every value and key unless the text is empty or ends in `[`,
+/// `{` or `:` — a scalar always ends in a digit, a letter or a quote.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+}
+
+impl Writer {
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if !matches!(self.out.as_bytes().last(), None | Some(b'[' | b'{' | b':')) {
+            self.out.push(',');
+        }
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.sep();
+        self.out.push_str("null");
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A number, as `n` displays: an integer, or a number token.
+    pub fn num(&mut self, n: impl Display) {
+        self.sep();
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// A string, quoted and escaped.
+    pub fn str(&mut self, s: &str) {
+        self.sep();
+        self.out.push('"');
+        escape_into(&mut self.out, s);
+        self.out.push('"');
+    }
+
+    /// An object member's key; write its value next.
+    pub fn key(&mut self, k: &str) {
+        self.str(k);
+        self.out.push(':');
+    }
+
+    /// An array whose elements `items` writes.
+    pub fn arr(&mut self, items: impl FnOnce(&mut Self)) {
+        self.sep();
+        self.out.push('[');
+        items(self);
+        self.out.push(']');
+    }
+
+    /// An object whose keys and values `members` writes.
+    pub fn obj(&mut self, members: impl FnOnce(&mut Self)) {
+        self.sep();
+        self.out.push('{');
+        members(self);
+        self.out.push('}');
+    }
+
+    /// A parsed [`Value`], member order as held.
+    pub fn value(&mut self, value: &Value) {
+        match value {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Num(tok) => self.num(tok),
+            Value::Str(s) => self.str(s),
+            Value::Arr(items) => self.arr(|w| items.iter().for_each(|v| w.value(v))),
+            Value::Obj(members) => self.obj(|w| {
+                for (k, v) in members {
+                    w.key(k);
+                    w.value(v);
+                }
+            }),
         }
     }
 }
@@ -304,52 +396,12 @@ impl Parser<'_> {
     }
 }
 
-/// Escape and quote a string for JSON output.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
 /// Render a [`Value`] as compact JSON (deterministic: member order is the
 /// order held in the value).
 pub fn render(value: &Value) -> String {
-    let mut out = String::new();
-    render_into(value, &mut out);
-    out
-}
-
-fn render_into(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(tok) => out.push_str(tok),
-        Value::Str(s) => out.push_str(&quote(s)),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(members) => {
-            out.push('{');
-            for (i, (k, v)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&quote(k));
-                out.push(':');
-                render_into(v, out);
-            }
-            out.push('}');
-        }
-    }
+    let mut w = Writer::default();
+    w.value(value);
+    w.finish()
 }
 
 /// Convenience constructor for a JSON number from any displayable value.
@@ -455,6 +507,32 @@ mod tests {
         for bad in [r#""\u12g4""#, r#""\u12""#, "\"raw\ttab\"", r#""\x""#] {
             assert!(parse(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn writer_places_separators_without_tracking_position() {
+        let mut w = Writer::default();
+        w.obj(|w| {
+            w.key("a");
+            w.arr(|w| {
+                w.num(1);
+                w.arr(|_| {});
+                w.obj(|_| {});
+                w.str("x[");
+                w.null();
+            });
+            w.key("b:");
+            w.bool(false);
+            w.key("c");
+            w.obj(|w| {
+                w.key("d");
+                w.num(-2);
+            });
+        });
+        assert_eq!(
+            w.finish(),
+            r#"{"a":[1,[],{},"x[",null],"b:":false,"c":{"d":-2}}"#
+        );
     }
 
     #[test]
