@@ -7,11 +7,17 @@
 //! The artifact (`CKPT_*.json` by convention, mirroring the DST repro
 //! format) captures everything mutable: the engine image (clock, pending
 //! queue entries with their `(time, tie, seq)` pop keys, both payload
-//! arenas, RNG stream, delivery-order hook, trace), the shared world
-//! (global memory, jobs, queue, gang matrix, node health, devices,
+//! arenas, the root RNG stream, delivery-order hook, trace), the shared
+//! world (global memory, jobs, queue, gang matrix, node health, devices,
 //! replication plane, telemetry), and every dæmon's private state (MM,
 //! NMs, PLs). The configuration is embedded whole; nothing about a
 //! restore depends on the restoring process's environment.
+//!
+//! Size grows with the node count, so per-node state stays small: the
+//! node table, each NM's state and resident jobs, and the PL fork counts
+//! are positional rows, not keyed objects; and of the per-component RNG
+//! streams, only those that have moved from the start the root seed
+//! derives are listed, as `[index, state]` rows (version 4).
 //!
 //! Restore works by *reconstruction*: [`Cluster::new`] rebuilds the
 //! deterministic layout (component wiring, QsNET model, fault plan) from
@@ -68,7 +74,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 3;
+pub const CHECKPOINT_VERSION: u64 = 4;
 
 type R<T> = Result<T, String>;
 
@@ -845,7 +851,9 @@ record!(MmState {
     last_beat_seen,
     beats_sent,
 });
-record!(NmState {
+// One NM per node, so its state and resident jobs are rows, like the
+// node table: keys repeated on every node would be most of the section.
+row!(NmState [
     node,
     failed,
     busy_until,
@@ -857,8 +865,8 @@ record!(NmState {
     pending_reports,
     flush_scheduled,
     stalled_until,
-});
-record!(NmLocalJobState {
+]);
+row!(NmLocalJobState [
     job,
     ranks,
     forked,
@@ -868,7 +876,7 @@ record!(NmLocalJobState {
     done,
     done_at,
     attempt,
-});
+]);
 
 /// The mechanism layer keeps its implementation and fault plan from the
 /// config; its state is the global memory and two operation counters.
@@ -1246,7 +1254,12 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
 }
 
 /// Every job record must sit at its id's index, and every variable the
-/// world names must be allocated in global memory.
+/// world names must be allocated in global memory. Every job the matrix
+/// places or `slot_jobs` lists must have a record. Every allocation must
+/// be a non-empty node range inside the cluster with 1 to `cpus_per_node`
+/// ranks per node. The matrix must place exactly the live jobs that hold
+/// an allocation, in that allocation's slot and node range. One pass over
+/// the placements and one over the jobs.
 fn check_world(world: &World) -> R<()> {
     let vars = world.mech.memory.var_count();
     let outside = |var: Option<VarId>| var.filter(|v| v.0 as usize >= vars);
@@ -1262,7 +1275,34 @@ fn check_world(world: &World) -> R<()> {
             ));
         }
     }
-    for (i, job) in world.jobs.iter().enumerate() {
+    let jobs = world.jobs.len();
+    let mut placed: Vec<Option<(usize, Range<u32>)>> = vec![None; jobs];
+    for slot in 0..world.matrix.slot_count() {
+        for (job, range) in world.matrix.jobs_in_slot(slot) {
+            let Some(at) = placed.get_mut(job.index()) else {
+                return Err(format!(
+                    "world.matrix: slot {slot} places job {}, which has no record",
+                    job.0
+                ));
+            };
+            if let Some((first, _)) = at.replace((slot, range.clone())) {
+                return Err(format!(
+                    "world.matrix: job {} is placed in slots {first} and {slot}",
+                    job.0
+                ));
+            }
+        }
+    }
+    for (slot, ids) in world.slot_jobs.iter().enumerate() {
+        if let Some(job) = ids.iter().find(|j| j.index() >= jobs) {
+            return Err(format!(
+                "world.slot_jobs[{slot}]: job {} has no record",
+                job.0
+            ));
+        }
+    }
+    let (nodes, cpus) = (world.cfg.nodes, world.cfg.cpus_per_node);
+    for ((i, job), placement) in world.jobs.iter().enumerate().zip(placed) {
         if job.id.index() != i {
             return Err(format!("world.jobs[{i}].id: {} is not its index", job.id.0));
         }
@@ -1271,6 +1311,35 @@ fn check_world(world: &World) -> R<()> {
                 "world.jobs[{i}].transfer.written_var: variable {} is outside the {vars} in \
                  global memory",
                 v.0
+            ));
+        }
+        if let Some(a) = &job.allocation {
+            if a.nodes.is_empty() || a.nodes.end > nodes {
+                return Err(format!(
+                    "world.jobs[{i}].allocation: nodes {:?} are not a range of the {nodes} nodes",
+                    a.nodes
+                ));
+            }
+            if !(1..=cpus).contains(&a.ranks_per_node) {
+                return Err(format!(
+                    "world.jobs[{i}].allocation.ranks_per_node: {} is outside 1..={cpus}",
+                    a.ranks_per_node
+                ));
+            }
+        }
+        let live = (job.allocation.as_ref())
+            .filter(|_| !job.state.is_terminal())
+            .map(|a| (a.slot, a.nodes.clone()));
+        if live != placement {
+            let show = |p: Option<(usize, Range<u32>)>| {
+                p.map_or("none".into(), |(slot, nodes)| {
+                    format!("slot {slot}, nodes {nodes:?}")
+                })
+            };
+            return Err(format!(
+                "world.jobs[{i}]: the matrix places it at {} but its live allocation is {}",
+                show(placement),
+                show(live)
             ));
         }
     }
@@ -1480,17 +1549,19 @@ mod tests {
         let v99 = r#"{"version": 99, "kind": "storm-checkpoint"}"#;
         let err = Cluster::restore(v99).err().expect("v99 must be rejected");
         assert!(err.contains("version"), "got: {err}");
-        let wrong_kind = r#"{"version": 3, "kind": "something-else"}"#;
-        let err = Cluster::restore(wrong_kind).err().expect("wrong kind");
+        let wrong_kind =
+            format!(r#"{{"version": {CHECKPOINT_VERSION}, "kind": "something-else"}}"#);
+        let err = Cluster::restore(&wrong_kind).err().expect("wrong kind");
         assert!(err.contains("not a storm-checkpoint"), "got: {err}");
         // A well-formed checkpoint relabelled as an older version must be
         // refused up front, not half-decoded: version 1 still carried
         // `queue_backend`, `event_batching` and `threads`, version 2 the
-        // per-NM delivery switch and the MM's collect flag.
+        // per-NM delivery switch and the MM's collect flag, version 3
+        // every RNG stream and NM state keyed by field name.
         let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
         let key = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             let relabelled = current.replacen(&key, &format!("\"version\":{old}"), 1);
             let err = Cluster::restore(&relabelled)
                 .err()

@@ -39,12 +39,15 @@ impl Cluster {
         // is posted so every insertion of the run is keyed (which is what
         // makes a seeded run regenerable as an explicit tie script).
         sim.set_delivery_order(cfg.delivery_order.clone());
+        let per_node = cfg.cpus_per_node * u32::try_from(cfg.mpl_max).expect("mpl");
+        sim.reserve_components(
+            1 + cfg.nodes as usize * (1 + per_node as usize) + cfg.mm_standbys as usize,
+        );
         let mm = sim.add_component(MachineManager::new());
         let mut nms = Vec::with_capacity(cfg.nodes as usize);
         let mut pls = Vec::with_capacity(cfg.nodes as usize);
         for node in 0..cfg.nodes {
             nms.push(sim.add_component(NodeManager::new(node)));
-            let per_node = cfg.cpus_per_node * u32::try_from(cfg.mpl_max).expect("mpl");
             let mut node_pls = Vec::with_capacity(per_node as usize);
             for i in 0..per_node {
                 node_pls.push(sim.add_component(ProgramLauncher::new(node, i)));

@@ -3,7 +3,7 @@
 //! The encoder writes JSON text straight into one `String`; it builds no
 //! value tree, so it allocates per exported dæmon state and per doubling
 //! of the output, not per number or key. A counting global allocator
-//! checks that a checkpoint of a 1024-node cluster stays well under 10
+//! checks that a checkpoint of a 4096-node cluster stays well under 10
 //! allocations per KB of text (a value tree makes about 100).
 //!
 //! This file holds exactly one `#[test]` — the counter is process-global,
@@ -43,8 +43,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn checkpoint_encoding_allocates_per_section_not_per_value() {
-    let mut cluster = Cluster::new(ClusterConfig::paper_cluster().with_nodes(1024));
-    cluster.submit(JobSpec::new(AppSpec::do_nothing_mb(12), 4096));
+    // A node costs about 200 bytes of text, so it takes 4096 of them to
+    // pass 500 KB.
+    let mut cluster = Cluster::new(ClusterConfig::paper_cluster().with_nodes(4096));
+    cluster.submit(JobSpec::new(AppSpec::do_nothing_mb(12), 16_384));
     // 60 ms lands mid-launch: chunks in flight, payloads pending, and
     // transfer state on the job.
     cluster.run_until(SimTime::from_millis(60));
@@ -54,7 +56,7 @@ fn checkpoint_encoding_allocates_per_section_not_per_value() {
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
 
     let kb = text.len() as f64 / 1024.0;
-    assert!(kb > 500.0, "a 1024-node checkpoint is large: {kb:.0} KB");
+    assert!(kb > 500.0, "a 4096-node checkpoint is large: {kb:.0} KB");
     let per_kb = allocs as f64 / kb;
     assert!(
         per_kb < 10.0,

@@ -5,7 +5,7 @@
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v3.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v4.json");
 
 /// The value at a dotted path of object keys and array indices.
 fn at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
@@ -84,16 +84,30 @@ fn an_unallocatable_arena_reserve_is_refused() {
     );
 }
 
+// The fixture lists the 8 streams that moved (nodes' NMs, components 1,
+// 10, …, 64) of its 75 components, as `[index, state]` rows.
+
 #[test]
-fn a_wrong_rng_stream_count_is_refused() {
+fn an_rng_stream_index_past_the_components_is_refused() {
     refused(
-        |doc| {
-            let Value::Arr(streams) = at(doc, "engine.streams") else {
-                panic!("streams is an array")
-            };
-            streams.pop();
-        },
-        "RNG streams for 75 components",
+        set("engine.streams.7.0", num(75)),
+        "engine: RNG stream 75 for 75 components",
+    );
+}
+
+#[test]
+fn a_repeated_rng_stream_index_is_refused() {
+    refused(
+        set("engine.streams.1.0", num(1)),
+        "engine: RNG stream 1 listed after stream 1",
+    );
+}
+
+#[test]
+fn a_descending_rng_stream_pair_is_refused() {
+    refused(
+        set("engine.streams.1.0", num(0)),
+        "engine: RNG stream 0 listed after stream 1",
     );
 }
 
@@ -165,7 +179,7 @@ fn a_queue_entry_with_a_stale_payload_generation_is_refused() {
 #[test]
 fn an_nm_out_of_its_wiring_position_is_refused() {
     refused(
-        set("nms.3.node", num(5)),
+        set("nms.3.0", num(5)),
         "nms[3].node: 5 is not its wiring position",
     );
 }
@@ -199,6 +213,59 @@ fn a_job_record_off_its_index_is_refused() {
     refused(
         set("world.jobs.1.id", num(7)),
         "world.jobs[1].id: 7 is not its index",
+    );
+}
+
+// The fixture's jobs are both transferring in matrix slot 0 of an
+// 8-node cluster with 4 CPUs per node: job 0 on nodes 4..8, job 1 on
+// nodes 0..2.
+
+#[test]
+fn an_allocation_outside_the_cluster_or_empty_is_refused() {
+    refused(
+        set("world.jobs.0.allocation.nodes_end", num(99_999)),
+        "world.jobs[0].allocation: nodes 4..99999 are not a range of the 8 nodes",
+    );
+    refused(
+        set("world.jobs.1.allocation.nodes_start", num(7)),
+        "world.jobs[1].allocation: nodes 7..2 are not a range of the 8 nodes",
+    );
+}
+
+#[test]
+fn an_allocation_off_its_cpus_or_its_matrix_placement_is_refused() {
+    for rpn in [0, 5, 99_999] {
+        refused(
+            set("world.jobs.0.allocation.ranks_per_node", num(rpn)),
+            &format!("world.jobs[0].allocation.ranks_per_node: {rpn} is outside 1..=4"),
+        );
+    }
+    refused(
+        set("world.jobs.1.allocation.nodes_end", num(4)),
+        "world.jobs[1]: the matrix places it at slot 0, nodes 0..2 but its live allocation \
+         is slot 0, nodes 0..4",
+    );
+    refused(
+        set("world.jobs.1.allocation.slot", num(1)),
+        "its live allocation is slot 1, nodes 0..2",
+    );
+    // A finished job keeps its allocation but leaves the matrix.
+    refused(
+        set("world.jobs.1.state", Value::Str("completed".into())),
+        "world.jobs[1]: the matrix places it at slot 0, nodes 0..2 but its live allocation \
+         is none",
+    );
+}
+
+#[test]
+fn a_slot_member_with_no_job_record_is_refused() {
+    refused(
+        set("world.slot_jobs.0.1", num(7)),
+        "world.slot_jobs[0]: job 7 has no record",
+    );
+    refused(
+        set("world.matrix.slots.0.jobs.1.0", num(7)),
+        "world.matrix: slot 0 places job 7, which has no record",
     );
 }
 

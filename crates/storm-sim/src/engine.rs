@@ -569,6 +569,13 @@ impl<W, M> Simulation<W, M> {
         self.max_events = cap;
     }
 
+    /// Make room for `additional` more components, so registering a large
+    /// cluster does not regrow the dispatch table and stream list.
+    pub fn reserve_components(&mut self, additional: usize) {
+        self.components.reserve_exact(additional);
+        self.streams.reserve_exact(additional);
+    }
+
     /// Register a component, returning its id.
     pub fn add_component(&mut self, c: impl Component<W, M> + 'static) -> ComponentId {
         self.add_boxed(Box::new(c))
@@ -813,7 +820,9 @@ impl<W, M: Clone> Simulation<W, M> {
     /// run flags, counters, every pending queue entry with its `(time,
     /// tie, seq)` key, both payload arenas (including free-list order and
     /// generations, so the raw handles inside queue entries stay valid),
-    /// the RNG stream, the delivery-order hook mid-stream, and the trace.
+    /// the root RNG stream, each per-component stream that has moved from
+    /// its derived start, the delivery-order hook mid-stream, and the
+    /// trace.
     ///
     /// Component and world state are *not* included — they are the
     /// caller's to capture (see `Component::as_any`). Call between
@@ -852,7 +861,11 @@ impl<W, M: Clone> Simulation<W, M> {
             },
             rng_seed: self.rng.seed(),
             rng_state: self.rng.state(),
-            streams: self.streams.iter().map(DeterministicRng::state).collect(),
+            streams: (0u32..)
+                .zip(&self.streams)
+                .map(|(ix, s)| (ix, s.state()))
+                .filter(|&(ix, st)| st != self.rng.stream(u64::from(ix)).state())
+                .collect(),
             trace_enabled: self.tracer.is_enabled(),
             trace_capacity: self.tracer.capacity(),
             trace_records: self.tracer.records().to_vec(),
@@ -870,17 +883,23 @@ impl<W, M: Clone> Simulation<W, M> {
     /// mid-stream.
     ///
     /// An image that contradicts this simulation is rejected before
-    /// anything is overwritten: a stream count other than the component
-    /// count, a queue entry before the clock, one that names no live
-    /// payload (or one another entry names too), and a recipient that is
-    /// no registered component.
+    /// anything is overwritten: a stream index that names no component or
+    /// does not ascend, a queue entry before the clock, one that names no
+    /// live payload (or one another entry names too), and a recipient that
+    /// is no registered component.
     pub fn import_engine_state(&mut self, state: EngineState<M>) -> Result<(), String> {
         let n = self.components.len();
-        if state.streams.len() != n {
-            return Err(format!(
-                "{} RNG streams for {n} components",
-                state.streams.len()
-            ));
+        let mut prev = None;
+        for &(ix, _) in &state.streams {
+            if ix as usize >= n {
+                return Err(format!("RNG stream {ix} for {n} components"));
+            }
+            if let Some(p) = prev.filter(|&p| ix <= p) {
+                return Err(format!(
+                    "RNG stream {ix} listed after stream {p}; streams ascend, each once"
+                ));
+            }
+            prev = Some(ix);
         }
         let msgs = EventArena::import_state(state.msgs).map_err(|e| format!("msgs: {e}"))?;
         let groups = EventArena::import_state(ArenaState {
@@ -934,18 +953,13 @@ impl<W, M: Clone> Simulation<W, M> {
         }
         self.queue.import_accounting(state.accounting);
         self.rng = DeterministicRng::from_parts(state.rng_seed, state.rng_state);
-        // Per-component streams: seeds are re-derived from the root seed
-        // (a pure function of `(seed, index)`), mid-run positions come
-        // from the image.
-        self.streams = state
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(ix, &st)| {
-                let derived = self.rng.stream(ix as u64);
-                DeterministicRng::from_parts(derived.seed(), st)
-            })
-            .collect();
+        // Per-component streams are re-derived from the root seed (a pure
+        // function of `(seed, index)`); the image lists only those that
+        // have moved since, at their mid-run positions.
+        self.streams = (0..n as u64).map(|ix| self.rng.stream(ix)).collect();
+        for (ix, st) in state.streams {
+            self.streams[ix as usize] = DeterministicRng::from_parts(state.rng_seed, st);
+        }
         self.tracer = Tracer::import_state(
             state.trace_enabled,
             state.trace_capacity,
@@ -1002,9 +1016,10 @@ pub struct EngineState<M> {
     pub rng_seed: u64,
     /// RNG state after all draws so far.
     pub rng_state: [u64; 4],
-    /// Per-component stream positions, in registration order (seeds are
-    /// re-derived from the root seed at import).
-    pub streams: Vec<[u64; 4]>,
+    /// `(component index, position)` of every per-component stream that
+    /// has moved from the start the root seed derives for it, ascending
+    /// by index. The rest are re-derived at import.
+    pub streams: Vec<(u32, [u64; 4])>,
     /// Whether tracing is on.
     pub trace_enabled: bool,
     /// Trace record cap, if bounded.
@@ -1465,6 +1480,54 @@ mod tests {
             "trace resumes mid-stream"
         );
         assert_eq!(restored.queue_stats(), orig.queue_stats());
+    }
+
+    #[test]
+    fn only_streams_that_moved_are_exported() {
+        // Each delivery records one draw from the recipient's stream.
+        struct Drawer;
+        impl Component<RecWorld, u32> for Drawer {
+            fn handle(&mut self, _msg: u32, ctx: &mut Context<'_, RecWorld, u32>) {
+                let now = ctx.now();
+                let id = ctx.self_id().0;
+                let draw = ctx.rng().below(1 << 32) as u32;
+                ctx.world().push((now, id, draw));
+            }
+        }
+        let build = || {
+            let mut sim = Simulation::new(RecWorld::new(), 29);
+            for _ in 0..3 {
+                sim.add_component(Drawer);
+            }
+            sim
+        };
+        let mut orig = build();
+        assert!(
+            orig.export_engine_state().streams.is_empty(),
+            "a fresh simulation has no stream to list"
+        );
+        orig.post(SimTime::ZERO, ComponentId(1), 0);
+        orig.run_to_completion();
+        let state = orig.export_engine_state();
+        let listed: Vec<u32> = state.streams.iter().map(|&(ix, _)| ix).collect();
+        assert_eq!(listed, [1], "only the component that drew is listed");
+
+        let mut restored = build();
+        // Move component 2's stream before the import, which must put
+        // this unlisted stream back at its derived start.
+        restored.post(SimTime::ZERO, ComponentId(2), 0);
+        restored.run_to_completion();
+        *restored.world_mut() = orig.world().clone();
+        restored.import_engine_state(state).unwrap();
+        // Component 1 resumes its stream mid-run; component 2 starts its
+        // re-derived one. Both must draw what the original run draws.
+        for sim in [&mut orig, &mut restored] {
+            sim.post(SimTime::from_micros(1), ComponentId(1), 0);
+            sim.post(SimTime::from_micros(2), ComponentId(2), 0);
+            sim.run_to_completion();
+        }
+        assert_eq!(restored.world().len(), 3);
+        assert_eq!(restored.world(), orig.world());
     }
 
     #[test]

@@ -411,9 +411,10 @@ fn checkpoint_restore_resume_is_byte_identical_on_wheel() {
 /// SWEEP3D jobs with heartbeats, checkpointed mid-run, restored and
 /// resumed, end in the same checkpoint bytes as the uninterrupted run.
 /// It also guards restore time, which once grew quadratically with
-/// checkpoint size (minutes at this size). Slow in debug builds, so it only
-/// runs on request: `cargo test --release --test determinism --
-/// --ignored`.
+/// checkpoint size (minutes at this size), and the checkpoint's size:
+/// at most 11 MB, which holds only while unmoved RNG streams are left out
+/// and NM state is written as rows. Slow in debug builds, so it only runs
+/// on request: `cargo test --release --test determinism -- --ignored`.
 #[test]
 #[ignore = "16384 nodes; run in release mode with --ignored"]
 fn checkpoint_restore_resume_is_byte_identical_at_16384_nodes() {
@@ -430,6 +431,9 @@ fn checkpoint_restore_resume_is_byte_identical_at_16384_nodes() {
     }
     live.run_until(SimTime::from_secs(2));
     let artifact = live.checkpoint();
+    let mb = artifact.len() as f64 / 1e6;
+    println!("16384-node checkpoint at 2 s: {mb:.2} MB");
+    assert!(mb <= 11.0, "the 16384-node checkpoint is {mb:.2} MB");
     let started = std::time::Instant::now();
     let mut resumed = Cluster::restore(&artifact).expect("restore");
     let restore_time = started.elapsed();
