@@ -213,11 +213,6 @@ impl BuddyAllocator {
         self.quarantined.iter().copied()
     }
 
-    /// Is `node` quarantined?
-    pub fn is_quarantined(&self, node: u32) -> bool {
-        self.quarantined.contains(&node)
-    }
-
     /// All live allocations as ranges (excluding the reserved tail).
     pub fn allocations(&self) -> Vec<Range<u32>> {
         let mut v: Vec<Range<u32>> = self
@@ -398,7 +393,7 @@ mod tests {
     fn quarantine_excludes_node_from_allocation() {
         let mut b = BuddyAllocator::new(8);
         assert!(b.quarantine(3));
-        assert!(b.is_quarantined(3));
+        assert!(b.quarantined_nodes().eq([3]));
         assert_eq!(b.free_nodes(), 7);
         // Every allocatable block avoids node 3.
         let mut got = Vec::new();

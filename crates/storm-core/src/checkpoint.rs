@@ -25,7 +25,11 @@
 //! time event queue wholesale, and the world/component sections overwrite
 //! the remaining mutable state. Version mismatches, malformed documents
 //! and state that contradicts the layout are rejected with errors naming
-//! the offending member, never with a panic.
+//! the offending member, never with a panic. The loaded world must then
+//! pass [`World::check_invariants`], the checker the DST harness runs at
+//! every timeslice boundary; the error names the broken check first
+//! (`matrix_consistency: world.jobs[1]: …`). Slot membership and the
+//! quarantine set are stored once, in the gang matrix (version 5).
 //!
 //! Each type's layout is declared once. The [`Codec`] impls come from
 //! macros over field and variant lists — `record!` (an object keyed by
@@ -74,7 +78,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 4;
+pub const CHECKPOINT_VERSION: u64 = 5;
 
 type R<T> = Result<T, String>;
 
@@ -686,7 +690,6 @@ record!(into World {
     jobs,
     queue,
     matrix,
-    slot_jobs,
     active_slot,
     nodes,
     read_dev,
@@ -971,30 +974,24 @@ impl Codec for Workload {
     }
 }
 
-/// The node table is stored row-wise: `[failed, failed_at, quarantined]`.
+/// The node table is stored row-wise: `[failed, failed_at]`.
 impl Codec for NodeTable {
     fn enc(&self, out: &mut Writer) {
         out.arr(|out| {
             for n in 0..self.len() as u32 {
-                let row = (
-                    self.is_failed(n),
-                    self.failed_since(n),
-                    self.is_quarantined(n),
-                );
-                row.enc(out);
+                (self.is_failed(n), self.failed_since(n)).enc(out);
             }
         });
     }
     fn dec(v: &Value) -> R<Self> {
-        let rows: Vec<(bool, Option<SimTime>, bool)> = Codec::dec(v)?;
+        let rows: Vec<(bool, Option<SimTime>)> = Codec::dec(v)?;
         let len = u32::try_from(rows.len()).map_err(|_| "node table too large")?;
         let mut nodes = NodeTable::new(len);
-        for (n, (failed, failed_at, quarantined)) in (0..len).zip(rows) {
+        for (n, (failed, failed_at)) in (0..len).zip(rows) {
             if failed {
                 let at = failed_at.ok_or_else(|| format!("[{n}]: failed without an instant"))?;
                 nodes.mark_failed(n, at);
             }
-            nodes.set_quarantined(n, quarantined);
         }
         Ok(nodes)
     }
@@ -1253,99 +1250,6 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
     Ok(())
 }
 
-/// Every job record must sit at its id's index, and every variable the
-/// world names must be allocated in global memory. Every job the matrix
-/// places or `slot_jobs` lists must have a record. Every allocation must
-/// be a non-empty node range inside the cluster with 1 to `cpus_per_node`
-/// ranks per node. The matrix must place exactly the live jobs that hold
-/// an allocation, in that allocation's slot and node range. One pass over
-/// the placements and one over the jobs.
-fn check_world(world: &World) -> R<()> {
-    let vars = world.mech.memory.var_count();
-    let outside = |var: Option<VarId>| var.filter(|v| v.0 as usize >= vars);
-    let named = [
-        ("hb_var", world.hb_var),
-        ("mm_epoch_var", world.mm_epoch_var),
-    ];
-    for (name, var) in named {
-        if let Some(v) = outside(var) {
-            return Err(format!(
-                "world.{name}: variable {} is outside the {vars} in global memory",
-                v.0
-            ));
-        }
-    }
-    let jobs = world.jobs.len();
-    let mut placed: Vec<Option<(usize, Range<u32>)>> = vec![None; jobs];
-    for slot in 0..world.matrix.slot_count() {
-        for (job, range) in world.matrix.jobs_in_slot(slot) {
-            let Some(at) = placed.get_mut(job.index()) else {
-                return Err(format!(
-                    "world.matrix: slot {slot} places job {}, which has no record",
-                    job.0
-                ));
-            };
-            if let Some((first, _)) = at.replace((slot, range.clone())) {
-                return Err(format!(
-                    "world.matrix: job {} is placed in slots {first} and {slot}",
-                    job.0
-                ));
-            }
-        }
-    }
-    for (slot, ids) in world.slot_jobs.iter().enumerate() {
-        if let Some(job) = ids.iter().find(|j| j.index() >= jobs) {
-            return Err(format!(
-                "world.slot_jobs[{slot}]: job {} has no record",
-                job.0
-            ));
-        }
-    }
-    let (nodes, cpus) = (world.cfg.nodes, world.cfg.cpus_per_node);
-    for ((i, job), placement) in world.jobs.iter().enumerate().zip(placed) {
-        if job.id.index() != i {
-            return Err(format!("world.jobs[{i}].id: {} is not its index", job.id.0));
-        }
-        if let Some(v) = outside(job.transfer.written_var) {
-            return Err(format!(
-                "world.jobs[{i}].transfer.written_var: variable {} is outside the {vars} in \
-                 global memory",
-                v.0
-            ));
-        }
-        if let Some(a) = &job.allocation {
-            if a.nodes.is_empty() || a.nodes.end > nodes {
-                return Err(format!(
-                    "world.jobs[{i}].allocation: nodes {:?} are not a range of the {nodes} nodes",
-                    a.nodes
-                ));
-            }
-            if !(1..=cpus).contains(&a.ranks_per_node) {
-                return Err(format!(
-                    "world.jobs[{i}].allocation.ranks_per_node: {} is outside 1..={cpus}",
-                    a.ranks_per_node
-                ));
-            }
-        }
-        let live = (job.allocation.as_ref())
-            .filter(|_| !job.state.is_terminal())
-            .map(|a| (a.slot, a.nodes.clone()));
-        if live != placement {
-            let show = |p: Option<(usize, Range<u32>)>| {
-                p.map_or("none".into(), |(slot, nodes)| {
-                    format!("slot {slot}, nodes {nodes:?}")
-                })
-            };
-            return Err(format!(
-                "world.jobs[{i}]: the matrix places it at {} but its live allocation is {}",
-                show(placement),
-                show(live)
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// The embedded config's layout sizes must match the document's own
 /// tables, so a corrupt size fails here rather than in an allocation
 /// [`Cluster::new`] cannot make.
@@ -1453,24 +1357,25 @@ impl Cluster {
         let mut cluster = Cluster::new(cfg);
         cluster.set_next_job_counter(next_job);
         let sim = cluster.sim_mut();
-        sim.world_mut()
-            .load(member(doc, "world")?)
+        let w = sim.world_mut();
+        w.load(member(doc, "world")?)
             .map_err(|e| at(format_args!(".world"), e))?;
-        check_world(sim.world())?;
+        // Repoint the active-MM alias (moved by failover, not by layout)
+        // before the check, which reads it.
+        w.wiring.mm = Some(
+            *(w.wiring.mms.get(w.mm_active_rank as usize))
+                .ok_or("world.mm_active_rank: no MM of that rank")?,
+        );
+        w.check_invariants().map_err(|e| e.to_string())?;
         check_engine(&engine, sim.world())?;
         // The engine image replaces construction-time posts wholesale.
         sim.import_engine_state(engine)
             .map_err(|e| format!("engine: {e}"))?;
-        let w = sim.world_mut();
+        let w = sim.world();
         let (mm_ids, nm_ids, pl_ids) = (
             w.wiring.mms.clone(),
             w.wiring.nms.clone(),
             w.wiring.pls.clone(),
-        );
-        // Repoint the active-MM alias (moved by failover, not by layout).
-        w.wiring.mm = Some(
-            *(mm_ids.get(w.mm_active_rank as usize))
-                .ok_or("world.mm_active_rank: no MM of that rank")?,
         );
         for ((r, &id), state) in (0u32..).zip(&mm_ids).zip(mms) {
             if state.rank != r {
@@ -1557,11 +1462,12 @@ mod tests {
         // refused up front, not half-decoded: version 1 still carried
         // `queue_backend`, `event_batching` and `threads`, version 2 the
         // per-NM delivery switch and the MM's collect flag, version 3
-        // every RNG stream and NM state keyed by field name.
+        // every RNG stream and NM state keyed by field name, version 4
+        // `world.slot_jobs` and a quarantine column in the node table.
         let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
         let key = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
-        for old in [1, 2, 3] {
+        for old in [1, 2, 3, 4] {
             let relabelled = current.replacen(&key, &format!("\"version\":{old}"), 1);
             let err = Cluster::restore(&relabelled)
                 .err()

@@ -63,6 +63,7 @@ pub mod cluster;
 pub mod config;
 pub mod cq;
 pub mod fault;
+pub mod invariants;
 pub mod job;
 pub mod matrix;
 pub mod mm;
@@ -77,6 +78,7 @@ pub use buddy::BuddyAllocator;
 pub use cluster::{Cluster, Report};
 pub use config::{ClusterConfig, DaemonCosts, SchedulerKind};
 pub use fault::{FailurePolicy, FaultEvent, FaultSchedule};
+pub use invariants::InvariantError;
 pub use job::{JobId, JobMetrics, JobSpec, JobState};
 pub use matrix::GangMatrix;
 pub use replica::{Decision, MmCoreState, MmRole, ReplStats, ReplicaState};

@@ -9,6 +9,7 @@
 //! of occupied slots.
 
 use crate::buddy::BuddyAllocator;
+use crate::invariants::{broken, InvariantError};
 use crate::job::JobId;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -177,6 +178,11 @@ impl GangMatrix {
         self.quarantined.contains(&node)
     }
 
+    /// Number of quarantined nodes.
+    pub fn quarantined_count(&self) -> u32 {
+        self.quarantined.len() as u32
+    }
+
     /// Remove a job, freeing its block. Returns its former `(slot, range)`.
     pub fn remove(&mut self, job: JobId) -> Option<(usize, Range<u32>)> {
         for (idx, slot) in self.slots.iter_mut().enumerate() {
@@ -188,16 +194,10 @@ impl GangMatrix {
         None
     }
 
-    /// Jobs in a slot, sorted by id (borrowed — no per-call allocation).
+    /// Jobs in a slot, sorted by id (borrowed — no per-call allocation);
+    /// empty past the open slots.
     pub fn jobs_in_slot(&self, slot: usize) -> &[(JobId, Range<u32>)] {
-        &self.slots[slot].jobs
-    }
-
-    /// Read-only view of the `slot`-th row's buddy allocator, or `None`
-    /// past the open slots — what external invariant checkers (the DST
-    /// conservation oracle) audit against the row's job list.
-    pub fn slot_buddy(&self, slot: usize) -> Option<&BuddyAllocator> {
-        self.slots.get(slot).map(|s| &s.buddy)
+        self.slots.get(slot).map_or(&[], |s| &s.jobs)
     }
 
     /// The slot a job lives in, if placed.
@@ -295,21 +295,89 @@ impl GangMatrix {
         })
     }
 
-    /// Check the one-to-one mapping invariant: within every slot, no two
-    /// jobs overlap. (Debug/testing aid.)
-    pub fn check_invariants(&self) {
-        for slot in &self.slots {
-            let mut ranges: Vec<&Range<u32>> = slot.jobs.iter().map(|(_, r)| r).collect();
-            ranges.sort_by_key(|r| r.start);
-            for w in ranges.windows(2) {
-                assert!(
-                    w[0].end <= w[1].start,
-                    "overlapping placements: {:?} vs {:?}",
-                    w[0],
-                    w[1]
+    /// Check the matrix against its slots' buddy trees. Each tree
+    /// conserves its nodes (free + allocated + quarantined = usable) in
+    /// disjoint, aligned power-of-two blocks (`buddy_conservation`); each
+    /// slot places its jobs on exactly its tree's allocations, and no job
+    /// is placed twice (`matrix_consistency`); the matrix quarantines
+    /// nodes of the cluster only, every tree exactly those, and none of
+    /// them lies inside an allocation (`quarantine_safety`).
+    pub fn check_invariants(&self) -> Result<(), InvariantError> {
+        let nodes = self.nodes;
+        if let Some(n) = self.quarantined.last().filter(|&&n| n >= nodes) {
+            broken!(
+                "quarantine_safety",
+                "quarantined node {n} is outside the {nodes} nodes"
+            );
+        }
+        let mut placed = Vec::with_capacity(self.job_count());
+        for (slot, s) in self.slots.iter().enumerate() {
+            let allocs = s.buddy.allocations();
+            let allocated: u32 = allocs.iter().map(|r| r.len() as u32).sum();
+            let quarantined = s.buddy.quarantined_nodes().count() as u32;
+            let (free, usable) = (s.buddy.free_nodes(), s.buddy.usable());
+            if free + allocated + quarantined != usable {
+                broken!(
+                    "buddy_conservation",
+                    "slot {slot}: free {free} + allocated {allocated} + quarantined \
+                     {quarantined} ≠ usable {usable}"
                 );
             }
+            let mut end = 0;
+            for r in &allocs {
+                let len = r.len() as u32;
+                if !len.is_power_of_two() || r.start % len != 0 || r.start < end {
+                    broken!(
+                        "buddy_conservation",
+                        "slot {slot}: allocation {r:?} is not an aligned power-of-two block \
+                         clear of the one before"
+                    );
+                }
+                end = r.end;
+            }
+            let mut ranges: Vec<Range<u32>> = s.jobs.iter().map(|(_, r)| r.clone()).collect();
+            ranges.sort_unstable_by_key(|r| r.start);
+            if ranges != allocs {
+                broken!(
+                    "matrix_consistency",
+                    "slot {slot}: placements {ranges:?} are not the buddy allocations {allocs:?}"
+                );
+            }
+            if !s
+                .buddy
+                .quarantined_nodes()
+                .eq(self.quarantined.iter().copied())
+            {
+                let theirs: Vec<u32> = s.buddy.quarantined_nodes().collect();
+                broken!(
+                    "quarantine_safety",
+                    "slot {slot}: the buddy quarantines {theirs:?}, the matrix {:?}",
+                    self.quarantined
+                );
+            }
+            // Both lists ascend, so one merge pass finds a quarantined node
+            // inside an allocation.
+            let mut q = self.quarantined.iter().peekable();
+            for r in &allocs {
+                while q.next_if(|&&n| n < r.start).is_some() {}
+                if let Some(n) = q.peek().filter(|&&&n| n < r.end) {
+                    broken!(
+                        "quarantine_safety",
+                        "slot {slot}: quarantined node {n} is inside allocation {r:?}"
+                    );
+                }
+            }
+            placed.extend(s.jobs.iter().map(|&(job, _)| (job, slot)));
         }
+        placed.sort_unstable();
+        if let Some(w) = placed.windows(2).find(|w| w[0].0 == w[1].0) {
+            let (job, first, second) = (w[0].0 .0, w[0].1, w[1].1);
+            broken!(
+                "matrix_consistency",
+                "job {job} is placed in slots {first} and {second}"
+            );
+        }
+        Ok(())
     }
 }
 
@@ -365,7 +433,7 @@ mod tests {
         let (s2, r2) = m.place(j(2), 4).unwrap();
         assert_eq!((s1, s2), (0, 0));
         assert!(r1.end <= r2.start || r2.end <= r1.start);
-        m.check_invariants();
+        m.check_invariants().unwrap();
         assert_eq!(m.mpl(), 1);
         assert_eq!(m.job_count(), 2);
     }
@@ -434,7 +502,7 @@ mod tests {
         // Small jobs still fit around the quarantined node.
         let (_, r2) = m.place(j(3), 2).unwrap();
         assert!(!r2.contains(&7));
-        m.check_invariants();
+        m.check_invariants().unwrap();
     }
 
     #[test]
@@ -481,7 +549,7 @@ mod tests {
                 let id = live.swap_remove(idx);
                 assert!(m.remove(id).is_some());
             }
-            m.check_invariants();
+            m.check_invariants().unwrap();
             assert!(m.mpl() <= 3);
             assert_eq!(m.job_count(), live.len());
         }

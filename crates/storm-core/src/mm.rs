@@ -416,15 +416,12 @@ impl MachineManager {
             w.repl.promotions += 1;
             w.repl.failovers.push((self.rank, now));
         }
-        // The quarantine set in shared memory is ground truth for the
-        // allocator; adopt it (the repl_consistency oracle separately
-        // verifies the replicated mirror agrees).
+        // The matrix's quarantine set is ground truth for the allocator;
+        // adopt it (the repl_consistency check separately verifies the
+        // replicated mirror agrees).
         self.detected_failed.clear();
-        {
-            let w = ctx.world_ref();
-            for n in (0..w.cfg.nodes).filter(|&n| w.nodes.is_quarantined(n)) {
-                self.detected_failed.insert(n);
-            }
+        for n in ctx.world_ref().matrix.quarantined_nodes() {
+            self.detected_failed.insert(n);
         }
         // Epoch fence: one CAW writes the new epoch into every node's
         // memory (condition `old ≥ 0` always holds — the write is the
@@ -686,7 +683,6 @@ impl MachineManager {
             ctx.world().queue.push_front(job);
             return;
         };
-        ctx.world().slot_jobs_add(slot, job);
         let node_count = range.end - range.start;
         // Instantiate the workload and the flow-control counter.
         let (world, rng) = ctx.world_and_rng();
@@ -1027,7 +1023,7 @@ impl MachineManager {
         let quantum_boundary = self
             .ticks
             .is_multiple_of(Self::ticks_per_quantum(&ctx.world_ref().cfg));
-        let current_empty = ctx.world_ref().jobs_in_slot(current).is_empty();
+        let current_empty = ctx.world_ref().matrix.jobs_in_slot(current).is_empty();
         let next = if quantum_boundary || current_empty {
             ctx.world_ref()
                 .matrix
@@ -1182,9 +1178,7 @@ impl MachineManager {
                 rec.metrics.app_done = rec.app_done_max;
             }
         }
-        if let Some((slot, _)) = w.matrix.remove(job) {
-            w.slot_jobs_remove(slot, job);
-        }
+        w.matrix.remove(job);
         w.stats.completed_jobs += 1;
         if w.telemetry.is_enabled() {
             let (metrics, name, ranks, attempts) = {
@@ -1265,7 +1259,6 @@ impl MachineManager {
                 if v >= round {
                     self.detected_failed.remove(node);
                     let w = ctx.world();
-                    w.nodes.set_quarantined(node, false);
                     let ok = w.matrix.rejoin_node(node);
                     debug_assert!(ok, "re-admitted node must have been quarantined");
                     w.stats.rejoins.push((node, now));
@@ -1342,7 +1335,6 @@ impl MachineManager {
                                 let w = ctx.world();
                                 let ok = w.matrix.quarantine_node(node);
                                 debug_assert!(ok, "victim eviction must free the node");
-                                w.nodes.set_quarantined(node, true);
                             }
                             self.log_decision(ctx, Decision::Quarantine { node });
                         }
@@ -1456,9 +1448,7 @@ impl MachineManager {
     ) {
         let retry_no = {
             let w = ctx.world();
-            if let Some((slot, _)) = w.matrix.remove(job) {
-                w.slot_jobs_remove(slot, job);
-            }
+            w.matrix.remove(job);
             let rec = w.job_mut(job);
             rec.reset_for_retry();
             w.stats.requeues += 1;
@@ -1575,7 +1565,7 @@ impl Component<World, Msg> for MachineManager {
                     let ar = ctx.arena_stats();
                     let w = ctx.world();
                     let queued = w.queue.len() as i64;
-                    let quarantined = i64::from(w.nodes.quarantined_count());
+                    let quarantined = i64::from(w.matrix.quarantined_count());
                     let alive = i64::from(w.cfg.nodes) - quarantined;
                     let slots = w.matrix.slot_count();
                     let mut used: u64 = 0;

@@ -268,11 +268,10 @@ impl NodeManager {
             }
         };
         let last_strobe = self.last_strobe;
-        // Index into the world's slot list instead of copying it: the loop
-        // body never edits slot membership, so the indices stay stable and
-        // the per-strobe `to_vec` this used to do is gone.
-        for i in 0..ctx.world_ref().jobs_in_slot(slot).len() {
-            let job = ctx.world_ref().jobs_in_slot(slot)[i];
+        // Index into the matrix's slot list instead of copying it: the loop
+        // body never edits slot membership, so the indices stay stable.
+        for i in 0..ctx.world_ref().matrix.jobs_in_slot(slot).len() {
+            let job = ctx.world_ref().matrix.jobs_in_slot(slot)[i].0;
             if ctx.world_ref().job(job).state.is_terminal() {
                 continue;
             }

@@ -59,19 +59,13 @@ impl Wiring {
     }
 }
 
-/// Struct-of-arrays per-node health state: failure flags, failure
-/// instants, and quarantine flags live in parallel dense arrays keyed by
-/// node index, so the sweeps the MM runs every timeslice (quarantine
-/// census at each health sample, promotion-time quarantine adoption) are
-/// linear scans — and the quarantine count itself is maintained
-/// incrementally, making the per-tick census O(1). This is also the
-/// layout the planned sharded MM partitions by node range.
+/// Struct-of-arrays per-node health state: failure flags and failure
+/// instants in parallel dense arrays keyed by node index. Quarantine is
+/// not here: the gang matrix owns it (see [`GangMatrix::is_quarantined`]).
 #[derive(Debug, Clone)]
 pub struct NodeTable {
     failed: Vec<bool>,
     failed_at: Vec<Option<SimTime>>,
-    quarantined: Vec<bool>,
-    quarantined_count: u32,
 }
 
 impl NodeTable {
@@ -80,8 +74,6 @@ impl NodeTable {
         NodeTable {
             failed: vec![false; nodes as usize],
             failed_at: vec![None; nodes as usize],
-            quarantined: vec![false; nodes as usize],
-            quarantined_count: 0,
         }
     }
 
@@ -119,47 +111,6 @@ impl NodeTable {
     pub fn clear_failed(&mut self, node: u32) {
         self.failed[node as usize] = false;
         self.failed_at[node as usize] = None;
-    }
-
-    /// Is `node` quarantined out of the allocator?
-    pub fn is_quarantined(&self, node: u32) -> bool {
-        self.quarantined[node as usize]
-    }
-
-    /// Set or clear `node`'s quarantine flag, keeping the census current.
-    pub fn set_quarantined(&mut self, node: u32, on: bool) {
-        let flag = &mut self.quarantined[node as usize];
-        if *flag != on {
-            *flag = on;
-            if on {
-                self.quarantined_count += 1;
-            } else {
-                self.quarantined_count -= 1;
-            }
-        }
-    }
-
-    /// Flip `node`'s quarantine flag (DST desync injection), returning the
-    /// new value.
-    pub fn toggle_quarantined(&mut self, node: u32) -> bool {
-        let on = !self.quarantined[node as usize];
-        self.set_quarantined(node, on);
-        on
-    }
-
-    /// Nodes currently quarantined — maintained incrementally, so the
-    /// per-tick health sample pays one load instead of a full scan.
-    pub fn quarantined_count(&self) -> u32 {
-        self.quarantined_count
-    }
-
-    /// Quarantined node indices, ascending.
-    pub fn quarantined_nodes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.quarantined
-            .iter()
-            .enumerate()
-            .filter(|&(_, &q)| q)
-            .map(|(n, _)| n as u32)
     }
 }
 
@@ -209,14 +160,11 @@ pub struct World {
     pub jobs: Vec<JobRecord>,
     /// Queued job ids awaiting allocation, FCFS order.
     pub queue: VecDeque<JobId>,
-    /// The gang matrix.
+    /// The gang matrix: slot membership and the quarantine set.
     pub matrix: GangMatrix,
-    /// Jobs per slot (mirror of the matrix, cheap for NMs to scan).
-    pub slot_jobs: Vec<Vec<JobId>>,
     /// Currently active time slot.
     pub active_slot: usize,
-    /// Per-node health state (failure flags/instants, quarantine census)
-    /// in struct-of-arrays layout — see [`NodeTable`].
+    /// Per-node failure flags and instants — see [`NodeTable`].
     pub nodes: NodeTable,
     /// The management node's filesystem read device (serialises reads).
     pub read_dev: Nic,
@@ -311,7 +259,6 @@ impl World {
             mech,
             jobs: Vec::new(),
             queue: VecDeque::new(),
-            slot_jobs: Vec::new(),
             matrix,
             active_slot: 0,
             nodes: NodeTable::new(cfg.nodes),
@@ -406,7 +353,7 @@ impl World {
         let failed_nodes = (0..self.cfg.nodes)
             .filter(|&n| self.nodes.is_failed(n))
             .count() as u32;
-        let quarantined = self.nodes.quarantined_count();
+        let quarantined = self.matrix.quarantined_count();
         let sample = crate::cq::ClusterSample {
             slice,
             now,
@@ -480,26 +427,6 @@ impl World {
         self.leap = None;
         fire.boundaries_since(l.from, period).saturating_sub(1)
     }
-
-    /// Add a job to a slot's scan list.
-    pub fn slot_jobs_add(&mut self, slot: usize, job: JobId) {
-        if self.slot_jobs.len() <= slot {
-            self.slot_jobs.resize(slot + 1, Vec::new());
-        }
-        self.slot_jobs[slot].push(job);
-    }
-
-    /// Remove a job from a slot's scan list.
-    pub fn slot_jobs_remove(&mut self, slot: usize, job: JobId) {
-        if let Some(v) = self.slot_jobs.get_mut(slot) {
-            v.retain(|&j| j != job);
-        }
-    }
-
-    /// Jobs currently assigned to a slot (empty for out-of-range slots).
-    pub fn jobs_in_slot(&self, slot: usize) -> &[JobId] {
-        self.slot_jobs.get(slot).map(Vec::as_slice).unwrap_or(&[])
-    }
 }
 
 #[cfg(test)]
@@ -513,7 +440,7 @@ mod tests {
     fn world_builds_for_paper_cluster() {
         let w = World::new(ClusterConfig::paper_cluster());
         assert_eq!(w.nodes.len(), 64);
-        assert_eq!(w.nodes.quarantined_count(), 0);
+        assert_eq!(w.matrix.quarantined_count(), 0);
         assert_eq!(w.mech.memory.nodes(), 64);
         assert!(w.is_idle());
     }
@@ -575,18 +502,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn slot_job_lists() {
-        let mut w = World::new(ClusterConfig::paper_cluster());
-        assert!(w.jobs_in_slot(0).is_empty());
-        w.slot_jobs_add(1, JobId(4));
-        w.slot_jobs_add(1, JobId(5));
-        assert_eq!(w.jobs_in_slot(1), &[JobId(4), JobId(5)]);
-        w.slot_jobs_remove(1, JobId(4));
-        assert_eq!(w.jobs_in_slot(1), &[JobId(5)]);
-        assert!(w.jobs_in_slot(7).is_empty());
-        w.slot_jobs_remove(7, JobId(1)); // no-op, no panic
     }
 }

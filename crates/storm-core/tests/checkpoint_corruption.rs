@@ -5,7 +5,7 @@
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v4.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v5.json");
 
 /// The value at a dotted path of object keys and array indices.
 fn at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
@@ -35,6 +35,14 @@ fn refused(edit: impl FnOnce(&mut Value), want: &str) {
 
 fn set(path: &'static str, value: Value) -> impl FnOnce(&mut Value) {
     move |doc| *at(doc, path) = value
+}
+
+/// Cut the array at `path` to its first `len` items.
+fn truncate(path: impl AsRef<str>, len: usize) -> impl FnOnce(&mut Value) {
+    move |doc| match at(doc, path.as_ref()) {
+        Value::Arr(items) => items.truncate(len),
+        _ => panic!("{}: not an array", path.as_ref()),
+    }
 }
 
 #[test]
@@ -260,13 +268,88 @@ fn an_allocation_off_its_cpus_or_its_matrix_placement_is_refused() {
 #[test]
 fn a_slot_member_with_no_job_record_is_refused() {
     refused(
-        set("world.slot_jobs.0.1", num(7)),
-        "world.slot_jobs[0]: job 7 has no record",
-    );
-    refused(
         set("world.matrix.slots.0.jobs.1.0", num(7)),
         "world.matrix: slot 0 places job 7, which has no record",
     );
+}
+
+#[test]
+fn a_placement_off_its_buddy_tree_is_refused() {
+    // Job 1 moved to nodes 2..4 in the matrix and in its record alike:
+    // the two agree, but slot 0's buddy tree still allocates 0..2.
+    refused(
+        |doc| {
+            set("world.matrix.slots.0.jobs.1.1", num(2))(doc);
+            set("world.matrix.slots.0.jobs.1.2", num(4))(doc);
+            set("world.jobs.1.allocation.nodes_start", num(2))(doc);
+            set("world.jobs.1.allocation.nodes_end", num(4))(doc);
+        },
+        "matrix_consistency: world.matrix: slot 0: placements [2..4, 4..8] are not the buddy \
+         allocations [0..2, 4..8]",
+    );
+}
+
+#[test]
+fn a_quarantine_the_buddy_trees_do_not_hold_is_refused() {
+    refused(
+        set("world.matrix.quarantined", Value::Arr(vec![num(3)])),
+        "quarantine_safety: world.matrix: slot 0: the buddy quarantines [], the matrix {3}",
+    );
+}
+
+#[test]
+fn a_completed_count_off_the_terminal_jobs_is_refused() {
+    refused(
+        set("world.stats.completed_jobs", num(1)),
+        "job_accounting: world.stats.completed_jobs: 1 but 0 jobs are terminal",
+    );
+}
+
+#[test]
+fn a_heartbeat_ahead_of_the_round_is_refused() {
+    // Variable 1 is the heartbeat counter; the MM is in round 11.
+    refused(
+        set("world.mech.memory.vars.7.1", num(99)),
+        "heartbeat_monotonic: node 7 heartbeat 99 is ahead of world.hb_round 11",
+    );
+}
+
+#[test]
+fn a_per_node_table_of_the_wrong_length_is_refused() {
+    // Without the shape check these restore, then panic on resume (the
+    // node table, the variable rows) or run on inconsistent state.
+    for (path, want) in [
+        ("world.nodes", "world.nodes: 7 rows for 8 nodes"),
+        (
+            "world.mech.memory.vars",
+            "world.mech.memory.vars: 7 rows for 8 nodes",
+        ),
+        (
+            "world.mech.memory.events",
+            "world.mech.memory.events: 7 rows for 8 nodes",
+        ),
+    ] {
+        refused(truncate(path, 7), &format!("shape: {want}"));
+    }
+    refused(
+        truncate("world.mech.memory.vars.3", 6),
+        "shape: world.mech.memory.vars[3]: 6 entries, row 0 has 7",
+    );
+    refused(
+        set("world.mech.memory.nodes", num(7)),
+        "shape: world.mech.memory.nodes: 7 for 8 nodes",
+    );
+}
+
+#[test]
+fn a_per_replica_table_of_the_wrong_length_is_refused() {
+    // The fixture runs a primary and two standbys.
+    for table in ["mm_replicas", "mm_roles", "mm_failed", "mm_failed_at"] {
+        refused(
+            truncate(format!("world.{table}"), 2),
+            &format!("shape: world.{table}: 2 entries for 3 MM replicas"),
+        );
+    }
 }
 
 #[test]

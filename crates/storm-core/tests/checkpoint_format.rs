@@ -1,6 +1,6 @@
 //! The checkpoint format, pinned byte for byte.
 //!
-//! `fixtures/ckpt_v4.json` is a version-4 checkpoint of a small cluster
+//! `fixtures/ckpt_v5.json` is a version-5 checkpoint of a small cluster
 //! that exercises most of the format at once: 8 nodes with 2 standby MMs,
 //! a seeded delivery order with bounded delay, the CAW audit trail,
 //! telemetry, a bounded trace, two continuous queries, a crash, a rejoin,
@@ -15,8 +15,8 @@
 use storm_core::prelude::*;
 use storm_sim::DeliveryOrder;
 
-const FIXTURE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/ckpt_v4.json");
-const FIXTURE: &str = include_str!("fixtures/ckpt_v4.json");
+const FIXTURE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/ckpt_v5.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v5.json");
 
 /// The run the fixture was taken from.
 fn fixture_run() -> Cluster {
@@ -64,7 +64,7 @@ fn fixture_restores_and_checkpoints_to_the_same_bytes() {
 }
 
 #[test]
-#[ignore = "rewrites tests/fixtures/ckpt_v4.json"]
+#[ignore = "rewrites tests/fixtures/ckpt_v5.json"]
 fn regenerate_fixture() {
     std::fs::write(FIXTURE_PATH, fixture_run().checkpoint()).expect("write fixture");
 }

@@ -8,10 +8,14 @@
 //!   engine's total order becomes `(time, tie, seq)`. Disabled (the
 //!   default everywhere else), runs are bit-identical to the classic
 //!   `(time, seq)` order.
-//! * **Invariant oracles** — [`oracle`]: job accounting, buddy-allocator
+//! * **Invariant checks** — at every timeslice boundary, storm-core's
+//!   `World::check_invariants` (job accounting, buddy-allocator
 //!   conservation, Ousterhout-matrix consistency, COMPARE-AND-WRITE
-//!   all-or-nothing visibility, heartbeat monotonicity and quarantine
-//!   safety, checked at every timeslice boundary.
+//!   all-or-nothing visibility, heartbeat bounds, quarantine safety, MM
+//!   membership, no lost job, replica consistency — the same checker
+//!   `Cluster::restore` runs), then the [`oracle`]s that need history: no
+//!   terminal job revives, and neither the heartbeat round nor the MM
+//!   epoch goes back.
 //! * **Exploration** — [`explore`]: bounded-exhaustive tie-script
 //!   enumeration for tiny clusters, seeded swarm search at scale, both
 //!   crossed with the scenario's fault schedule.

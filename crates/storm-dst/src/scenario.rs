@@ -104,37 +104,31 @@ pub struct Injection {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InjectionKind {
     /// Bump `stats.completed_jobs` without completing anything — a
-    /// double-completion, caught by `JobAccounting`.
+    /// double-completion, caught by `job_accounting`.
     CompletedSkew,
-    /// Flip one node's `World::quarantined` flag without touching the
-    /// matrix — caught by `QuarantineSafety`.
-    QuarantineDesync {
-        /// The node whose flag is flipped.
-        node: u32,
-    },
     /// Regress the MM's heartbeat round counter — caught by
-    /// `HeartbeatMonotonic`.
+    /// `heartbeat_monotonic`.
     HbRegress,
-    /// Add a phantom job id to a slot's mirror list — caught by
-    /// `MatrixConsistency`.
+    /// Move a placed job's recorded allocation to the next slot, leaving
+    /// the matrix as it is — caught by `matrix_consistency`.
     MatrixTear,
     /// Apply a COMPARE-AND-WRITE set write, then tamper one node's copy
-    /// behind the audit's back (a torn write) — caught by `CawVisibility`.
+    /// behind the audit's back (a torn write) — caught by `caw_visibility`.
     CawTear {
         /// The node whose copy is torn.
         node: u32,
     },
     /// Pop a live job out of the MM queue without completing it — a lost
-    /// job, caught by `NoJobLost`.
+    /// job, caught by `no_job_lost`.
     JobVanish,
     /// Make a standby claim it applied the full decision log while holding
-    /// a diverged queue mirror — caught by `ReplConsistency`.
+    /// a diverged queue mirror — caught by `repl_consistency`.
     ReplicaSkew {
         /// The standby rank to skew (≥ 1).
         rank: u32,
     },
     /// Flip a standby to the Active role without a promotion — a split
-    /// brain, caught by `SingleActiveMm`.
+    /// brain, caught by `single_active_mm`.
     DualActive,
 }
 
@@ -398,10 +392,6 @@ impl Scenario {
                     InjectionKind::CompletedSkew => {
                         members.push(("kind".into(), Value::Str("completed_skew".into())))
                     }
-                    InjectionKind::QuarantineDesync { node } => {
-                        members.push(("kind".into(), Value::Str("quarantine_desync".into())));
-                        members.push(("node".into(), num(node)));
-                    }
                     InjectionKind::HbRegress => {
                         members.push(("kind".into(), Value::Str("hb_regress".into())))
                     }
@@ -513,9 +503,6 @@ impl Scenario {
             inj => {
                 let kind = match inj.req_str("kind")? {
                     "completed_skew" => InjectionKind::CompletedSkew,
-                    "quarantine_desync" => InjectionKind::QuarantineDesync {
-                        node: req_int(inj, "node")?,
-                    },
                     "hb_regress" => InjectionKind::HbRegress,
                     "matrix_tear" => InjectionKind::MatrixTear,
                     "caw_tear" => InjectionKind::CawTear {
@@ -592,7 +579,6 @@ mod tests {
         assert_eq!(back, s);
         for kind in [
             InjectionKind::CompletedSkew,
-            InjectionKind::QuarantineDesync { node: 2 },
             InjectionKind::HbRegress,
             InjectionKind::MatrixTear,
             InjectionKind::JobVanish,
@@ -603,6 +589,23 @@ mod tests {
             let back = Scenario::from_json(&json::parse(&s.to_json_string()).unwrap()).unwrap();
             assert_eq!(back, s);
         }
+    }
+
+    #[test]
+    fn the_retired_quarantine_desync_injection_is_rejected() {
+        // It flipped a per-node quarantine flag that no longer exists.
+        let Value::Obj(mut members) = Scenario::two_node_launch().to_json() else {
+            panic!("a scenario serialises to an object");
+        };
+        let injection = Value::Obj(vec![
+            ("at_ms".into(), num(5)),
+            ("kind".into(), Value::Str("quarantine_desync".into())),
+            ("node".into(), num(1)),
+        ]);
+        members.retain(|(k, _)| k != "injection");
+        members.push(("injection".into(), injection));
+        let err = Scenario::from_json(&Value::Obj(members)).unwrap_err();
+        assert!(err.contains("unknown injection kind"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use storm_sim::SimTime;
 /// applied to a variable: the node set it covered and the value it wrote.
 /// While no later per-node write supersedes it, sequential consistency
 /// demands every node of the set still reads exactly this value — the
-/// all-or-nothing visibility probe the DST `CawVisibility` oracle checks.
+/// all-or-nothing visibility probe the `caw_visibility` invariant checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CawAudit {
     /// The node set the write half covered.
@@ -58,7 +58,7 @@ impl GlobalMemory {
 
     /// Enable the CAW write-visibility audit trail (see [`CawAudit`]).
     /// Idempotent; the trail starts empty. DST harnesses call this before
-    /// running so the `CawVisibility` oracle has state to check; the
+    /// running so the `caw_visibility` invariant has state to check; the
     /// default-off trail keeps production hot paths at a single branch.
     pub fn enable_caw_audit(&mut self) {
         if self.caw_audit.is_none() {
@@ -151,7 +151,7 @@ impl GlobalMemory {
     /// Audit-invisible single-node write: changes one node's copy of `var`
     /// *without* retiring the audit entry — the tamper a DST harness uses
     /// to simulate a torn COMPARE-AND-WRITE (partial write application)
-    /// and prove the `CawVisibility` oracle catches it. Never called by
+    /// and prove the `caw_visibility` invariant catches it. Never called by
     /// production code.
     pub fn poke(&mut self, node: NodeId, var: VarId, value: i64) {
         self.vars[node.index()][var.0 as usize] = value;
@@ -191,6 +191,45 @@ impl GlobalMemory {
     /// Clear `event` on `node` (consume the signal).
     pub fn clear_event(&mut self, node: NodeId, event: EventId) {
         self.events[node.index()][event.0 as usize] = None;
+    }
+
+    /// Check the tables against the node count: one variable row and one
+    /// event row per node, each row as wide as the first, and every CAW
+    /// audit naming an allocated variable and nodes of the cluster only.
+    /// Errors name the member (`vars`, `events[3]`, `caw_audit`), so a
+    /// restored image can be refused before anything indexes it.
+    pub fn check_shape(&self) -> Result<(), String> {
+        fn rows<T>(name: &str, rows: &[Vec<T>], nodes: u32) -> Result<(), String> {
+            if rows.len() != nodes as usize {
+                return Err(format!("{name}: {} rows for {nodes} nodes", rows.len()));
+            }
+            let width = rows.first().map_or(0, Vec::len);
+            match rows.iter().position(|r| r.len() != width) {
+                Some(n) => Err(format!(
+                    "{name}[{n}]: {} entries, row 0 has {width}",
+                    rows[n].len()
+                )),
+                None => Ok(()),
+            }
+        }
+        rows("vars", &self.vars, self.nodes)?;
+        rows("events", &self.events, self.nodes)?;
+        let vars = self.var_count();
+        for (var, audit) in self.caw_audits() {
+            let end = match &audit.set {
+                NodeSet::All(n) => u64::from(*n),
+                NodeSet::Range { start, len } => u64::from(*start) + u64::from(*len),
+                NodeSet::List(v) => v.iter().map(|n| u64::from(n.0) + 1).max().unwrap_or(0),
+            };
+            if var.0 as usize >= vars || end > u64::from(self.nodes) {
+                return Err(format!(
+                    "caw_audit: variable {} on nodes below {end} is outside the {vars} variables \
+                     on {} nodes",
+                    var.0, self.nodes
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Values of `var` across a node set, in ascending node order — used by

@@ -87,7 +87,7 @@ pub fn nodes(c: &Cluster) -> Table {
             Datum::U64(u64::from(n)),
             Datum::Bool(w.nodes.is_failed(n)),
             t(w.nodes.failed_since(n)),
-            Datum::Bool(w.nodes.is_quarantined(n)),
+            Datum::Bool(w.matrix.is_quarantined(n)),
         ]);
     }
     out

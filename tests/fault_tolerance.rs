@@ -162,7 +162,7 @@ fn failed_job_allocation_is_reusable_by_later_jobs() {
     c.run_until(SimTime::from_millis(700));
     assert_eq!(c.job(doomed).state, JobState::Failed);
     assert!(
-        c.world().nodes.is_quarantined(dead),
+        c.world().matrix.is_quarantined(dead),
         "dead node quarantined"
     );
     // A half-width job must fit on the surviving half of the freed block.
@@ -272,7 +272,10 @@ fn stalled_node_rejoins_without_job_loss() {
     assert_eq!(w.stats.failures_detected[0].0, 7);
     assert_eq!(w.stats.rejoins.len(), 1, "the node was re-admitted");
     assert_eq!(w.stats.rejoins[0].0, 7);
-    assert!(!w.nodes.is_quarantined(7), "quarantine lifted after rejoin");
+    assert!(
+        !w.matrix.is_quarantined(7),
+        "quarantine lifted after rejoin"
+    );
 }
 
 #[test]
