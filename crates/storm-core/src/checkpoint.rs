@@ -29,7 +29,11 @@
 //! pass [`World::check_invariants`], the checker the DST harness runs at
 //! every timeslice boundary; the error names the broken check first
 //! (`matrix_consistency: world.jobs[1]: …`). Slot membership and the
-//! quarantine set are stored once, in the gang matrix (version 5).
+//! quarantine set are stored once, in the gang matrix (version 5). A
+//! finished job keeps only what in-flight messages and the job views
+//! read: its report sets are emptied, its flow-control variable is on
+//! global memory's free list, and NMs drop its resident entry at their
+//! next launch (version 6).
 //!
 //! Each type's layout is declared once. The [`Codec`] impls come from
 //! macros over field and variant lists — `record!` (an object keyed by
@@ -48,7 +52,9 @@ use crate::cluster::Cluster;
 use crate::config::{ClusterConfig, DaemonCosts, SchedulerKind};
 use crate::cq::{Alert, Condition, ContinuousQueries, ContinuousQuery};
 use crate::fault::{FailurePolicy, FaultEvent, FaultSchedule};
-use crate::job::{Allocation, JobId, JobMetrics, JobRecord, JobSpec, JobState, TransferState};
+use crate::job::{
+    Allocation, JobId, JobMetrics, JobRecord, JobSpec, JobState, ReportSet, TransferState,
+};
 use crate::matrix::{GangMatrix, MatrixState, SlotState};
 use crate::mm::{MachineManager, MmState};
 use crate::msg::{Msg, ReportKind};
@@ -60,7 +66,7 @@ use std::collections::VecDeque;
 use std::fmt::Arguments;
 use std::ops::Range;
 use std::sync::Arc;
-use storm_apps::{AppSpec, Step, Workload, WorkloadCursor};
+use storm_apps::{AppSpec, Step, Workload};
 use storm_fs::FsKind;
 use storm_mech::{
     CawAudit, ErrorBurst, GlobalMemory, Mechanisms, MemoryState, NodeId, NodeSet, VarId,
@@ -78,7 +84,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 5;
+pub const CHECKPOINT_VERSION: u64 = 6;
 
 type R<T> = Result<T, String>;
 
@@ -357,6 +363,31 @@ impl Codec for String {
     }
 }
 
+impl Codec for Arc<str> {
+    fn enc(&self, out: &mut Writer) {
+        out.str(self);
+    }
+    fn dec(v: &Value) -> R<Self> {
+        v.as_str()
+            .map(Arc::from)
+            .ok_or_else(|| "expected string".into())
+    }
+}
+
+/// A report set is its nodes, ascending.
+impl Codec for ReportSet {
+    fn enc(&self, out: &mut Writer) {
+        out.arr(|out| self.iter().for_each(|n| n.enc(out)));
+    }
+    fn dec(v: &Value) -> R<Self> {
+        let mut set = ReportSet::default();
+        for node in Vec::<u32>::dec(v)? {
+            set.insert(node);
+        }
+        Ok(set)
+    }
+}
+
 /// Static labels (trace, metric and phase names) are interned on decode.
 impl Codec for &'static str {
     fn enc(&self, out: &mut Writer) {
@@ -446,9 +477,6 @@ via! {
     Nic => SimTime: Nic::next_free, Nic::from_state;
     DeliveryOrder => DeliveryOrderState: DeliveryOrder::export_state, DeliveryOrder::import_state;
     GlobalMemory => MemoryState: GlobalMemory::export_state, GlobalMemory::import_state;
-    WorkloadCursor => (usize, SimSpan, SimSpan):
-        |c: &WorkloadCursor| (c.steps_done(), c.consumed_in_step(), c.total_consumed()),
-        |(step, in_step, total)| WorkloadCursor::from_parts(step, in_step, total);
 }
 
 // ---------------------------------------------------------------------------
@@ -717,7 +745,8 @@ record!(MemoryState {
     nodes,
     vars,
     events,
-    caw_audit
+    caw_audit,
+    free_vars
 });
 record!(JobRecord {
     id,
@@ -725,7 +754,6 @@ record!(JobRecord {
     state,
     allocation,
     workload,
-    cursor,
     metrics,
     transfer,
     start_reports,
@@ -1251,8 +1279,9 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
 }
 
 /// The embedded config's layout sizes must match the document's own
-/// tables, so a corrupt size fails here rather than in an allocation
-/// [`Cluster::new`] cannot make.
+/// tables, and job report sets name nodes of the cluster only, so a
+/// corrupt size fails here rather than in an allocation [`Cluster::new`]
+/// or a report-set decode cannot make.
 fn check_layout(cfg: &ClusterConfig, doc: &Value, pls: &[Vec<u64>]) -> R<()> {
     let len = |v: &Value| v.as_arr().map_or(0, <[Value]>::len);
     let (mms, nms) = (len(member(doc, "mms")?), len(member(doc, "nms")?));
@@ -1276,6 +1305,22 @@ fn check_layout(cfg: &ClusterConfig, doc: &Value, pls: &[Vec<u64>]) -> R<()> {
             cfg.mm_standbys,
             pls.len()
         ));
+    }
+    // A report set decodes to a bitmap as wide as the nodes it names, so
+    // a node past the cluster is refused before one is built.
+    let jobs = member(member(doc, "world")?, "jobs")?;
+    for (i, job) in jobs.as_arr().unwrap_or_default().iter().enumerate() {
+        for key in ["reported_started", "reported_done"] {
+            let listed = job.get(key).and_then(Value::as_arr).unwrap_or_default();
+            if let Some(n) =
+                (listed.iter().filter_map(Value::as_u64)).find(|&n| n >= u64::from(cfg.nodes))
+            {
+                return Err(format!(
+                    "world.jobs[{i}].{key}: node {n} is outside the {} nodes",
+                    cfg.nodes
+                ));
+            }
+        }
     }
     Ok(())
 }
@@ -1360,6 +1405,7 @@ impl Cluster {
         let w = sim.world_mut();
         w.load(member(doc, "world")?)
             .map_err(|e| at(format_args!(".world"), e))?;
+        w.recount_unfinished();
         // Repoint the active-MM alias (moved by failover, not by layout)
         // before the check, which reads it.
         w.wiring.mm = Some(
@@ -1463,11 +1509,12 @@ mod tests {
         // `queue_backend`, `event_batching` and `threads`, version 2 the
         // per-NM delivery switch and the MM's collect flag, version 3
         // every RNG stream and NM state keyed by field name, version 4
-        // `world.slot_jobs` and a quarantine column in the node table.
+        // `world.slot_jobs` and a quarantine column in the node table,
+        // version 5 a `cursor` per job record and no variable free list.
         let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
         let key = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
-        for old in [1, 2, 3, 4] {
+        for old in [1, 2, 3, 4, 5] {
             let relabelled = current.replacen(&key, &format!("\"version\":{old}"), 1);
             let err = Cluster::restore(&relabelled)
                 .err()

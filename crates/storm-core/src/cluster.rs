@@ -326,7 +326,10 @@ impl Cluster {
     /// probabilistic mechanism-layer faults and the timed crash/rejoin/stall
     /// events — none of which this raw hook guarantees.
     pub fn with_world_mut<R>(&mut self, f: impl FnOnce(&mut World) -> R) -> R {
-        f(self.sim.world_mut())
+        let w = self.sim.world_mut();
+        let r = f(w);
+        w.recount_unfinished();
+        r
     }
 
     /// Total simulation events delivered (simulator-performance metric).
@@ -385,7 +388,7 @@ impl Cluster {
                 .iter()
                 .map(|r| JobSummary {
                     id: r.id,
-                    name: r.spec.name.clone(),
+                    name: r.spec.name.to_string(),
                     ranks: r.spec.ranks,
                     state: r.state,
                     metrics: r.metrics.clone(),

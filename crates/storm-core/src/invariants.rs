@@ -51,8 +51,11 @@ impl World {
     ///   the replica tables one entry per MM replica, and the matrix spans
     ///   the cluster with at most `mpl_max` slots;
     /// * `references`: each job record sits at its id's index, queued and
-    ///   requeue-pending jobs have records, and `hb_var`, `mm_epoch_var`
-    ///   and each job's `transfer.written_var` are allocated variables;
+    ///   requeue-pending jobs have records, `hb_var`, `mm_epoch_var` and
+    ///   each job's `transfer.written_var` are allocated variables, the
+    ///   free list names allocated variables once each and none of those,
+    ///   no two jobs share a `written_var`, and a job's report sets name
+    ///   nodes of its allocation only;
     /// * the matrix's own checks, `buddy_conservation`,
     ///   `matrix_consistency` and `quarantine_safety`
     ///   ([`GangMatrix::check_invariants`]);
@@ -195,7 +198,8 @@ impl World {
         if let Some((name, job)) = queued.chain(pending).find(|(_, j)| j.index() >= jobs) {
             broken!("references", "world.{name}: job {} has no record", job.0);
         }
-        let vars = self.mech.memory.var_count();
+        let memory = &self.mech.memory;
+        let vars = memory.var_count();
         let outside = |var: Option<VarId>| var.filter(|v| v.0 as usize >= vars).map(|v| v.0);
         for (name, var) in [("hb_var", self.hb_var), ("mm_epoch_var", self.mm_epoch_var)] {
             if let Some(v) = outside(var) {
@@ -203,6 +207,52 @@ impl World {
                     "references",
                     "world.{name}: variable {v} is outside the {vars} in global memory"
                 );
+            }
+        }
+        // Who holds each variable: nobody yet, the free list, or an owner.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Holder {
+            None,
+            Free,
+            Owner,
+        }
+        let mut held = vec![Holder::None; vars];
+        let mut below = None;
+        for var in memory.free_vars() {
+            if var.0 as usize >= vars {
+                broken!(
+                    "references",
+                    "world.mech.memory.free_vars: variable {} is outside the {vars} in global \
+                     memory",
+                    var.0
+                );
+            }
+            if below >= Some(var.0) {
+                broken!(
+                    "references",
+                    "world.mech.memory.free_vars: variable {} is listed twice or out of order",
+                    var.0
+                );
+            }
+            below = Some(var.0);
+            held[var.0 as usize] = Holder::Free;
+        }
+        let mut claim = |name: &dyn fmt::Display, var: VarId| -> Result<(), InvariantError> {
+            let at = &mut held[var.0 as usize];
+            let clash = match *at {
+                Holder::None => None,
+                Holder::Free => Some("is on the free list"),
+                Holder::Owner => Some("is already in use"),
+            };
+            if let Some(clash) = clash {
+                broken!("references", "{name}: variable {} {clash}", var.0);
+            }
+            *at = Holder::Owner;
+            Ok(())
+        };
+        for (name, var) in [("hb_var", self.hb_var), ("mm_epoch_var", self.mm_epoch_var)] {
+            if let Some(var) = var {
+                claim(&format_args!("world.{name}"), var)?;
             }
         }
         for (i, job) in self.jobs.iter().enumerate() {
@@ -219,6 +269,21 @@ impl World {
                     "world.jobs[{i}].transfer.written_var: variable {v} is outside the {vars} \
                      in global memory"
                 );
+            }
+            if let Some(var) = job.transfer.written_var {
+                claim(&format_args!("world.jobs[{i}].transfer.written_var"), var)?;
+            }
+            let nodes = job.allocation.as_ref().map_or(0..0, |a| a.nodes.clone());
+            for (name, set) in [
+                ("reported_started", &job.reported_started),
+                ("reported_done", &job.reported_done),
+            ] {
+                if let Some(n) = set.iter().find(|n| !nodes.contains(n)) {
+                    broken!(
+                        "references",
+                        "world.jobs[{i}].{name}: node {n} is outside the allocation {nodes:?}"
+                    );
+                }
             }
         }
         Ok(())

@@ -2,7 +2,8 @@
 
 use std::fmt;
 use std::ops::Range;
-use storm_apps::{AppSpec, Workload, WorkloadCursor};
+use std::sync::Arc;
+use storm_apps::{AppSpec, Workload};
 use storm_sim::{SimSpan, SimTime};
 
 /// Identifies a job within one cluster (dense index).
@@ -31,8 +32,9 @@ impl fmt::Display for JobId {
 /// What a user submits.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Human-readable name (defaults to the application name).
-    pub name: String,
+    /// Human-readable name (defaults to the application name). Shared, so
+    /// cloning a spec allocates nothing.
+    pub name: Arc<str>,
     /// The application to run.
     pub app: AppSpec,
     /// Total processes (one per PE, one-to-one mapping).
@@ -50,7 +52,7 @@ impl JobSpec {
     pub fn new(app: AppSpec, ranks: u32) -> Self {
         assert!(ranks > 0, "a job needs at least one rank");
         JobSpec {
-            name: app.name().to_string(),
+            name: Arc::from(app.name()),
             app,
             ranks,
             max_ranks_per_node: None,
@@ -67,7 +69,7 @@ impl JobSpec {
     }
 
     /// Builder: set a name.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
+    pub fn named(mut self, name: impl Into<Arc<str>>) -> Self {
         self.name = name.into();
         self
     }
@@ -247,14 +249,14 @@ pub struct JobRecord {
     pub state: JobState,
     /// Placement, once allocated.
     pub allocation: Option<Allocation>,
-    /// The instantiated workload (filled at allocation).
+    /// The instantiated workload (filled at allocation). Kept after the
+    /// job finishes: a fork still in flight reads whether it is empty.
     pub workload: Workload,
-    /// The shared BSP progress cursor (all NMs advance their ranks in
-    /// lock-step under gang scheduling; see `nm` module docs).
-    pub cursor: WorkloadCursor,
     /// Timestamps.
     pub metrics: JobMetrics,
-    /// Transfer bookkeeping (see `mm`).
+    /// Transfer bookkeeping (see `mm`). Kept after the job finishes, but
+    /// for its flow-control variable: a fragment still in flight reads its
+    /// chunk size.
     pub transfer: TransferState,
     /// Nodes whose "all local ranks forked" report has arrived.
     pub start_reports: u32,
@@ -263,9 +265,10 @@ pub struct JobRecord {
     /// Nodes that already contributed a Started report this attempt
     /// (exactly-once counting: after an MM failover the resync protocol
     /// makes nodes re-announce, and duplicates must not double-count).
-    pub reported_started: Vec<u32>,
+    /// Emptied when the job finishes.
+    pub reported_started: ReportSet,
     /// Nodes that already contributed a Done report this attempt.
-    pub reported_done: Vec<u32>,
+    pub reported_done: ReportSet,
     /// When the final flow-control COMPARE-AND-WRITE confirmed all
     /// fragments written everywhere (the MM records `transfer_done` at the
     /// following collection boundary).
@@ -289,13 +292,12 @@ impl JobRecord {
             state: JobState::Queued,
             allocation: None,
             workload: Workload::empty(),
-            cursor: Workload::empty().cursor(),
             metrics: JobMetrics::default(),
             transfer: TransferState::default(),
             start_reports: 0,
             done_reports: 0,
-            reported_started: Vec::new(),
-            reported_done: Vec::new(),
+            reported_started: ReportSet::default(),
+            reported_done: ReportSet::default(),
             transfer_confirmed: None,
             app_done_max: None,
             attempt: 0,
@@ -318,12 +320,11 @@ impl JobRecord {
         self.state = JobState::Queued;
         self.allocation = None;
         self.workload = Workload::empty();
-        self.cursor = Workload::empty().cursor();
         self.transfer = TransferState::default();
         self.start_reports = 0;
         self.done_reports = 0;
-        self.reported_started.clear();
-        self.reported_done.clear();
+        self.reported_started = ReportSet::default();
+        self.reported_done = ReportSet::default();
         self.transfer_confirmed = None;
         self.app_done_max = None;
         self.attempt += 1;
@@ -332,6 +333,53 @@ impl JobRecord {
             submitted: self.metrics.submitted,
             ..JobMetrics::default()
         };
+    }
+}
+
+/// A set of node ids, as a bitmap of 64-node words that starts at the
+/// word of the lowest node inserted. A job's reports come from its own
+/// allocation, so the set is as wide as the job, not the cluster, and
+/// insert and lookup are O(1); a node below every earlier one shifts the
+/// words once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReportSet {
+    /// The node of bit 0 of `words[0]`, a multiple of 64.
+    base: u32,
+    words: Vec<u64>,
+}
+
+impl ReportSet {
+    /// Add `node`; `true` when it was not in the set yet.
+    pub fn insert(&mut self, node: u32) -> bool {
+        let floor = node & !63;
+        if self.words.is_empty() {
+            self.base = floor;
+        } else if floor < self.base {
+            let shift = ((self.base - floor) / 64) as usize;
+            self.words.splice(0..0, std::iter::repeat_n(0, shift));
+            self.base = floor;
+        }
+        let offset = (node - self.base) as usize;
+        let (word, bit) = (offset / 64, 1u64 << (offset % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    /// The nodes, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(move |(i, &word)| {
+            let base = u64::from(self.base) + 64 * i as u64;
+            // Each step clears the lowest set bit.
+            std::iter::successors((word != 0).then_some(word), |&w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| (base + u64::from(w.trailing_zeros())) as u32)
+        })
     }
 }
 
@@ -497,11 +545,33 @@ mod tests {
     }
 
     #[test]
+    fn report_set_counts_each_node_once_in_any_order() {
+        let mut set = ReportSet::default();
+        assert_eq!(set.iter().count(), 0);
+        // Above, then below the first word (a shift), then far above it.
+        for (node, fresh) in [
+            (200, true),
+            (70, true),
+            (200, false),
+            (3, true),
+            (1000, true),
+            (3, false),
+        ] {
+            assert_eq!(set.insert(node), fresh, "node {node}");
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), [3, 70, 200, 1000]);
+        let mut top = ReportSet::default();
+        assert!(top.insert(u32::MAX));
+        assert!(top.insert(u32::MAX - 64));
+        assert_eq!(top.iter().collect::<Vec<_>>(), [u32::MAX - 64, u32::MAX]);
+    }
+
+    #[test]
     fn spec_builders() {
         let s = JobSpec::new(AppSpec::do_nothing_mb(4), 8)
             .named("probe")
             .with_estimate(SimSpan::from_secs(10));
-        assert_eq!(s.name, "probe");
+        assert_eq!(&*s.name, "probe");
         assert_eq!(s.runtime_estimate, Some(SimSpan::from_secs(10)));
         assert_eq!(s.ranks, 8);
     }

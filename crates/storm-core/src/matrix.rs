@@ -194,6 +194,25 @@ impl GangMatrix {
         None
     }
 
+    /// Every placed job, merged across the slots in job-id order (each
+    /// slot's list is sorted by id) — the order the MM's per-boundary
+    /// scans draw randomness and post events in. Costs one binary search
+    /// per slot per job and allocates nothing.
+    pub fn jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+        let mut from = Some(JobId(0));
+        std::iter::from_fn(move || {
+            let floor = from?;
+            let job = self
+                .slots
+                .iter()
+                .filter_map(|s| s.jobs.get(s.jobs.partition_point(|&(j, _)| j < floor)))
+                .map(|&(j, _)| j)
+                .min()?;
+            from = job.0.checked_add(1).map(JobId);
+            Some(job)
+        })
+    }
+
     /// Jobs in a slot, sorted by id (borrowed — no per-call allocation);
     /// empty past the open slots.
     pub fn jobs_in_slot(&self, slot: usize) -> &[(JobId, Range<u32>)] {
@@ -474,6 +493,20 @@ mod tests {
         let in_slot = m.jobs_in_slot(0);
         assert_eq!(in_slot.len(), 1);
         assert_eq!(in_slot[0].0, j(5));
+    }
+
+    #[test]
+    fn jobs_merge_the_slots_in_job_order() {
+        let mut m = GangMatrix::new(8, 3);
+        assert_eq!(m.jobs().count(), 0);
+        // Slot 0 holds job 4; slot 1 jobs 1, 3 and 7; slot 2 jobs 2 and 9.
+        for (job, nodes) in [(4, 8), (1, 4), (7, 2), (2, 4), (9, 4), (3, 2)] {
+            m.place(j(job), nodes).unwrap();
+        }
+        let order = |m: &GangMatrix| m.jobs().map(|job| job.0).collect::<Vec<_>>();
+        assert_eq!(order(&m), [1, 2, 3, 4, 7, 9]);
+        m.remove(j(4)).unwrap();
+        assert_eq!(order(&m), [1, 2, 3, 7, 9]);
     }
 
     #[test]

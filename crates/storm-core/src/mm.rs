@@ -474,8 +474,7 @@ impl MachineManager {
         };
         let transferring: Vec<JobId> = ctx
             .world_ref()
-            .jobs
-            .iter()
+            .placed_jobs()
             .filter(|r| r.state == JobState::Transferring)
             .map(|r| r.id)
             .collect();
@@ -636,9 +635,7 @@ impl MachineManager {
                     })
                     .collect();
                 let running: Vec<RunningJob> = w
-                    .jobs
-                    .iter()
-                    .filter(|r| !r.state.is_terminal() && r.allocation.is_some())
+                    .placed_jobs()
                     .map(|r| RunningJob {
                         nodes_held: r.alloc().node_count(),
                         // A job still transferring/launching is treated as
@@ -695,7 +692,6 @@ impl MachineManager {
             ranks_per_node: rpn,
             ranks,
         });
-        rec.cursor = workload.cursor();
         rec.workload = workload;
         rec.state = JobState::Transferring;
         rec.metrics.transfer_start = Some(now);
@@ -959,8 +955,7 @@ impl MachineManager {
         let now = ctx.now();
         let ready: Vec<JobId> = ctx
             .world_ref()
-            .jobs
-            .iter()
+            .placed_jobs()
             .filter(|r| r.state == JobState::Transferring && r.metrics.transfer_done.is_some())
             .map(|r| r.id)
             .collect();
@@ -1089,8 +1084,7 @@ impl MachineManager {
         // Transfer-completion notifications land at collection boundaries.
         let confirmed: Vec<JobId> = ctx
             .world_ref()
-            .jobs
-            .iter()
+            .placed_jobs()
             .filter(|r| {
                 r.state == JobState::Transferring
                     && r.metrics.transfer_done.is_none()
@@ -1125,8 +1119,7 @@ impl MachineManager {
                 ReportKind::Started => {
                     let node_count = ctx.world_ref().job(job).alloc().active_node_count();
                     let rec = ctx.world().job_mut(job);
-                    if !rec.reported_started.contains(&node) {
-                        rec.reported_started.push(node);
+                    if rec.reported_started.insert(node) {
                         rec.start_reports += 1;
                     }
                     if rec.state == JobState::Launching && rec.start_reports >= node_count {
@@ -1140,16 +1133,15 @@ impl MachineManager {
                     let node_count = ctx.world_ref().job(job).alloc().active_node_count();
                     let finished = {
                         let rec = ctx.world().job_mut(job);
-                        if rec.reported_done.contains(&node) {
-                            false
-                        } else {
-                            rec.reported_done.push(node);
+                        if rec.reported_done.insert(node) {
                             rec.done_reports += 1;
                             rec.app_done_max = Some(match rec.app_done_max {
                                 Some(prev) => prev.max(app_done),
                                 None => app_done,
                             });
                             rec.done_reports >= node_count
+                        } else {
+                            false
                         }
                     };
                     if finished {
@@ -1170,22 +1162,13 @@ impl MachineManager {
         ctx: &mut Context<'_, World, Msg>,
     ) {
         let w = ctx.world();
-        {
-            let rec = w.job_mut(job);
-            rec.state = state;
-            rec.metrics.completed = Some(now);
-            if rec.metrics.app_done.is_none() {
-                rec.metrics.app_done = rec.app_done_max;
-            }
-        }
-        w.matrix.remove(job);
-        w.stats.completed_jobs += 1;
+        w.finish_job(job, state, now);
         if w.telemetry.is_enabled() {
             let (metrics, name, ranks, attempts) = {
                 let rec = w.job(job);
                 (
                     rec.metrics.clone(),
-                    rec.spec.name.clone(),
+                    rec.spec.name.to_string(),
                     rec.spec.ranks,
                     rec.attempt + 1,
                 )
@@ -1401,14 +1384,8 @@ impl MachineManager {
     fn fail_jobs_on(&mut self, node: u32, now: SimTime, ctx: &mut Context<'_, World, Msg>) {
         let victims: Vec<JobId> = ctx
             .world_ref()
-            .jobs
-            .iter()
-            .filter(|r| {
-                !r.state.is_terminal()
-                    && r.allocation
-                        .as_ref()
-                        .is_some_and(|a| a.nodes.contains(&node))
-            })
+            .placed_jobs()
+            .filter(|r| r.alloc().nodes.contains(&node))
             .map(|r| r.id)
             .collect();
         let policy = ctx.world_ref().cfg.failure_policy;
@@ -1449,6 +1426,7 @@ impl MachineManager {
         let retry_no = {
             let w = ctx.world();
             w.matrix.remove(job);
+            w.free_written_var(job);
             let rec = w.job_mut(job);
             rec.reset_for_retry();
             w.stats.requeues += 1;

@@ -58,10 +58,11 @@ pub struct NodeManager {
     /// True when the interval beginning at `last_strobe` started with a
     /// context switch (its overhead is charged to that interval).
     switch_pending: bool,
-    /// Resident jobs, sorted by id. A node hosts at most `mpl_max` jobs,
-    /// so a sorted vector beats a hash map: lookups are a binary search
-    /// over a handful of entries and the per-strobe scan walks it in job
-    /// order with no collect-and-sort allocation.
+    /// Resident jobs, sorted by id. A node hosts at most `mpl_max` live
+    /// jobs, and a launch drops the finished ones, so a sorted vector
+    /// beats a hash map: lookups are a binary search over a handful of
+    /// entries and the per-strobe scan walks it in job order with no
+    /// collect-and-sort allocation.
     local: Vec<(crate::job::JobId, LocalJob)>,
     pending_reports: Vec<(crate::job::JobId, u32, ReportKind)>,
     flush_scheduled: bool,
@@ -412,13 +413,12 @@ impl Component<World, Msg> for NodeManager {
                     return; // write for a lost incarnation
                 }
                 // Bump the per-node fragment counter the MM's
-                // COMPARE-AND-WRITE flow control watches.
-                let var = ctx
-                    .world_ref()
-                    .job(job)
-                    .transfer
-                    .written_var
-                    .expect("transfer without flow-control var");
+                // COMPARE-AND-WRITE flow control watches — unless the job
+                // has finished meanwhile (killed mid-transfer): its
+                // variable was freed and may belong to another job now.
+                let Some(var) = ctx.world_ref().job(job).transfer.written_var else {
+                    return;
+                };
                 ctx.world().mech.memory.add(self.node_id(), var, 1);
             }
             Msg::LaunchCmd { job, attempt } => {
@@ -434,6 +434,13 @@ impl Component<World, Msg> for NodeManager {
                 if ranks_here == 0 {
                     return;
                 }
+                // Forget the jobs this node has finished and the MM has
+                // completed: nothing still in flight addresses them, so the
+                // table tracks live jobs. A not-done entry stays — a fork
+                // or exit of a killed incarnation may still report to it.
+                let w = ctx.world_ref();
+                self.local
+                    .retain(|&(j, ref l)| !(l.done && w.job(j).state.is_terminal()));
                 self.local_insert(
                     job,
                     LocalJob {

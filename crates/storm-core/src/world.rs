@@ -3,7 +3,7 @@
 //! layer (global memory), the network/filesystem devices, and counters.
 
 use crate::config::ClusterConfig;
-use crate::job::{JobId, JobRecord};
+use crate::job::{JobId, JobRecord, JobState, ReportSet};
 use crate::matrix::GangMatrix;
 use crate::replica::{MmCoreState, MmRole, ReplStats, ReplicaState};
 use std::collections::VecDeque;
@@ -158,6 +158,10 @@ pub struct World {
     pub mech: Mechanisms,
     /// All jobs ever submitted, indexed by `JobId`.
     pub jobs: Vec<JobRecord>,
+    /// How many of `jobs` are not terminal. Derived, not checkpointed:
+    /// [`World::recount_unfinished`] rebuilds it after a restore or a raw
+    /// edit of the records.
+    unfinished_jobs: usize,
     /// Queued job ids awaiting allocation, FCFS order.
     pub queue: VecDeque<JobId>,
     /// The gang matrix: slot membership and the quarantine set.
@@ -258,6 +262,7 @@ impl World {
             qsnet,
             mech,
             jobs: Vec::new(),
+            unfinished_jobs: 0,
             queue: VecDeque::new(),
             matrix,
             active_slot: 0,
@@ -303,8 +308,52 @@ impl World {
     pub fn register_job(&mut self, rec: JobRecord) -> JobId {
         let id = rec.id;
         assert_eq!(id.index(), self.jobs.len(), "job ids must be dense");
+        self.unfinished_jobs += usize::from(!rec.state.is_terminal());
         self.jobs.push(rec);
         id
+    }
+
+    /// The one terminal transition: `job` ends in `state` at `now`. What
+    /// only a live job needs goes with it — its matrix placement, its
+    /// flow-control variable and its report sets — and it stops counting
+    /// as unfinished. The workload and the transfer's chunk sizes stay:
+    /// forks and fragments still in flight read them.
+    pub(crate) fn finish_job(&mut self, job: JobId, state: JobState, now: SimTime) {
+        debug_assert!(state.is_terminal());
+        self.free_written_var(job);
+        self.matrix.remove(job);
+        let rec = &mut self.jobs[job.index()];
+        if !rec.state.is_terminal() {
+            self.unfinished_jobs -= 1;
+            self.stats.completed_jobs += 1;
+        }
+        rec.state = state;
+        rec.metrics.completed = Some(now);
+        if rec.metrics.app_done.is_none() {
+            rec.metrics.app_done = rec.app_done_max;
+        }
+        rec.reported_started = ReportSet::default();
+        rec.reported_done = ReportSet::default();
+    }
+
+    /// Return `job`'s flow-control variable, if it holds one, to global
+    /// memory's free list.
+    pub(crate) fn free_written_var(&mut self, job: JobId) {
+        if let Some(var) = self.jobs[job.index()].transfer.written_var.take() {
+            self.mech.memory.free_var(var);
+        }
+    }
+
+    /// Recount the unfinished jobs from the records — after a restore
+    /// loads them, or after a raw edit through `Cluster::with_world_mut`.
+    pub(crate) fn recount_unfinished(&mut self) {
+        self.unfinished_jobs = self.jobs.iter().filter(|j| !j.state.is_terminal()).count();
+    }
+
+    /// The live allocated jobs in job-id order: the gang matrix's
+    /// placements, so walking them costs O(live jobs), not O(submitted).
+    pub fn placed_jobs(&self) -> impl Iterator<Item = &JobRecord> + '_ {
+        self.matrix.jobs().map(|job| self.job(job))
     }
 
     /// Job by id.
@@ -362,9 +411,8 @@ impl World {
             failed_nodes,
             alive_nodes: self.cfg.nodes.saturating_sub(failed_nodes + quarantined),
             running_jobs: self
-                .jobs
-                .iter()
-                .filter(|j| j.state == crate::job::JobState::Running)
+                .placed_jobs()
+                .filter(|j| j.state == JobState::Running)
                 .count() as u32,
         };
         self.cq.evaluate(&sample, &mut self.telemetry.metrics);
@@ -375,9 +423,11 @@ impl World {
         self.cfg.mm_standbys > 0
     }
 
-    /// Are all jobs terminal and the queue empty (cluster idle)?
+    /// Are all jobs terminal and the queue empty (cluster idle)? O(1): a
+    /// job registered for a future submit is unfinished, so it keeps the
+    /// MM's tick chain running until it is done.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.jobs.iter().all(|j| j.state.is_terminal())
+        self.queue.is_empty() && self.unfinished_jobs == 0
     }
 
     /// Idle in the strong sense fast-forward requires: nothing queued,

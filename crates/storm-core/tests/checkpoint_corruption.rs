@@ -5,7 +5,7 @@
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v5.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v6.json");
 
 /// The value at a dotted path of object keys and array indices.
 fn at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
@@ -332,8 +332,8 @@ fn a_per_node_table_of_the_wrong_length_is_refused() {
         refused(truncate(path, 7), &format!("shape: {want}"));
     }
     refused(
-        truncate("world.mech.memory.vars.3", 6),
-        "shape: world.mech.memory.vars[3]: 6 entries, row 0 has 7",
+        truncate("world.mech.memory.vars.3", 3),
+        "shape: world.mech.memory.vars[3]: 3 entries, row 0 has 4",
     );
     refused(
         set("world.mech.memory.nodes", num(7)),
@@ -354,17 +354,97 @@ fn a_per_replica_table_of_the_wrong_length_is_refused() {
 
 #[test]
 fn a_variable_outside_global_memory_is_refused() {
-    // Global memory holds 7 variables on every node.
+    // Global memory holds 4 variables on every node: the epoch fence (0),
+    // the heartbeat counter (1) and the two jobs' flow-control counters.
     for (path, want) in [
-        ("world.hb_var", "world.hb_var: variable 7"),
-        ("world.mm_epoch_var", "world.mm_epoch_var: variable 7"),
+        ("world.hb_var", "world.hb_var: variable 4"),
+        ("world.mm_epoch_var", "world.mm_epoch_var: variable 4"),
         (
             "world.jobs.0.transfer.written_var",
-            "world.jobs[0].transfer.written_var: variable 7",
+            "world.jobs[0].transfer.written_var: variable 4",
         ),
     ] {
-        refused(set(path, num(7)), want);
+        refused(set(path, num(4)), want);
     }
+}
+
+/// Give every node's variable row a fifth variable, free to list.
+fn add_a_variable(doc: &mut Value) {
+    for n in 0..8 {
+        match at(doc, &format!("world.mech.memory.vars.{n}")) {
+            Value::Arr(row) => row.push(num(0)),
+            _ => panic!("a variable row is an array"),
+        }
+    }
+}
+
+#[test]
+fn a_free_variable_past_the_variable_count_is_refused() {
+    refused(
+        set("world.mech.memory.free_vars", Value::Arr(vec![num(4)])),
+        "references: world.mech.memory.free_vars: variable 4 is outside the 4",
+    );
+}
+
+#[test]
+fn a_free_variable_listed_twice_is_refused() {
+    let free = |vars: &[u64]| Value::Arr(vars.iter().map(|&v| num(v)).collect());
+    let mut doc = parse(FIXTURE).unwrap();
+    add_a_variable(&mut doc);
+    *at(&mut doc, "world.mech.memory.free_vars") = free(&[4]);
+    Cluster::restore(&render(&doc)).expect("a fifth variable, free once, restores");
+    refused(
+        |doc| {
+            add_a_variable(doc);
+            *at(doc, "world.mech.memory.free_vars") = free(&[4, 4]);
+        },
+        "references: world.mech.memory.free_vars: variable 4 is listed twice",
+    );
+}
+
+#[test]
+fn a_free_variable_still_in_use_is_refused() {
+    for (var, owner) in [
+        (0, "world.mm_epoch_var"),
+        (1, "world.hb_var"),
+        (2, "world.jobs[0].transfer.written_var"),
+        (3, "world.jobs[1].transfer.written_var"),
+    ] {
+        refused(
+            set("world.mech.memory.free_vars", Value::Arr(vec![num(var)])),
+            &format!("references: {owner}: variable {var} is on the free list"),
+        );
+    }
+}
+
+#[test]
+fn two_jobs_sharing_a_flow_control_variable_is_refused() {
+    refused(
+        set("world.jobs.1.transfer.written_var", num(2)),
+        "references: world.jobs[1].transfer.written_var: variable 2 is already in use",
+    );
+}
+
+#[test]
+fn a_report_from_outside_the_allocation_is_refused() {
+    // Job 0 holds nodes 4..8 of the 8.
+    let nodes = |list: &[u64]| Value::Arr(list.iter().map(|&n| num(n)).collect());
+    refused(
+        set("world.jobs.0.reported_started", nodes(&[3, 5])),
+        "references: world.jobs[0].reported_started: node 3 is outside the allocation 4..8",
+    );
+    refused(
+        set("world.jobs.1.reported_done", nodes(&[1, 2])),
+        "references: world.jobs[1].reported_done: node 2 is outside the allocation 0..2",
+    );
+    // A node past the cluster is refused before its bitmap is built.
+    refused(
+        set(
+            "world.jobs.0.reported_done",
+            nodes(&[4, u64::from(u32::MAX)]),
+        ),
+        "world.jobs[0].reported_done: node 4294967295 is outside the 8 nodes",
+    );
 }
 
 #[test]

@@ -42,6 +42,9 @@ pub struct GlobalMemory {
     /// Disabled by default: the audit trail costs a map insert per CAW
     /// write half, so only DST harnesses turn it on.
     caw_audit: Option<BTreeMap<u32, CawAudit>>,
+    /// Freed variable ids, descending, so the lowest is last:
+    /// [`GlobalMemory::alloc_var`] reuses it before growing the rows.
+    free_vars: Vec<u32>,
 }
 
 impl GlobalMemory {
@@ -53,6 +56,7 @@ impl GlobalMemory {
             vars: vec![Vec::new(); nodes as usize],
             events: vec![Vec::new(); nodes as usize],
             caw_audit: None,
+            free_vars: Vec::new(),
         }
     }
 
@@ -85,13 +89,40 @@ impl GlobalMemory {
     }
 
     /// Allocate a global variable (same id on all nodes), initialised to
-    /// `init` everywhere.
+    /// `init` everywhere. The lowest freed id is reused first (its audit
+    /// entry retired), so the rows grow only with the variables live at
+    /// once.
     pub fn alloc_var(&mut self, init: i64) -> VarId {
+        if let Some(id) = self.free_vars.pop() {
+            if let Some(audit) = &mut self.caw_audit {
+                audit.remove(&id);
+            }
+            for v in &mut self.vars {
+                v[id as usize] = init;
+            }
+            return VarId(id);
+        }
         let id = VarId(u32::try_from(self.vars[0].len()).expect("too many vars"));
         for v in &mut self.vars {
             v.push(init);
         }
         id
+    }
+
+    /// Return `var` to the free list for [`GlobalMemory::alloc_var`] to
+    /// reuse. Its value stays readable until then.
+    pub fn free_var(&mut self, var: VarId) {
+        let pos = self.free_vars.partition_point(|&v| v > var.0);
+        debug_assert!(
+            self.free_vars.get(pos) != Some(&var.0),
+            "{var:?} freed twice"
+        );
+        self.free_vars.insert(pos, var.0);
+    }
+
+    /// The freed variables awaiting reuse, ascending.
+    pub fn free_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.free_vars.iter().rev().map(|&v| VarId(v))
     }
 
     /// Allocate a global event (same id on all nodes), unsignalled.
@@ -239,7 +270,8 @@ impl GlobalMemory {
     }
 
     /// Full-fidelity image of the memory for checkpointing: every node's
-    /// variable and event tables plus the CAW audit trail (if enabled).
+    /// variable and event tables, the CAW audit trail (if enabled) and the
+    /// free list.
     pub fn export_state(&self) -> MemoryState {
         MemoryState {
             nodes: self.nodes,
@@ -249,6 +281,7 @@ impl GlobalMemory {
                 .caw_audit
                 .as_ref()
                 .map(|m| m.iter().map(|(&v, a)| (v, a.clone())).collect()),
+            free_vars: self.free_vars.iter().rev().copied().collect(),
         }
     }
 
@@ -260,6 +293,7 @@ impl GlobalMemory {
             vars: state.vars,
             events: state.events,
             caw_audit: state.caw_audit.map(|v| v.into_iter().collect()),
+            free_vars: state.free_vars.into_iter().rev().collect(),
         }
     }
 }
@@ -276,6 +310,8 @@ pub struct MemoryState {
     pub events: Vec<Vec<Option<SimTime>>>,
     /// The CAW audit trail in var order, `None` when auditing is off.
     pub caw_audit: Option<Vec<(u32, CawAudit)>>,
+    /// Freed variable ids awaiting reuse, ascending.
+    pub free_vars: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -376,6 +412,32 @@ mod tests {
         let audits: Vec<_> = m.caw_audits().collect();
         assert_eq!(audits.len(), 1);
         assert_eq!(audits[0].1.value, 9);
+    }
+
+    #[test]
+    fn freed_variables_are_reused_lowest_first_and_reset() {
+        let mut m = GlobalMemory::new(3);
+        let vars: Vec<VarId> = (0..4).map(|_| m.alloc_var(0)).collect();
+        m.enable_caw_audit();
+        m.write_set(&NodeSet::All(3), vars[1], 9);
+        m.add(NodeId(2), vars[3], 5);
+        m.free_var(vars[3]);
+        m.free_var(vars[1]);
+        assert_eq!(m.free_vars().collect::<Vec<_>>(), [vars[1], vars[3]]);
+        // The lowest free id comes back first, at its new initial value
+        // on every node, with its audit entry retired.
+        assert_eq!(m.alloc_var(7), vars[1]);
+        assert_eq!(m.gather(&NodeSet::All(3), vars[1]), vec![7, 7, 7]);
+        assert_eq!(m.caw_audits().count(), 0);
+        assert_eq!(m.alloc_var(0), vars[3]);
+        assert_eq!(m.read(NodeId(2), vars[3]), 0);
+        // An empty free list grows the rows again.
+        assert_eq!(m.alloc_var(0), VarId(4));
+        assert_eq!(m.var_count(), 5);
+        // The free list survives an export/import round trip.
+        m.free_var(vars[0]);
+        let back = GlobalMemory::import_state(m.export_state());
+        assert_eq!(back.free_vars().collect::<Vec<_>>(), [vars[0]]);
     }
 
     #[test]

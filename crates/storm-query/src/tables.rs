@@ -57,7 +57,7 @@ pub fn jobs(c: &Cluster) -> Table {
         };
         out.push(vec![
             Datum::U64(u64::from(j.id.0)),
-            Datum::Str(j.spec.name.clone()),
+            Datum::Str(j.spec.name.to_string()),
             Datum::Str(j.spec.app.name().to_string()),
             Datum::Str(format!("{:?}", j.state)),
             Datum::U64(u64::from(j.spec.ranks)),
