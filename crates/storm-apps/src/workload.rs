@@ -69,6 +69,12 @@ impl Workload {
         self.endless
     }
 
+    /// Whether this is the empty workload (a do-nothing program): its
+    /// ranks exit as soon as they start, and the PL reports each exit.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty() && !self.endless
+    }
+
     /// Total busy time per rank assuming a given span per communication
     /// step (computed by the caller from the network model). `None` for
     /// endless workloads.

@@ -142,9 +142,9 @@ impl BuddyAllocator {
     }
 
     /// Mark a specific aligned block as allocated (the reserved tail,
-    /// quarantines, checkpoint replay). Returns `false`, changing nothing,
-    /// when the block is not free.
-    fn carve(&mut self, start: u32, order: u32) -> bool {
+    /// quarantines, a restored job's block). Returns `false`, changing
+    /// nothing, when the block is not free.
+    pub(crate) fn carve(&mut self, start: u32, order: u32) -> bool {
         if order as usize >= self.free.len() {
             return false;
         }
@@ -224,61 +224,6 @@ impl BuddyAllocator {
         v.sort_by_key(|r| r.start);
         v
     }
-
-    /// Checkpoint image: the usable width, every live allocation (start,
-    /// order — excluding the reserved tail, which reconstruction re-carves),
-    /// and the quarantined node set.
-    pub fn export_state(&self) -> BuddyState {
-        let mut allocated: Vec<(u32, u32)> = self
-            .allocated
-            .iter()
-            .filter(|&(&s, _)| s < self.usable)
-            .map(|(&s, &o)| (s, o))
-            .collect();
-        allocated.sort_unstable();
-        BuddyState {
-            usable: self.usable,
-            allocated,
-            quarantined: self.quarantined.iter().copied().collect(),
-        }
-    }
-
-    /// Rebuild an allocator from an exported image by replaying quarantines
-    /// and re-carving each allocation. Free blocks always sit in the unique
-    /// maximal buddy decomposition of the unallocated space (eager
-    /// coalescing in [`BuddyAllocator::free`] maintains it), so replay
-    /// reproduces the free lists exactly. An image that does not replay —
-    /// no usable node, or a quarantine or allocation outside the usable
-    /// nodes or overlapping another — is an error.
-    pub fn import_state(state: BuddyState) -> Result<Self, String> {
-        if state.usable == 0 {
-            return Err("no usable nodes".into());
-        }
-        let mut b = BuddyAllocator::new(state.usable);
-        for node in state.quarantined {
-            if !b.quarantine(node) {
-                return Err(format!("quarantine of node {node} does not replay"));
-            }
-        }
-        for (start, order) in state.allocated {
-            if !b.carve(start, order) {
-                return Err(format!("allocation ({start}, {order}) does not replay"));
-            }
-        }
-        Ok(b)
-    }
-}
-
-/// Serializable image of a [`BuddyAllocator`], produced by
-/// [`BuddyAllocator::export_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuddyState {
-    /// Usable node count (internal capacity is derived).
-    pub usable: u32,
-    /// Live allocations as `(start, order)` pairs, ascending by start.
-    pub allocated: Vec<(u32, u32)>,
-    /// Quarantined nodes, ascending.
-    pub quarantined: Vec<u32>,
 }
 
 #[cfg(test)]

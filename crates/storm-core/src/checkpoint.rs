@@ -28,12 +28,19 @@
 //! the offending member, never with a panic. The loaded world must then
 //! pass [`World::check_invariants`], the checker the DST harness runs at
 //! every timeslice boundary; the error names the broken check first
-//! (`matrix_consistency: world.jobs[1]: …`). Slot membership and the
-//! quarantine set are stored once, in the gang matrix (version 5). A
-//! finished job keeps only what in-flight messages and the job views
-//! read: its report sets are emptied, its flow-control variable is on
-//! global memory's free list, and NMs drop its resident entry at their
-//! next launch (version 6).
+//! (`matrix_consistency: world.jobs[1]: …`). A finished job keeps only
+//! what in-flight messages and the job views read: its report sets are
+//! emptied, its flow-control variable is on global memory's free list,
+//! and NMs drop its resident entry at their next launch (version 6).
+//!
+//! Each fact is written once (version 7), so no artifact can contradict
+//! itself: MM membership is `world.mm_roles` and `mm_active_rank`, a
+//! node's failure its node-table row, the nodes detected failed the
+//! matrix's quarantine set, a job's report counts its report sets and
+//! its retries its `attempt`. The matrix is written as its shape, open
+//! slot count and quarantine set; each live job's block is its record's
+//! allocation, carved back into the open slots after the world loads, and
+//! a block that does not fit is refused before the invariant check.
 //!
 //! Each type's layout is declared once. The [`Codec`] impls come from
 //! macros over field and variant lists — `record!` (an object keyed by
@@ -47,7 +54,6 @@
 //! pattern, `Option` the value or `null`; all integers round-trip
 //! exactly, because a parsed number keeps its source token.
 
-use crate::buddy::BuddyState;
 use crate::cluster::Cluster;
 use crate::config::{ClusterConfig, DaemonCosts, SchedulerKind};
 use crate::cq::{Alert, Condition, ContinuousQueries, ContinuousQuery};
@@ -55,7 +61,7 @@ use crate::fault::{FailurePolicy, FaultEvent, FaultSchedule};
 use crate::job::{
     Allocation, JobId, JobMetrics, JobRecord, JobSpec, JobState, ReportSet, TransferState,
 };
-use crate::matrix::{GangMatrix, MatrixState, SlotState};
+use crate::matrix::GangMatrix;
 use crate::mm::{MachineManager, MmState};
 use crate::msg::{Msg, ReportKind};
 use crate::nm::{NmLocalJobState, NmState, NodeManager};
@@ -64,7 +70,6 @@ use crate::replica::{Decision, MmCoreState, MmRole, ReplStats, ReplicaState};
 use crate::world::{ClusterStats, IdleLeap, NodeTable, World};
 use std::collections::VecDeque;
 use std::fmt::Arguments;
-use std::ops::Range;
 use std::sync::Arc;
 use storm_apps::{AppSpec, Step, Workload};
 use storm_fs::FsKind;
@@ -84,7 +89,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 6;
+pub const CHECKPOINT_VERSION: u64 = 7;
 
 type R<T> = Result<T, String>;
 
@@ -727,7 +732,6 @@ record!(into World {
     mm_core,
     mm_replicas,
     mm_roles,
-    mm_failed,
     mm_failed_at,
     mm_active_rank,
     mm_epoch,
@@ -756,14 +760,11 @@ record!(JobRecord {
     workload,
     metrics,
     transfer,
-    start_reports,
-    done_reports,
     reported_started,
     reported_done,
     transfer_confirmed,
     app_done_max,
     attempt,
-    retries,
 });
 record!(JobSpec {
     name,
@@ -793,18 +794,6 @@ record!(TransferState {
     written_var,
 });
 row!(Step [compute, comm_bytes]);
-record!(MatrixState {
-    nodes,
-    mpl_max,
-    slots,
-    quarantined
-});
-record!(SlotState { buddy, jobs });
-record!(BuddyState {
-    usable,
-    allocated,
-    quarantined
-});
 record!(MmCoreState {
     ticks,
     hb_round,
@@ -875,9 +864,7 @@ record!(MmState {
     pending_reports,
     ticks,
     last_tick_at,
-    detected_failed,
     rank,
-    role,
     epoch,
     last_beat_seen,
     beats_sent,
@@ -886,7 +873,6 @@ record!(MmState {
 // node table: keys repeated on every node would be most of the section.
 row!(NmState [
     node,
-    failed,
     busy_until,
     write_free,
     current_slot,
@@ -941,17 +927,6 @@ impl Codec for (u32, CawAudit) {
     }
 }
 
-/// A matrix placement is one flat row: `[job, start, end]`.
-impl Codec for (JobId, Range<u32>) {
-    fn enc(&self, out: &mut Writer) {
-        (self.0, self.1.start, self.1.end).enc(out);
-    }
-    fn dec(v: &Value) -> R<Self> {
-        let (job, start, end) = Codec::dec(v)?;
-        Ok((job, start..end))
-    }
-}
-
 /// An allocation's node range is two members, `nodes_start`/`nodes_end`.
 impl Codec for Allocation {
     fn enc(&self, out: &mut Writer) {
@@ -973,12 +948,28 @@ impl Codec for Allocation {
     }
 }
 
+/// The matrix is its shape and its quarantine set, `{nodes, mpl_max,
+/// slots, quarantined}`, with `slots` the number of open slots. The jobs
+/// in them are not written: each live job record's allocation names its
+/// block, and restore carves the blocks back once the records are loaded.
 impl Codec for GangMatrix {
     fn enc(&self, out: &mut Writer) {
-        self.export_state().enc(out);
+        out.obj(|out| {
+            put(out, "nodes", &self.nodes());
+            put(out, "mpl_max", &self.mpl_max());
+            put(out, "slots", &self.slot_count());
+            out.key("quarantined");
+            out.arr(|out| self.quarantined_nodes().for_each(|n| n.enc(out)));
+        });
     }
     fn dec(v: &Value) -> R<Self> {
-        GangMatrix::import_state(MatrixState::dec(v)?)
+        let quarantined: Vec<u32> = field(v, "quarantined")?;
+        GangMatrix::open(
+            field(v, "nodes")?,
+            field(v, "mpl_max")?,
+            field(v, "slots")?,
+            &quarantined,
+        )
     }
 }
 
@@ -1286,7 +1277,7 @@ fn check_layout(cfg: &ClusterConfig, doc: &Value, pls: &[Vec<u64>]) -> R<()> {
     let len = |v: &Value| v.as_arr().map_or(0, <[Value]>::len);
     let (mms, nms) = (len(member(doc, "mms")?), len(member(doc, "nms")?));
     let matrix = member(member(doc, "world")?, "matrix")?;
-    let slots = len(member(matrix, "slots")?);
+    let slots = member(matrix, "slots")?.as_u64().unwrap_or(0);
     let matrix_nodes = member(matrix, "nodes")?.as_u64();
     let per_node = (cfg.cpus_per_node as usize).checked_mul(cfg.mpl_max);
     if nms != cfg.nodes as usize
@@ -1294,7 +1285,7 @@ fn check_layout(cfg: &ClusterConfig, doc: &Value, pls: &[Vec<u64>]) -> R<()> {
         || pls.iter().any(|row| Some(row.len()) != per_node)
         || Some(mms) != (cfg.mm_standbys as usize).checked_add(1)
         || matrix_nodes != Some(u64::from(cfg.nodes))
-        || slots > cfg.mpl_max
+        || slots > cfg.mpl_max as u64
     {
         return Err(format!(
             "config (nodes {}, cpus_per_node {}, mpl_max {}, mm_standbys {}) does not match \
@@ -1406,12 +1397,15 @@ impl Cluster {
         w.load(member(doc, "world")?)
             .map_err(|e| at(format_args!(".world"), e))?;
         w.recount_unfinished();
-        // Repoint the active-MM alias (moved by failover, not by layout)
-        // before the check, which reads it.
-        w.wiring.mm = Some(
-            *(w.wiring.mms.get(w.mm_active_rank as usize))
-                .ok_or("world.mm_active_rank: no MM of that rank")?,
-        );
+        // The matrix decoded with its slots open and empty: carve each live
+        // job's block back, in job-id order.
+        for (i, job) in w.jobs.iter().enumerate() {
+            if let Some(a) = job.allocation.as_ref().filter(|_| !job.state.is_terminal()) {
+                w.matrix
+                    .restore_block(job.id, a.slot, a.nodes.clone())
+                    .map_err(|e| format!("world.jobs[{i}].allocation: {e}"))?;
+            }
+        }
         w.check_invariants().map_err(|e| e.to_string())?;
         check_engine(&engine, sim.world())?;
         // The engine image replaces construction-time posts wholesale.
@@ -1510,11 +1504,14 @@ mod tests {
         // per-NM delivery switch and the MM's collect flag, version 3
         // every RNG stream and NM state keyed by field name, version 4
         // `world.slot_jobs` and a quarantine column in the node table,
-        // version 5 a `cursor` per job record and no variable free list.
+        // version 5 a `cursor` per job record and no variable free list,
+        // version 6 every matrix placement, each MM's role and detected
+        // set, `world.mm_failed`, an NM `failed` column and per-record
+        // report counts and retries.
         let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
         let key = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
-        for old in [1, 2, 3, 4, 5] {
+        for old in 1..=6 {
             let relabelled = current.replacen(&key, &format!("\"version\":{old}"), 1);
             let err = Cluster::restore(&relabelled)
                 .err()
@@ -1582,21 +1579,6 @@ mod tests {
             };
             if got != want || back.as_deref() != Ok(render(&enc).as_str()) {
                 bad.push(format!("{want}\n   got {got}\n  back {back:?}"));
-            }
-        }
-
-        fn mm_with(role: MmRole) -> MmState {
-            MmState {
-                tick_scheduled: true,
-                pending_reports: vec![(1, JobId(2), 3, ReportKind::Started)],
-                ticks: 4,
-                last_tick_at: None,
-                detected_failed: vec![5],
-                rank: 1,
-                role,
-                epoch: 6,
-                last_beat_seen: Some(SimTime::from_nanos(7)),
-                beats_sent: 8,
             }
         }
 
@@ -1956,24 +1938,30 @@ mod tests {
             );
             assert_eq!(JobSpec::unpin(&named.pin()).map(|j| j.name), Ok(named.name));
 
+            let mm = MmState {
+                tick_scheduled: true,
+                pending_reports: vec![(1, JobId(2), 3, ReportKind::Started)],
+                ticks: 4,
+                last_tick_at: None,
+                rank: 1,
+                epoch: 6,
+                last_beat_seen: Some(SimTime::from_nanos(7)),
+                beats_sent: 8,
+            };
             check(
-                &mm_with(MmRole::Active),
+                &mm,
                 None,
-                r#"{"tick_scheduled":true,"pending_reports":[[1,2,3,["started"]]],"ticks":4,"last_tick_at":null,"detected_failed":[5],"rank":1,"role":"active","epoch":6,"last_beat_seen":7,"beats_sent":8}"#,
+                r#"{"tick_scheduled":true,"pending_reports":[[1,2,3,["started"]]],"ticks":4,"last_tick_at":null,"rank":1,"epoch":6,"last_beat_seen":7,"beats_sent":8}"#,
                 &mut bad,
             );
-            check(
-                &mm_with(MmRole::Standby),
-                Some("role"),
-                r#""standby""#,
-                &mut bad,
-            );
-            check(
-                &mm_with(MmRole::Failed),
-                Some("role"),
-                r#""failed""#,
-                &mut bad,
-            );
+            let roles = [
+                (MmRole::Active, r#""active""#),
+                (MmRole::Standby, r#""standby""#),
+                (MmRole::Failed, r#""failed""#),
+            ];
+            for (r, want) in &roles {
+                check(r, None, want, &mut bad);
+            }
 
             let base = ClusterConfig::paper_cluster();
             let names = [

@@ -63,7 +63,6 @@ impl Cluster {
         }
         {
             let w = sim.world_mut();
-            w.wiring.mm = Some(mm);
             w.wiring.mms = mms.clone();
             w.wiring.nms = nms;
             w.wiring.pls = pls;
@@ -167,7 +166,7 @@ impl Cluster {
     }
 
     fn mm(&self) -> storm_sim::ComponentId {
-        self.sim.world().wiring.mm.expect("MM wired at build")
+        self.sim.world().active_mm()
     }
 
     /// The underlying simulation (checkpoint codec access).

@@ -48,8 +48,9 @@ impl World {
     /// that fails:
     ///
     /// * `shape`: the node table and global memory have one row per node,
-    ///   the replica tables one entry per MM replica, and the matrix spans
-    ///   the cluster with at most `mpl_max` slots;
+    ///   the replica tables one entry per MM replica, `mm_active_rank`
+    ///   names a replica, and the matrix spans the cluster with at most
+    ///   `mpl_max` slots;
     /// * `references`: each job record sits at its id's index, queued and
     ///   requeue-pending jobs have records, `hb_var`, `mm_epoch_var` and
     ///   each job's `transfer.written_var` are allocated variables, the
@@ -67,8 +68,9 @@ impl World {
     /// * `caw_visibility`: every node of an audited COMPARE-AND-WRITE set
     ///   reads the written value;
     /// * `heartbeat_monotonic`: no node's heartbeat is above `hb_round`;
-    /// * `single_active_mm`: at most one live replica is Active, it is
-    ///   `mm_active_rank`, and `wiring.mm` points at it;
+    /// * `single_active_mm`: at most one replica is Active, and
+    ///   `mm_active_rank` is it — or a replica that failed before any
+    ///   successor took over, never a standby;
     /// * `no_job_lost`: every submitted live job is placed, queued or
     ///   waiting on a requeue timer;
     /// * `repl_consistency`: no standby is ahead of the active's log, and
@@ -166,7 +168,6 @@ impl World {
         for (name, len) in [
             ("mm_replicas", self.mm_replicas.len()),
             ("mm_roles", self.mm_roles.len()),
-            ("mm_failed", self.mm_failed.len()),
             ("mm_failed_at", self.mm_failed_at.len()),
         ] {
             if len != replicas {
@@ -175,6 +176,13 @@ impl World {
                     "world.{name}: {len} entries for {replicas} MM replicas"
                 );
             }
+        }
+        let rank = self.mm_active_rank;
+        if rank as usize >= replicas {
+            broken!(
+                "shape",
+                "world.mm_active_rank: {rank} for {replicas} MM replicas"
+            );
         }
         let (m, mpl_max) = (&self.matrix, self.cfg.mpl_max);
         if m.nodes() != nodes || m.mpl_max() != mpl_max || m.slot_count() > mpl_max {
@@ -345,8 +353,7 @@ impl World {
 
     fn check_mm(&self) -> Result<(), InvariantError> {
         let (rank, epoch) = (self.mm_active_rank, self.mm_epoch);
-        let mut active = (0..self.mm_roles.len())
-            .filter(|&r| self.mm_roles[r] == MmRole::Active && !self.mm_failed[r]);
+        let mut active = (0..self.mm_roles.len()).filter(|&r| self.mm_roles[r] == MmRole::Active);
         if let Some(first) = active.next() {
             if let Some(second) = active.next() {
                 broken!(
@@ -361,11 +368,10 @@ impl World {
                 );
             }
         }
-        let (mm, mms) = (self.wiring.mm, &self.wiring.mms);
-        if !mms.is_empty() && mm != mms.get(rank as usize).copied() {
+        if self.mm_roles[rank as usize] == MmRole::Standby {
             broken!(
                 "single_active_mm",
-                "the command path {mm:?} does not point at active rank {rank}"
+                "world.mm_active_rank {rank} is a standby in epoch {epoch}"
             );
         }
         Ok(())
@@ -374,7 +380,7 @@ impl World {
     fn check_replicas(&self) -> Result<(), InvariantError> {
         let core = &self.mm_core;
         for (rank, replica) in self.mm_replicas.iter().enumerate().skip(1) {
-            if self.mm_roles[rank] != MmRole::Standby || self.mm_failed[rank] {
+            if self.mm_roles[rank] != MmRole::Standby {
                 continue;
             }
             let (s, applied, logged) = (&replica.state, replica.applied, core.log_len);

@@ -258,16 +258,13 @@ pub struct JobRecord {
     /// for its flow-control variable: a fragment still in flight reads its
     /// chunk size.
     pub transfer: TransferState,
-    /// Nodes whose "all local ranks forked" report has arrived.
-    pub start_reports: u32,
-    /// Nodes whose "all local ranks exited" report has arrived.
-    pub done_reports: u32,
-    /// Nodes that already contributed a Started report this attempt
-    /// (exactly-once counting: after an MM failover the resync protocol
-    /// makes nodes re-announce, and duplicates must not double-count).
-    /// Emptied when the job finishes.
+    /// Nodes whose "all local ranks forked" report has arrived this
+    /// attempt, each counted once: after an MM failover the resync
+    /// protocol makes nodes re-announce, and duplicates must not
+    /// double-count. Emptied when the job finishes.
     pub reported_started: ReportSet,
-    /// Nodes that already contributed a Done report this attempt.
+    /// Nodes whose "all local ranks exited" report has arrived this
+    /// attempt.
     pub reported_done: ReportSet,
     /// When the final flow-control COMPARE-AND-WRITE confirmed all
     /// fragments written everywhere (the MM records `transfer_done` at the
@@ -276,11 +273,10 @@ pub struct JobRecord {
     /// Latest application-exit instant reported by any node.
     pub app_done_max: Option<SimTime>,
     /// Launch attempt counter: bumped each time the failure-recovery policy
-    /// requeues the job. Job-scoped messages carry the attempt they belong
-    /// to; mismatches are stale in-flight traffic and are dropped.
+    /// requeues the job, so it is also the job's retry count. Job-scoped
+    /// messages carry the attempt they belong to; mismatches are stale
+    /// in-flight traffic and are dropped.
     pub attempt: u32,
-    /// Times this job has been requeued after losing a node.
-    pub retries: u32,
 }
 
 impl JobRecord {
@@ -294,14 +290,11 @@ impl JobRecord {
             workload: Workload::empty(),
             metrics: JobMetrics::default(),
             transfer: TransferState::default(),
-            start_reports: 0,
-            done_reports: 0,
             reported_started: ReportSet::default(),
             reported_done: ReportSet::default(),
             transfer_confirmed: None,
             app_done_max: None,
             attempt: 0,
-            retries: 0,
         }
     }
 
@@ -321,14 +314,11 @@ impl JobRecord {
         self.allocation = None;
         self.workload = Workload::empty();
         self.transfer = TransferState::default();
-        self.start_reports = 0;
-        self.done_reports = 0;
         self.reported_started = ReportSet::default();
         self.reported_done = ReportSet::default();
         self.transfer_confirmed = None;
         self.app_done_max = None;
         self.attempt += 1;
-        self.retries += 1;
         self.metrics = JobMetrics {
             submitted: self.metrics.submitted,
             ..JobMetrics::default()
@@ -337,15 +327,16 @@ impl JobRecord {
 }
 
 /// A set of node ids, as a bitmap of 64-node words that starts at the
-/// word of the lowest node inserted. A job's reports come from its own
-/// allocation, so the set is as wide as the job, not the cluster, and
-/// insert and lookup are O(1); a node below every earlier one shifts the
-/// words once.
+/// word of the lowest node inserted, plus its member count. A job's
+/// reports come from its own allocation, so the set is as wide as the
+/// job, not the cluster, and insert, lookup and `len` are O(1); a node
+/// below every earlier one shifts the words once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReportSet {
     /// The node of bit 0 of `words[0]`, a multiple of 64.
     base: u32,
     words: Vec<u64>,
+    len: u32,
 }
 
 impl ReportSet {
@@ -366,7 +357,18 @@ impl ReportSet {
         }
         let fresh = self.words[word] & bit == 0;
         self.words[word] |= bit;
+        self.len += u32::from(fresh);
         fresh
+    }
+
+    /// How many nodes the set holds.
+    pub fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// True when no node has been inserted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The nodes, ascending.
@@ -530,18 +532,18 @@ mod tests {
             ranks_per_node: 4,
             ranks: 8,
         });
-        rec.start_reports = 2;
+        rec.reported_started.insert(1);
         rec.transfer.total_chunks = 8;
         rec.reset_for_retry();
         assert_eq!(rec.state, JobState::Queued);
         assert!(rec.allocation.is_none());
-        assert_eq!(rec.start_reports, 0);
+        assert!(rec.reported_started.is_empty());
         assert_eq!(rec.transfer.total_chunks, 0);
         assert_eq!(rec.metrics.submitted, Some(SimTime::from_millis(1)));
         assert_eq!(rec.metrics.transfer_start, None);
-        assert_eq!((rec.attempt, rec.retries), (1, 1));
+        assert_eq!(rec.attempt, 1);
         rec.reset_for_retry();
-        assert_eq!((rec.attempt, rec.retries), (2, 2));
+        assert_eq!(rec.attempt, 2);
     }
 
     #[test]
@@ -560,6 +562,7 @@ mod tests {
             assert_eq!(set.insert(node), fresh, "node {node}");
         }
         assert_eq!(set.iter().collect::<Vec<_>>(), [3, 70, 200, 1000]);
+        assert_eq!(set.len(), 4);
         let mut top = ReportSet::default();
         assert!(top.insert(u32::MAX));
         assert!(top.insert(u32::MAX - 64));

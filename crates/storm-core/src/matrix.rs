@@ -268,50 +268,92 @@ impl GangMatrix {
                 .is_some()
     }
 
-    /// Checkpoint image: cluster width, MPL cap, per-slot buddy + job
-    /// rows, and the matrix-level quarantine set.
+    /// Nodes of `slot` its buddy allocator can still place on (0 past the
+    /// open slots).
+    pub fn free_nodes_in_slot(&self, slot: usize) -> u32 {
+        self.slots.get(slot).map_or(0, |s| s.buddy.free_nodes())
+    }
+
+    /// The matrix's contents: cluster width, MPL cap, each open slot's
+    /// jobs and the quarantine set.
     pub fn export_state(&self) -> MatrixState {
         MatrixState {
             nodes: self.nodes,
             mpl_max: self.mpl_max,
-            slots: self
-                .slots
-                .iter()
-                .map(|s| SlotState {
-                    buddy: s.buddy.export_state(),
-                    jobs: s.jobs.clone(),
-                })
-                .collect(),
+            slots: self.slots.iter().map(|s| s.jobs.clone()).collect(),
             quarantined: self.quarantined.iter().copied().collect(),
         }
     }
 
-    /// Rebuild a matrix from an exported image. See
-    /// [`GangMatrix::export_state`]. Every slot's allocator must span the
-    /// matrix's nodes and replay (see [`BuddyAllocator::import_state`]).
-    pub fn import_state(state: MatrixState) -> Result<Self, String> {
-        let nodes = state.nodes;
-        let slots = (0..)
-            .zip(state.slots)
-            .map(|(i, s)| {
-                if s.buddy.usable != nodes {
-                    let usable = s.buddy.usable;
-                    return Err(format!("slot {i}: {usable} usable nodes of {nodes}"));
-                }
-                let buddy =
-                    BuddyAllocator::import_state(s.buddy).map_err(|e| format!("slot {i}: {e}"))?;
-                Ok(Slot {
-                    buddy,
-                    jobs: s.jobs,
-                })
-            })
-            .collect::<Result<_, String>>()?;
+    /// A matrix as a checkpoint restore starts it: `slots` open slots,
+    /// empty, with `quarantined` (ascending, each once, nodes of the
+    /// cluster) carved out of each. [`GangMatrix::restore_block`] then
+    /// puts the live jobs back.
+    pub(crate) fn open(
+        nodes: u32,
+        mpl_max: usize,
+        slots: usize,
+        quarantined: &[u32],
+    ) -> Result<Self, String> {
+        if nodes == 0 || slots > mpl_max {
+            return Err(format!(
+                "{slots} open slots of at most {mpl_max} over {nodes} nodes"
+            ));
+        }
+        if let Some(&n) = quarantined.iter().find(|&&n| n >= nodes) {
+            return Err(format!("quarantined node {n} is outside the {nodes} nodes"));
+        }
+        if let Some(w) = quarantined.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "quarantined node {} is listed after node {}",
+                w[1], w[0]
+            ));
+        }
+        let quarantined: BTreeSet<u32> = quarantined.iter().copied().collect();
         Ok(GangMatrix {
             nodes,
-            mpl_max: state.mpl_max,
-            slots,
-            quarantined: state.quarantined.into_iter().collect(),
+            mpl_max,
+            slots: (0..slots).map(|_| Slot::new(nodes, &quarantined)).collect(),
+            quarantined,
         })
+    }
+
+    /// Put `job` back on `block` of `slot`, as a checkpoint restore does
+    /// for each live job in job-id order. The slot must be open, and the
+    /// block an aligned power-of-two range of the cluster that holds no
+    /// quarantined node and overlaps no block placed before it.
+    pub(crate) fn restore_block(
+        &mut self,
+        job: JobId,
+        slot: usize,
+        block: Range<u32>,
+    ) -> Result<(), String> {
+        let nodes = self.nodes;
+        if block.is_empty() || block.end > nodes {
+            return Err(format!(
+                "nodes {block:?} are not a range of the {nodes} nodes"
+            ));
+        }
+        let len = block.end - block.start;
+        if !len.is_power_of_two() || !block.start.is_multiple_of(len) {
+            return Err(format!(
+                "nodes {block:?} are not an aligned power-of-two block"
+            ));
+        }
+        if let Some(n) = self.quarantined.range(block.clone()).next() {
+            return Err(format!("nodes {block:?} hold quarantined node {n}"));
+        }
+        let open = self.slots.len();
+        let Some(s) = self.slots.get_mut(slot) else {
+            return Err(format!("slot {slot} is not one of the {open} open slots"));
+        };
+        if !s.buddy.carve(block.start, len.trailing_zeros()) {
+            return Err(format!(
+                "nodes {block:?} overlap another job's block in slot {slot}"
+            ));
+        }
+        s.insert(job, block);
+        Ok(())
     }
 
     /// Check the matrix against its slots' buddy trees. Each tree
@@ -400,7 +442,7 @@ impl GangMatrix {
     }
 }
 
-/// Serializable image of a [`GangMatrix`], produced by
+/// The contents of a [`GangMatrix`], produced by
 /// [`GangMatrix::export_state`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixState {
@@ -408,19 +450,10 @@ pub struct MatrixState {
     pub nodes: u32,
     /// Maximum multiprogramming level.
     pub mpl_max: usize,
-    /// Open slots in slot order.
-    pub slots: Vec<SlotState>,
+    /// Each open slot's jobs, sorted by id, in slot order.
+    pub slots: Vec<Vec<(JobId, Range<u32>)>>,
     /// Nodes quarantined out of every slot, ascending.
     pub quarantined: Vec<u32>,
-}
-
-/// One checkpointed matrix slot: its allocator image plus the job rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotState {
-    /// The slot's buddy-allocator image.
-    pub buddy: crate::buddy::BuddyState,
-    /// Jobs in the slot, sorted by id.
-    pub jobs: Vec<(JobId, Range<u32>)>,
 }
 
 #[cfg(test)]
@@ -560,6 +593,66 @@ mod tests {
         let (_, r) = m.place(j(1), 8).unwrap();
         assert_eq!(r, 0..8);
         assert_eq!(m.quarantined_nodes().count(), 0);
+    }
+
+    #[test]
+    fn quarantine_safety_catches_a_desynced_set() {
+        let mut m = GangMatrix::new(8, 2);
+        m.place(j(1), 2).unwrap();
+        // The matrix's set names node 2; slot 0's buddy tree does not.
+        m.quarantined.insert(2);
+        let e = m.check_invariants().unwrap_err();
+        assert_eq!(e.check, "quarantine_safety");
+        assert!(e.detail.contains("slot 0: the buddy quarantines []"), "{e}");
+    }
+
+    #[test]
+    fn restore_rebuilds_the_blocks_and_refuses_misfits() {
+        let mut live = GangMatrix::new(8, 2);
+        // Slot 0: job 1 on 0..2, job 2 on 4..8; slot 1: job 5 on 4..8;
+        // node 3 quarantined.
+        live.place(j(1), 2).unwrap();
+        live.place(j(2), 4).unwrap();
+        live.place(j(3), 8).unwrap();
+        live.remove(j(3)).unwrap();
+        assert!(live.quarantine_node(3));
+        assert_eq!(live.place(j(5), 4), Some((1, 4..8)));
+        let state = live.export_state();
+        let mut m = GangMatrix::open(8, 2, state.slots.len(), &state.quarantined).unwrap();
+        let mut blocks: Vec<(JobId, usize, Range<u32>)> = (0..)
+            .zip(&state.slots)
+            .flat_map(|(slot, jobs)| jobs.iter().map(move |(job, r)| (*job, slot, r.clone())))
+            .collect();
+        blocks.sort_by_key(|b| b.0);
+        for (job, slot, r) in blocks {
+            m.restore_block(job, slot, r).unwrap();
+        }
+        assert_eq!(m.export_state(), state);
+        m.check_invariants().unwrap();
+        // Same free lists: the next placements land where the live ones do.
+        for (job, need) in [(4, 1), (5, 2), (6, 1)] {
+            assert_eq!(m.place(j(job), need), live.place(j(job), need));
+        }
+
+        assert!(GangMatrix::open(8, 2, 3, &[]).is_err(), "above mpl_max");
+        assert!(GangMatrix::open(8, 2, 1, &[8]).is_err(), "outside");
+        assert!(GangMatrix::open(8, 2, 1, &[3, 3]).is_err(), "twice");
+        assert!(GangMatrix::open(8, 2, 1, &[5, 3]).is_err(), "descending");
+        let mut m = GangMatrix::open(8, 2, 1, &[5]).unwrap();
+        for (slot, block, why) in [
+            (1, 0..2, "not one of the 1 open slots"),
+            (0, 1..3, "not an aligned power-of-two block"),
+            (0, 0..3, "not an aligned power-of-two block"),
+            (0, 4..8, "hold quarantined node 5"),
+            (0, 6..10, "not a range of the 8 nodes"),
+        ] {
+            let e = m.restore_block(j(1), slot, block.clone()).unwrap_err();
+            assert!(e.contains(why), "{block:?}: {e}");
+        }
+        m.restore_block(j(1), 0, 0..4).unwrap();
+        let e = m.restore_block(j(2), 0, 2..4).unwrap_err();
+        assert!(e.contains("overlap another job's block in slot 0"), "{e}");
+        m.check_invariants().unwrap();
     }
 
     #[test]

@@ -41,62 +41,6 @@ const REPL_CKPT_BYTES: u64 = 4096;
 /// overflowing or parking a retry past any plausible horizon.
 const MAX_REQUEUE_DELAY: SimSpan = SimSpan::from_secs(60);
 
-/// Detected-failed nodes as a dense flag array with a live count: the
-/// per-round membership tests and the ascending-order candidate scan are
-/// cache-linear, and — unlike a hash set — iteration order is the node
-/// order itself, no collect-and-sort.
-#[derive(Debug, Default)]
-struct DetectedSet {
-    flags: Vec<bool>,
-    count: u32,
-}
-
-impl DetectedSet {
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    fn contains(&self, node: u32) -> bool {
-        self.flags.get(node as usize).copied().unwrap_or(false)
-    }
-
-    /// Mark `node` detected; `true` when newly inserted.
-    fn insert(&mut self, node: u32) -> bool {
-        let ix = node as usize;
-        if self.flags.len() <= ix {
-            self.flags.resize(ix + 1, false);
-        }
-        if self.flags[ix] {
-            return false;
-        }
-        self.flags[ix] = true;
-        self.count += 1;
-        true
-    }
-
-    fn remove(&mut self, node: u32) {
-        let ix = node as usize;
-        if ix < self.flags.len() && self.flags[ix] {
-            self.flags[ix] = false;
-            self.count -= 1;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.flags.clear();
-        self.count = 0;
-    }
-
-    /// Detected nodes in ascending node order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.flags
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| f)
-            .map(|(n, _)| n as u32)
-    }
-}
-
 /// The Machine Manager dæmon.
 #[derive(Debug, Default)]
 pub struct MachineManager {
@@ -107,12 +51,10 @@ pub struct MachineManager {
     /// far tick left in the queue when a mid-gap message re-densifies an
     /// idle fast-forward leap.
     last_tick_at: Option<SimTime>,
-    /// Nodes whose failure has been detected by the heartbeat protocol.
-    detected_failed: DetectedSet,
-    /// This replica's rank (0 = the primary).
+    /// This replica's rank (0 = the primary). Its role is
+    /// `World::mm_roles[rank]`; the nodes it has detected failed are the
+    /// gang matrix's quarantine set.
     rank: u32,
-    /// Current role: the primary starts Active, the rest Standby.
-    role: MmRole,
     /// The epoch this replica believes is current. Bumped on promotion and
     /// fenced into every node's global memory so stale-epoch multicasts
     /// are rejected.
@@ -133,14 +75,8 @@ impl MachineManager {
     pub fn standby(rank: u32) -> Self {
         MachineManager {
             rank,
-            role: MmRole::Standby,
             ..MachineManager::default()
         }
-    }
-
-    /// Ticks issued so far.
-    pub fn tick_count(&self) -> u64 {
-        self.ticks
     }
 
     /// Ticks are the MM's *heartbeat*: they fire every
@@ -265,9 +201,7 @@ impl MachineManager {
     fn live_standbys(&self, ctx: &Context<'_, World, Msg>) -> Vec<storm_sim::ComponentId> {
         let w = ctx.world_ref();
         (0..w.mm_roles.len())
-            .filter(|&r| {
-                r as u32 != self.rank && w.mm_roles[r] == MmRole::Standby && !w.mm_failed[r]
-            })
+            .filter(|&r| r as u32 != self.rank && w.mm_roles[r] == MmRole::Standby)
             .map(|r| w.wiring.mms[r])
             .collect()
     }
@@ -344,14 +278,10 @@ impl MachineManager {
     /// still trampolines).
     fn die(&mut self, ctx: &mut Context<'_, World, Msg>) {
         let now = ctx.now();
-        self.role = MmRole::Failed;
         let r = self.rank as usize;
         let w = ctx.world();
-        w.mm_failed[r] = true;
         w.mm_failed_at[r] = Some(now);
-        if r < w.mm_roles.len() {
-            w.mm_roles[r] = MmRole::Failed;
-        }
+        w.mm_roles[r] = MmRole::Failed;
         w.metric_inc("mm.replica_failures");
         ctx.trace("mm.replica_failed", || format!("rank {}", self.rank));
     }
@@ -376,8 +306,8 @@ impl MachineManager {
         let silent = now.since(last) > beat_period;
         let successor = {
             let w = ctx.world_ref();
-            (0..w.mm_failed.len())
-                .find(|&r| !w.mm_failed[r])
+            (0..w.mm_roles.len())
+                .find(|&r| w.mm_roles[r] != MmRole::Failed)
                 .map(|r| r as u32)
         };
         if silent && successor == Some(self.rank) {
@@ -397,11 +327,9 @@ impl MachineManager {
     /// heartbeat-round cadence continues exactly where the old MM left it.
     fn promote(&mut self, ctx: &mut Context<'_, World, Msg>) {
         let now = ctx.now();
-        let self_id = ctx.self_id();
         let old_active = ctx.world_ref().mm_active_rank as usize;
         let epoch = ctx.world_ref().mm_epoch + 1;
         self.epoch = epoch;
-        self.role = MmRole::Active;
         self.beats_sent = 0;
         let adopted = ctx.world_ref().mm_replicas[self.rank as usize]
             .state
@@ -411,17 +339,9 @@ impl MachineManager {
             w.mm_epoch = epoch;
             w.mm_active_rank = self.rank;
             w.mm_roles[self.rank as usize] = MmRole::Active;
-            w.wiring.mm = Some(self_id);
             w.mm_core = adopted;
             w.repl.promotions += 1;
             w.repl.failovers.push((self.rank, now));
-        }
-        // The matrix's quarantine set is ground truth for the allocator;
-        // adopt it (the repl_consistency check separately verifies the
-        // replicated mirror agrees).
-        self.detected_failed.clear();
-        for n in ctx.world_ref().matrix.quarantined_nodes() {
-            self.detected_failed.insert(n);
         }
         // Epoch fence: one CAW writes the new epoch into every node's
         // memory (condition `old ≥ 0` always holds — the write is the
@@ -562,7 +482,7 @@ impl MachineManager {
             // Submissions landing on a standby are trampolined to the
             // active MM (a client may address any replica).
             Msg::Submit(_) | Msg::Kill(_) => {
-                let target = ctx.world_ref().wiring.mm.expect("MM wired");
+                let target = ctx.world_ref().active_mm();
                 if target != ctx.self_id() {
                     let now = ctx.now();
                     ctx.send_at(target, now, msg);
@@ -578,22 +498,20 @@ impl MachineManager {
     fn handle_failed(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
         match msg {
             Msg::Submit(_) | Msg::Kill(_) => {
-                let target = ctx.world_ref().wiring.mm;
-                match target {
-                    Some(mm) if mm != ctx.self_id() => {
-                        let now = ctx.now();
-                        ctx.send_at(mm, now, msg);
-                    }
-                    _ => {
-                        // Still the registered active (no successor yet):
-                        // hold the message unless every replica is dead.
-                        if ctx.world_ref().mm_failed.iter().all(|&f| f) {
-                            return;
-                        }
-                        let period = ctx.world_ref().cfg.collect_period();
-                        ctx.send_self(period, msg);
-                    }
+                let target = ctx.world_ref().active_mm();
+                if target != ctx.self_id() {
+                    let now = ctx.now();
+                    ctx.send_at(target, now, msg);
+                    return;
                 }
+                // Still the registered active (no successor yet): hold the
+                // message unless every replica is dead.
+                let w = ctx.world_ref();
+                if w.mm_roles.iter().all(|&r| r == MmRole::Failed) {
+                    return;
+                }
+                let period = w.cfg.collect_period();
+                ctx.send_self(period, msg);
             }
             _ => {} // dead: drop ticks, reports, timers, replication
         }
@@ -1119,10 +1037,9 @@ impl MachineManager {
                 ReportKind::Started => {
                     let node_count = ctx.world_ref().job(job).alloc().active_node_count();
                     let rec = ctx.world().job_mut(job);
-                    if rec.reported_started.insert(node) {
-                        rec.start_reports += 1;
-                    }
-                    if rec.state == JobState::Launching && rec.start_reports >= node_count {
+                    rec.reported_started.insert(node);
+                    let all_started = rec.reported_started.len() >= node_count;
+                    if rec.state == JobState::Launching && all_started {
                         rec.state = JobState::Running;
                         if rec.metrics.started.is_none() {
                             rec.metrics.started = Some(now);
@@ -1134,12 +1051,11 @@ impl MachineManager {
                     let finished = {
                         let rec = ctx.world().job_mut(job);
                         if rec.reported_done.insert(node) {
-                            rec.done_reports += 1;
                             rec.app_done_max = Some(match rec.app_done_max {
                                 Some(prev) => prev.max(app_done),
                                 None => app_done,
                             });
-                            rec.done_reports >= node_count
+                            rec.reported_done.len() >= node_count
                         } else {
                             false
                         }
@@ -1232,15 +1148,15 @@ impl MachineManager {
         // Re-admission scan: heartbeats keep being multicast to the whole
         // machine, so a node that came back (or whose dæmon stall ended)
         // catches up on the round counter in a single beat — when its value
-        // reaches the current round, it rejoins the allocator.
-        if round > 0 && !self.detected_failed.is_empty() {
-            // Dense-flag iteration is already in ascending node order.
-            let candidates: Vec<u32> = self.detected_failed.iter().collect();
+        // reaches the current round, it rejoins the allocator. The nodes
+        // detected failed are the matrix's quarantine set, in ascending
+        // node order.
+        if round > 0 && ctx.world_ref().matrix.quarantined_count() > 0 {
+            let candidates: Vec<u32> = ctx.world_ref().matrix.quarantined_nodes().collect();
             let cand_set = NodeSet::from_list(candidates.iter().map(|&n| NodeId(n)).collect());
             let values = ctx.world_ref().mech.memory.gather(&cand_set, hb_var);
             for (&node, v) in candidates.iter().zip(values) {
                 if v >= round {
-                    self.detected_failed.remove(node);
                     let w = ctx.world();
                     let ok = w.matrix.rejoin_node(node);
                     debug_assert!(ok, "re-admitted node must have been quarantined");
@@ -1254,16 +1170,22 @@ impl MachineManager {
             }
         }
         // The common case — no detected failures — needs no list at all;
-        // `All` iterates the same members in the same order.
-        let alive_set = if self.detected_failed.is_empty() {
-            NodeSet::All(nodes)
-        } else {
-            NodeSet::from_list(
-                (0..nodes)
-                    .filter(|&n| !self.detected_failed.contains(n))
-                    .map(NodeId)
-                    .collect(),
-            )
+        // `All` iterates the same members in the same order. Otherwise
+        // both the nodes and the quarantine set ascend, so one merge pass
+        // skips the quarantined nodes.
+        let alive_set = {
+            let matrix = &ctx.world_ref().matrix;
+            if matrix.quarantined_count() == 0 {
+                NodeSet::All(nodes)
+            } else {
+                let mut quarantined = matrix.quarantined_nodes().peekable();
+                NodeSet::from_list(
+                    (0..nodes)
+                        .filter(|&n| quarantined.next_if_eq(&n).is_none())
+                        .map(NodeId)
+                        .collect(),
+                )
+            }
         };
         if round > 0 && !alive_set.is_empty() {
             // Query receipt of the previous round's heartbeat with
@@ -1299,7 +1221,7 @@ impl MachineManager {
                         .map(|(n, _)| n.0)
                         .collect();
                     for node in lagging {
-                        if self.detected_failed.insert(node) {
+                        if !ctx.world_ref().matrix.is_quarantined(node) {
                             {
                                 let w = ctx.world();
                                 w.stats.failures_detected.push((node, now));
@@ -1396,7 +1318,7 @@ impl MachineManager {
                     max_retries,
                     backoff,
                 } => {
-                    if ctx.world_ref().job(job).retries < max_retries {
+                    if ctx.world_ref().job(job).attempt < max_retries {
                         self.requeue_job(job, now, backoff, ctx);
                     } else {
                         ctx.world().metric_inc("jobs.retry_budget_exhausted");
@@ -1431,7 +1353,7 @@ impl MachineManager {
             rec.reset_for_retry();
             w.stats.requeues += 1;
             w.metric_inc("jobs.requeued");
-            w.job(job).retries
+            w.job(job).attempt
         };
         ctx.trace("mm.requeue", || format!("{job} retry {retry_no}"));
         let fire_at = now + Self::requeue_delay(backoff, retry_no);
@@ -1475,7 +1397,7 @@ impl MachineManager {
 
 impl Component<World, Msg> for MachineManager {
     fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
-        match self.role {
+        match ctx.world_ref().mm_roles[self.rank as usize] {
             MmRole::Active => {}
             MmRole::Standby => return self.handle_standby(msg, ctx),
             MmRole::Failed => return self.handle_failed(msg, ctx),
@@ -1661,11 +1583,8 @@ impl Component<World, Msg> for MachineManager {
     }
 }
 
-/// A machine manager's private state, exported for checkpointing.
-///
-/// Every field of [`MachineManager`] is represented; `detected_failed` is
-/// flattened to the ascending node list (the dense flag array is rebuilt
-/// on import).
+/// A machine manager's private state, exported for checkpointing: every
+/// field of [`MachineManager`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MmState {
     /// Whether a `Tick` is in flight.
@@ -1676,12 +1595,8 @@ pub struct MmState {
     pub ticks: u64,
     /// Instant of the last executed tick.
     pub last_tick_at: Option<SimTime>,
-    /// Detected-failed nodes in ascending order.
-    pub detected_failed: Vec<u32>,
     /// Replica rank (0 = primary).
     pub rank: u32,
-    /// Current replica role.
-    pub role: MmRole,
     /// The epoch this replica believes is current.
     pub epoch: u64,
     /// When this standby last heard a liveness beat.
@@ -1698,9 +1613,7 @@ impl MachineManager {
             pending_reports: self.pending_reports.clone(),
             ticks: self.ticks,
             last_tick_at: self.last_tick_at,
-            detected_failed: self.detected_failed.iter().collect(),
             rank: self.rank,
-            role: self.role,
             epoch: self.epoch,
             last_beat_seen: self.last_beat_seen,
             beats_sent: self.beats_sent,
@@ -1709,18 +1622,12 @@ impl MachineManager {
 
     /// Rebuild a dæmon from a checkpointed [`MmState`].
     pub fn import_state(state: MmState) -> Self {
-        let mut detected_failed = DetectedSet::default();
-        for node in state.detected_failed {
-            detected_failed.insert(node);
-        }
         MachineManager {
             tick_scheduled: state.tick_scheduled,
             pending_reports: state.pending_reports,
             ticks: state.ticks,
             last_tick_at: state.last_tick_at,
-            detected_failed,
             rank: state.rank,
-            role: state.role,
             epoch: state.epoch,
             last_beat_seen: state.last_beat_seen,
             beats_sent: state.beats_sent,

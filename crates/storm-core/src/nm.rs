@@ -47,8 +47,8 @@ struct LocalJob {
 /// One Node Manager dæmon.
 #[derive(Debug)]
 pub struct NodeManager {
+    /// This NM's node. Whether the node is failed is `World::nodes`.
     node: u32,
-    failed: bool,
     /// Management-CPU queue (strobe/command processing).
     busy_until: SimTime,
     /// Local filesystem write device.
@@ -76,7 +76,6 @@ impl NodeManager {
     pub fn new(node: u32) -> Self {
         NodeManager {
             node,
-            failed: false,
             busy_until: SimTime::ZERO,
             write_free: SimTime::ZERO,
             current_slot: 0,
@@ -159,29 +158,9 @@ impl NodeManager {
         if m == 0 {
             return;
         }
-        let qsnet = ctx.world_ref().qsnet;
-        let load = ctx.world_ref().cfg.load;
         let q_local = ctx.world_ref().cfg.daemon.ics_local_quantum;
         let miss = (m as f64 - 1.0) / m as f64;
         let penalty = q_local.mul_f64(0.5 * miss);
-        let comm = move |bytes: u64| -> SimSpan {
-            if bytes == 0 {
-                SimSpan::ZERO
-            } else {
-                let base = qsnet.ptp_span(bytes);
-                let stretched = if load.network > 0.0 {
-                    let data = SimSpan::for_bytes(bytes, qsnet.params.link_bw);
-                    base.saturating_sub(data)
-                        + SimSpan::for_bytes(
-                            bytes,
-                            load.effective_bw(qsnet.params.link_bw).max(1.0),
-                        )
-                } else {
-                    base
-                };
-                stretched + penalty
-            }
-        };
         // `local` is sorted by job id, so this walks the same order the
         // old collect-and-sort did; nothing in the loop body adds or
         // removes entries, so plain indexing is safe.
@@ -208,10 +187,17 @@ impl NodeManager {
                 if grant.is_zero() {
                     continue;
                 }
-                let workload = &ctx.world_ref().job(job).workload;
-                if workload.steps().is_empty() && !workload.is_endless() {
+                let w = ctx.world_ref();
+                let workload = &w.job(job).workload;
+                if workload.is_empty() {
                     continue;
                 }
+                // A message costs what it costs under gang scheduling, plus
+                // the spin-block wait for a descheduled peer.
+                let comm = |bytes| match bytes {
+                    0 => SimSpan::ZERO,
+                    _ => w.comm_span(bytes) + penalty,
+                };
                 let used = local.cursor.advance(workload, grant, comm);
                 if local.cursor.finished(workload) {
                     local.done = true;
@@ -248,26 +234,6 @@ impl NodeManager {
         } else {
             SimSpan::ZERO
         };
-        // Copy what the comm closure needs before borrowing jobs mutably.
-        let qsnet = ctx.world_ref().qsnet;
-        let load = ctx.world_ref().cfg.load;
-        let comm = move |bytes: u64| -> SimSpan {
-            if bytes == 0 {
-                SimSpan::ZERO
-            } else {
-                let base = qsnet.ptp_span(bytes);
-                if load.network > 0.0 {
-                    let data = SimSpan::for_bytes(bytes, qsnet.params.link_bw);
-                    base.saturating_sub(data)
-                        + SimSpan::for_bytes(
-                            bytes,
-                            load.effective_bw(qsnet.params.link_bw).max(1.0),
-                        )
-                } else {
-                    base
-                }
-            }
-        };
         let last_strobe = self.last_strobe;
         // Index into the matrix's slot list instead of copying it: the loop
         // body never edits slot membership, so the indices stay stable.
@@ -295,11 +261,14 @@ impl NodeManager {
                 if grant.is_zero() {
                     continue;
                 }
-                let workload = &ctx.world_ref().job(job).workload;
-                if workload.steps().is_empty() && !workload.is_endless() {
+                let w = ctx.world_ref();
+                let workload = &w.job(job).workload;
+                if workload.is_empty() {
                     continue; // do-nothing jobs terminate through the PL path
                 }
-                let used = local.cursor.advance(workload, grant, comm);
+                let used = local
+                    .cursor
+                    .advance(workload, grant, |bytes| w.comm_span(bytes));
                 if local.cursor.finished(workload) {
                     local.done = true;
                     let exit_at = from + overhead + used;
@@ -318,7 +287,9 @@ impl NodeManager {
 
 impl Component<World, Msg> for NodeManager {
     fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
-        if self.failed && !matches!(msg, Msg::FailNode | Msg::RejoinNode) {
+        if ctx.world_ref().nodes.is_failed(self.node)
+            && !matches!(msg, Msg::FailNode | Msg::RejoinNode)
+        {
             return; // a dead node answers nothing
         }
         if let Some(until) = self.stalled_until {
@@ -335,7 +306,6 @@ impl Component<World, Msg> for NodeManager {
         }
         match msg {
             Msg::FailNode => {
-                self.failed = true;
                 // Everything resident on the node dies with it.
                 self.local.clear();
                 self.pending_reports.clear();
@@ -345,11 +315,10 @@ impl Component<World, Msg> for NodeManager {
                 ctx.world().nodes.mark_failed(self.node, now);
             }
             Msg::RejoinNode => {
-                if !self.failed {
+                if !ctx.world_ref().nodes.is_failed(self.node) {
                     return; // spurious revival of a live node
                 }
                 let now = ctx.now();
-                self.failed = false;
                 self.local.clear();
                 self.pending_reports.clear();
                 self.flush_scheduled = false;
@@ -434,13 +403,22 @@ impl Component<World, Msg> for NodeManager {
                 if ranks_here == 0 {
                     return;
                 }
-                // Forget the jobs this node has finished and the MM has
-                // completed: nothing still in flight addresses them, so the
-                // table tracks live jobs. A not-done entry stays — a fork
-                // or exit of a killed incarnation may still report to it.
+                // Forget the entries of jobs the MM has finished that
+                // nothing in flight can reach, so the table tracks live
+                // jobs: those done here, and those of the job's last
+                // incarnation whose forks have all reported, unless its
+                // workload is the empty one (its PLs report each exit).
+                // Any other entry of a finished job stays: a fork or exit
+                // still in flight reports to it.
                 let w = ctx.world_ref();
-                self.local
-                    .retain(|&(j, ref l)| !(l.done && w.job(j).state.is_terminal()));
+                self.local.retain(|&(j, ref l)| {
+                    let rec = w.job(j);
+                    let settled = l.done
+                        || (l.attempt == rec.attempt
+                            && l.forked == l.ranks
+                            && !rec.workload.is_empty());
+                    !(rec.state.is_terminal() && settled)
+                });
                 self.local_insert(
                     job,
                     LocalJob {
@@ -565,7 +543,7 @@ impl Component<World, Msg> for NodeManager {
                 let (mm, qsnet, load, os_mean) = {
                     let w = ctx.world_ref();
                     (
-                        w.wiring.mm.expect("MM not wired"),
+                        w.active_mm(),
                         w.qsnet,
                         w.cfg.load,
                         w.cfg.daemon.os_delay_mean,
@@ -665,8 +643,6 @@ pub struct NmLocalJobState {
 pub struct NmState {
     /// Node index.
     pub node: u32,
-    /// Whether the node is dead.
-    pub failed: bool,
     /// Management-CPU busy horizon.
     pub busy_until: SimTime,
     /// Local filesystem write device horizon.
@@ -692,7 +668,6 @@ impl NodeManager {
     pub fn export_state(&self) -> NmState {
         NmState {
             node: self.node,
-            failed: self.failed,
             busy_until: self.busy_until,
             write_free: self.write_free,
             current_slot: self.current_slot,
@@ -727,7 +702,6 @@ impl NodeManager {
     pub fn import_state(state: NmState) -> Self {
         NodeManager {
             node: state.node,
-            failed: state.failed,
             busy_until: state.busy_until,
             write_free: state.write_free,
             current_slot: state.current_slot,
@@ -755,6 +729,48 @@ impl NodeManager {
             pending_reports: state.pending_reports,
             flush_scheduled: state.flush_scheduled,
             stalled_until: state.stalled_until,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::NodeManager;
+    use crate::cluster::Cluster;
+    use crate::config::ClusterConfig;
+    use crate::job::{JobSpec, JobState};
+    use storm_apps::AppSpec;
+    use storm_sim::SimSpan;
+
+    /// Resident entries per NM.
+    fn resident(c: &Cluster) -> Vec<usize> {
+        let sim = c.sim();
+        (sim.world().wiring.nms.iter())
+            .map(|&id| {
+                let nm = sim.component(id).as_any().and_then(|a| a.downcast_ref());
+                let nm: &NodeManager = nm.expect("an NM is wired at each node");
+                nm.local.len()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn killed_hogs_leave_no_resident_entries_behind() {
+        let mut c = Cluster::new(ClusterConfig::paper_cluster().with_nodes(8));
+        let mpl_max = c.world().cfg.mpl_max;
+        for _ in 0..3 * mpl_max {
+            // A spin loop on every CPU of the machine, killed once running.
+            let hog = c.submit(JobSpec::new(AppSpec::SpinLoop, 32));
+            let deadline = c.now() + SimSpan::from_secs(1);
+            while c.job(hog).state != JobState::Running {
+                assert!(c.now() < deadline, "hog never started");
+                c.run_until(c.now() + SimSpan::from_millis(1));
+            }
+            let tables = resident(&c);
+            assert!(tables.iter().all(|&n| n <= mpl_max), "{tables:?}");
+            c.kill_at(c.now(), hog);
+            c.run_until(c.now() + SimSpan::from_millis(5));
+            assert_eq!(c.job(hog).state, JobState::Killed);
         }
     }
 }

@@ -67,9 +67,7 @@ impl Component<World, Msg> for ProgramLauncher {
                 // notices after `exit_detect` and notifies its NM. Jobs with
                 // real work terminate through the NM's scheduling path
                 // instead.
-                let empty = ctx.world_ref().job(job).workload.steps().is_empty()
-                    && !ctx.world_ref().job(job).workload.is_endless();
-                if empty {
+                if ctx.world_ref().job(job).workload.is_empty() {
                     let detect = load.inflate(costs.exit_detect);
                     ctx.send(
                         nm,

@@ -16,9 +16,8 @@ use storm_telemetry::Telemetry;
 /// Component wiring: where each dæmon lives in the simulation.
 #[derive(Debug, Clone, Default)]
 pub struct Wiring {
-    /// The *currently active* Machine Manager (repointed on failover).
-    pub mm: Option<ComponentId>,
-    /// Every MM replica, indexed by rank; `mms[0]` is the primary.
+    /// Every MM replica, indexed by rank; `mms[0]` is the primary. The
+    /// active one is `mms[World::mm_active_rank]` ([`World::active_mm`]).
     pub mms: Vec<ComponentId>,
     /// One Node Manager per node.
     pub nms: Vec<ComponentId>,
@@ -60,8 +59,11 @@ impl Wiring {
 }
 
 /// Struct-of-arrays per-node health state: failure flags and failure
-/// instants in parallel dense arrays keyed by node index. Quarantine is
-/// not here: the gang matrix owns it (see [`GangMatrix::is_quarantined`]).
+/// instants in parallel dense arrays keyed by node index. It is the one
+/// record of node failure: each NM's `FailNode` and `RejoinNode` handlers
+/// write their row, and the NM reads it to decide whether it answers.
+/// Quarantine is not here: the gang matrix owns it (see
+/// [`GangMatrix::is_quarantined`]).
 #[derive(Debug, Clone)]
 pub struct NodeTable {
     failed: Vec<bool>,
@@ -183,10 +185,10 @@ pub struct World {
     pub mm_core: MmCoreState,
     /// Per-rank standby replica state (entry 0, the primary, is unused).
     pub mm_replicas: Vec<ReplicaState>,
-    /// Per-rank MM roles. Always length `mm_standbys + 1`.
+    /// Per-rank MM roles, the one record of MM membership: a replica is
+    /// dead exactly when its role is `Failed`. Always length
+    /// `mm_standbys + 1`.
     pub mm_roles: Vec<MmRole>,
-    /// Per-rank MM failure flags (injected `MmFail`).
-    pub mm_failed: Vec<bool>,
     /// When each MM replica's failure was injected.
     pub mm_failed_at: Vec<Option<SimTime>>,
     /// Rank of the currently active MM.
@@ -280,7 +282,6 @@ impl World {
                 r.extend((0..cfg.mm_standbys).map(|_| MmRole::Standby));
                 r
             },
-            mm_failed: vec![false; cfg.mm_standbys as usize + 1],
             mm_failed_at: vec![None; cfg.mm_standbys as usize + 1],
             mm_active_rank: 0,
             mm_epoch: 0,
@@ -418,6 +419,12 @@ impl World {
         self.cq.evaluate(&sample, &mut self.telemetry.metrics);
     }
 
+    /// The active Machine Manager's component: where NM reports and
+    /// client submissions go.
+    pub fn active_mm(&self) -> ComponentId {
+        self.wiring.mms[self.mm_active_rank as usize]
+    }
+
     /// Is MM replication configured (any standby replicas)?
     pub fn repl_enabled(&self) -> bool {
         self.cfg.mm_standbys > 0
@@ -515,8 +522,8 @@ mod tests {
         assert_eq!(a, JobId(0));
         assert_eq!(b, JobId(1));
         assert_eq!(w.job(b).spec.ranks, 8);
-        w.job_mut(a).start_reports = 3;
-        assert_eq!(w.job(a).start_reports, 3);
+        w.job_mut(a).attempt = 3;
+        assert_eq!(w.job(a).attempt, 3);
         assert!(!w.is_idle());
     }
 

@@ -5,7 +5,7 @@
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v6.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v7.json");
 
 /// The value at a dotted path of object keys and array indices.
 fn at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
@@ -241,60 +241,81 @@ fn an_allocation_outside_the_cluster_or_empty_is_refused() {
 }
 
 #[test]
-fn an_allocation_off_its_cpus_or_its_matrix_placement_is_refused() {
+fn an_allocation_off_its_cpus_is_refused() {
     for rpn in [0, 5, 99_999] {
         refused(
             set("world.jobs.0.allocation.ranks_per_node", num(rpn)),
             &format!("world.jobs[0].allocation.ranks_per_node: {rpn} is outside 1..=4"),
         );
     }
-    refused(
-        set("world.jobs.1.allocation.nodes_end", num(4)),
-        "world.jobs[1]: the matrix places it at slot 0, nodes 0..2 but its live allocation \
-         is slot 0, nodes 0..4",
-    );
+}
+
+// The matrix image holds only the open slot count and the quarantine set;
+// restore carves each live record's allocation back into its slot.
+
+#[test]
+fn a_live_block_that_does_not_fit_is_refused() {
     refused(
         set("world.jobs.1.allocation.slot", num(1)),
-        "its live allocation is slot 1, nodes 0..2",
+        "world.jobs[1].allocation: slot 1 is not one of the 1 open slots",
     );
-    // A finished job keeps its allocation but leaves the matrix.
     refused(
-        set("world.jobs.1.state", Value::Str("completed".into())),
-        "world.jobs[1]: the matrix places it at slot 0, nodes 0..2 but its live allocation \
-         is none",
+        set("world.matrix.slots", num(0)),
+        "world.jobs[0].allocation: slot 0 is not one of the 0 open slots",
     );
-}
-
-#[test]
-fn a_slot_member_with_no_job_record_is_refused() {
-    refused(
-        set("world.matrix.slots.0.jobs.1.0", num(7)),
-        "world.matrix: slot 0 places job 7, which has no record",
-    );
-}
-
-#[test]
-fn a_placement_off_its_buddy_tree_is_refused() {
-    // Job 1 moved to nodes 2..4 in the matrix and in its record alike:
-    // the two agree, but slot 0's buddy tree still allocates 0..2.
     refused(
         |doc| {
-            set("world.matrix.slots.0.jobs.1.1", num(2))(doc);
-            set("world.matrix.slots.0.jobs.1.2", num(4))(doc);
-            set("world.jobs.1.allocation.nodes_start", num(2))(doc);
-            set("world.jobs.1.allocation.nodes_end", num(4))(doc);
+            set("world.jobs.1.allocation.nodes_start", num(1))(doc);
+            set("world.jobs.1.allocation.nodes_end", num(3))(doc);
         },
-        "matrix_consistency: world.matrix: slot 0: placements [2..4, 4..8] are not the buddy \
-         allocations [0..2, 4..8]",
+        "world.jobs[1].allocation: nodes 1..3 are not an aligned power-of-two block",
+    );
+    refused(
+        set("world.jobs.1.allocation.nodes_end", num(3)),
+        "world.jobs[1].allocation: nodes 0..3 are not an aligned power-of-two block",
+    );
+    // Job 0 holds 4..8 and is carved first.
+    refused(
+        |doc| {
+            set("world.jobs.1.allocation.nodes_start", num(4))(doc);
+            set("world.jobs.1.allocation.nodes_end", num(6))(doc);
+        },
+        "world.jobs[1].allocation: nodes 4..6 overlap another job's block in slot 0",
     );
 }
 
 #[test]
-fn a_quarantine_the_buddy_trees_do_not_hold_is_refused() {
+fn a_quarantined_node_inside_a_live_block_is_refused() {
     refused(
-        set("world.matrix.quarantined", Value::Arr(vec![num(3)])),
-        "quarantine_safety: world.matrix: slot 0: the buddy quarantines [], the matrix {3}",
+        set("world.matrix.quarantined", Value::Arr(vec![num(5)])),
+        "world.jobs[0].allocation: nodes 4..8 hold quarantined node 5",
     );
+    // Node 3 is in no block: quarantining it is a consistent edit.
+    let mut doc = parse(FIXTURE).unwrap();
+    *at(&mut doc, "world.matrix.quarantined") = Value::Arr(vec![num(3)]);
+    let c = Cluster::restore(&render(&doc)).expect("node 3 is free in slot 0");
+    assert!(c.world().matrix.is_quarantined(3));
+}
+
+#[test]
+fn a_bad_quarantine_list_is_refused() {
+    let list = |nodes: &[u64]| Value::Arr(nodes.iter().map(|&n| num(n)).collect());
+    for (nodes, want) in [
+        (
+            &[8][..],
+            "world.matrix: quarantined node 8 is outside the 8 nodes",
+        ),
+        (
+            &[3, 3],
+            "world.matrix: quarantined node 3 is listed after node 3",
+        ),
+        (
+            &[3, 1],
+            "world.matrix: quarantined node 1 is listed after node 3",
+        ),
+    ] {
+        refused(set("world.matrix.quarantined", list(nodes)), want);
+    }
 }
 
 #[test]
@@ -344,12 +365,29 @@ fn a_per_node_table_of_the_wrong_length_is_refused() {
 #[test]
 fn a_per_replica_table_of_the_wrong_length_is_refused() {
     // The fixture runs a primary and two standbys.
-    for table in ["mm_replicas", "mm_roles", "mm_failed", "mm_failed_at"] {
+    for table in ["mm_replicas", "mm_roles", "mm_failed_at"] {
         refused(
             truncate(format!("world.{table}"), 2),
             &format!("shape: world.{table}: 2 entries for 3 MM replicas"),
         );
     }
+}
+
+#[test]
+fn an_active_rank_that_is_no_live_leader_is_refused() {
+    // Rank 0 failed and rank 1 took over in epoch 1; rank 2 stands by.
+    refused(
+        set("world.mm_active_rank", num(7)),
+        "shape: world.mm_active_rank: 7 for 3 MM replicas",
+    );
+    refused(
+        set("world.mm_roles.1", Value::Str("standby".into())),
+        "single_active_mm: world.mm_active_rank 1 is a standby in epoch 1",
+    );
+    refused(
+        set("world.mm_active_rank", num(2)),
+        "single_active_mm: rank 1 is Active but world.mm_active_rank is 2",
+    );
 }
 
 #[test]
@@ -471,16 +509,15 @@ fn truncated_checkpoints_are_refused() {
 }
 
 #[test]
-fn a_matrix_slot_that_does_not_replay_is_refused() {
-    refused(
-        set("world.matrix.slots.0.buddy.allocated.1.0", num(1)),
-        "world.matrix: slot 0: allocation (1, 2) does not replay",
-    );
-    refused(
-        set("world.matrix.slots.0.buddy.usable", num(7)),
-        "world.matrix: slot 0: 7 usable nodes of 8",
-    );
-    refused(set("world.matrix.nodes", num(7)), "-slot matrix");
+fn a_matrix_off_the_layout_is_refused_before_allocating() {
+    // The fixture's `mpl_max` is 2.
+    for slots in [3, u64::MAX] {
+        refused(
+            set("world.matrix.slots", num(slots)),
+            &format!("{slots}-slot matrix"),
+        );
+    }
+    refused(set("world.matrix.nodes", num(7)), "1-slot matrix");
 }
 
 #[test]

@@ -141,7 +141,7 @@ impl Oracle for SingleActiveMm {
 mod tests {
     use super::*;
     use storm_core::prelude::*;
-    use storm_core::{Cluster, GangMatrix};
+    use storm_core::Cluster;
 
     fn tiny() -> Cluster {
         Cluster::new(
@@ -186,22 +186,6 @@ mod tests {
         let mut suite = standard_suite();
         let v = check_all(&mut suite, c.world(), c.now()).expect("must fire");
         assert_eq!(v.oracle, "matrix_consistency");
-    }
-
-    #[test]
-    fn quarantine_safety_catches_a_desynced_flag() {
-        let mut c = tiny();
-        c.submit(JobSpec::new(AppSpec::do_nothing_mb(1), 4));
-        c.run_until(SimTime::from_millis(2));
-        // The matrix's set names node 2; slot 0's buddy tree does not.
-        c.with_world_mut(|w| {
-            let mut state = w.matrix.export_state();
-            state.quarantined.push(2);
-            w.matrix = GangMatrix::import_state(state).expect("imports");
-        });
-        let mut suite = standard_suite();
-        let v = check_all(&mut suite, c.world(), c.now()).expect("must fire");
-        assert_eq!(v.oracle, "quarantine_safety");
     }
 
     #[test]

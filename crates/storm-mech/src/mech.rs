@@ -204,24 +204,19 @@ impl FaultPlan {
         p
     }
 
-    /// True when the plan can never inject anything.
+    /// True when the plan can never inject anything. An inert plan
+    /// consumes no RNG anywhere in the mechanism layer, so a run with one
+    /// installed is bit-identical to a run with no plan at all; the
+    /// per-operation gates ([`FaultPlan::caw_can_drop`],
+    /// [`FaultPlan::xfer_error_prob_at`]) enforce it operation by
+    /// operation.
     pub fn is_inert(&self) -> bool {
         self.xfer_error_prob == 0.0 && self.caw_drop_prob == 0.0 && self.bursts.is_empty()
     }
 
-    /// Alias for [`FaultPlan::is_inert`] under the name the DST harness
-    /// uses: a *quiet* plan consumes no RNG anywhere in the mechanism
-    /// layer, so a run with one installed is bit-identical to a run with
-    /// no plan at all. The per-operation gates
-    /// ([`FaultPlan::caw_can_drop`], [`FaultPlan::xfer_error_prob_at`])
-    /// are what enforce it operation by operation.
-    pub fn is_quiet(&self) -> bool {
-        self.is_inert()
-    }
-
     /// True when a COMPARE-AND-WRITE issued now may be dropped — the exact
     /// gate [`Mechanisms::compare_and_write_faulty`] uses to decide
-    /// whether to consume RNG. A quiet plan never drops.
+    /// whether to consume RNG. An inert plan never drops.
     pub fn caw_can_drop(&self) -> bool {
         self.caw_drop_prob > 0.0
     }
@@ -806,7 +801,7 @@ mod tests {
     fn caw_drop_accounting_counts_lost_queries() {
         let mut m = Mechanisms::qsnet(8);
         m.fault.caw_drop_prob = 1.0;
-        assert!(!m.fault.is_quiet());
+        assert!(!m.fault.is_inert());
         let v = m.memory.alloc_var(0);
         let all = NodeSet::All(8);
         let mut r = rng();
@@ -863,22 +858,22 @@ mod tests {
 
     #[test]
     fn quiet_plan_gating_is_exact() {
-        // A quiet plan must consume no RNG: the next draw after a faulty
+        // An inert plan must consume no RNG: the next draw after a faulty
         // CAW equals the first draw of a fresh same-seed stream. A non-
-        // quiet plan must consume exactly one draw per query.
-        assert!(FaultPlan::default().is_quiet());
+        // inert plan must consume exactly one draw per query.
+        assert!(FaultPlan::default().is_inert());
         assert!(!FaultPlan {
             caw_drop_prob: 0.1,
             ..FaultPlan::default()
         }
-        .is_quiet());
+        .is_inert());
         assert!(!FaultPlan {
             xfer_error_prob: 0.1,
             ..FaultPlan::default()
         }
-        .is_quiet());
+        .is_inert());
         let mut m = Mechanisms::qsnet(4);
-        assert!(m.fault.is_quiet());
+        assert!(m.fault.is_inert());
         assert!(!m.fault.caw_can_drop());
         let v = m.memory.alloc_var(0);
         let all = NodeSet::All(4);
@@ -893,15 +888,15 @@ mod tests {
             BackgroundLoad::NONE,
             &mut used,
         );
-        assert!(res.is_some(), "a quiet plan never drops");
+        assert!(res.is_some(), "an inert plan never drops");
         assert_eq!(
             used.uniform(),
             rng().uniform(),
-            "quiet plan consumed RNG it must not touch"
+            "inert plan consumed RNG it must not touch"
         );
         // Flip the plan on: exactly one draw per query is consumed.
         m.fault.caw_drop_prob = 1e-9; // can drop, in principle
-        assert!(m.fault.caw_can_drop() && !m.fault.is_quiet());
+        assert!(m.fault.caw_can_drop() && !m.fault.is_inert());
         let mut used = rng();
         let res = m.compare_and_write_faulty(
             SimTime::ZERO,

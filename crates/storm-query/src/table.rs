@@ -48,14 +48,6 @@ impl Datum {
         }
     }
 
-    /// The cell as an instant, when it is one.
-    pub fn as_time(&self) -> Option<SimTime> {
-        match *self {
-            Datum::Time(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// Numeric view for aggregation (integers widen to `i128`).
     fn as_int(&self) -> Option<i128> {
         match *self {

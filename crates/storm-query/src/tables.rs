@@ -62,7 +62,8 @@ pub fn jobs(c: &Cluster) -> Table {
             Datum::Str(format!("{:?}", j.state)),
             Datum::U64(u64::from(j.spec.ranks)),
             Datum::U64(u64::from(j.attempt)),
-            Datum::U64(u64::from(j.retries)),
+            // A job retries exactly when its attempt is bumped.
+            Datum::U64(u64::from(j.attempt)),
             slot,
             start,
             end,
@@ -100,12 +101,11 @@ pub fn nodes(c: &Cluster) -> Table {
 /// (nodes the slot's buddy allocator can still place on).
 pub fn slots(c: &Cluster) -> Table {
     let w = c.world();
-    let m = w.matrix.export_state();
     let mut out = Table::new(
         "slots",
         &["slot", "active", "jobs", "used_nodes", "usable_nodes"],
     );
-    for (ix, slot) in m.slots.iter().enumerate() {
+    for ix in 0..w.matrix.slot_count() {
         let jobs_here = w.matrix.jobs_in_slot(ix);
         let used: u64 = jobs_here
             .iter()
@@ -116,7 +116,7 @@ pub fn slots(c: &Cluster) -> Table {
             Datum::Bool(ix == w.active_slot),
             Datum::U64(jobs_here.len() as u64),
             Datum::U64(used),
-            Datum::U64(u64::from(slot.buddy.usable)),
+            Datum::U64(u64::from(w.matrix.free_nodes_in_slot(ix))),
         ]);
     }
     out

@@ -102,6 +102,21 @@ fn allocs_join_jobs_on_job_id() {
 }
 
 #[test]
+fn slots_count_the_nodes_each_slot_can_still_place_on() {
+    let mut c = Cluster::new(ClusterConfig::paper_cluster().with_nodes(8));
+    let job = c.submit(JobSpec::new(AppSpec::do_nothing_mb(4), 8));
+    c.run_until(SimTime::from_millis(2));
+    assert_eq!(c.job(job).alloc().nodes, 0..2, "placed by the first tick");
+    c.with_world_mut(|w| assert!(w.matrix.quarantine_node(7)));
+    let s = slots(&c);
+    assert_eq!(s.len(), 1);
+    let row = s.rows().next().unwrap();
+    assert_eq!(row.u64("used_nodes"), 2);
+    // 8 nodes less the placement's 2 and the quarantined one.
+    assert_eq!(row.u64("usable_nodes"), 5);
+}
+
+#[test]
 fn continuous_queries_fire_alerts_without_perturbing_the_run() {
     let run = |with_queries: bool| {
         let cfg = ClusterConfig::paper_cluster()

@@ -806,11 +806,6 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// High-water mark of pending events.
-    pub fn peak_len(&self) -> usize {
-        self.peak
-    }
-
     /// Accounting snapshot: lifetime push/pop totals plus current and peak
     /// depth. `Copy` by design — no queue contents are cloned.
     pub fn stats(&self) -> QueueStats {

@@ -111,8 +111,8 @@ fn main() {
     println!(
         "job 'phoenix': state {:?} after {} retr{} (requeues: {})",
         job.state,
-        job.retries,
-        if job.retries == 1 { "y" } else { "ies" },
+        job.attempt,
+        if job.attempt == 1 { "y" } else { "ies" },
         w.stats.requeues
     );
     println!(
@@ -126,7 +126,7 @@ fn main() {
         JobState::Completed,
         "requeued job survived the crash"
     );
-    assert_eq!(job.retries, 1, "one retry was enough");
+    assert_eq!(job.attempt, 1, "one retry was enough");
     assert_eq!(w.stats.rejoins.len(), 1, "node 17 was re-admitted");
     assert_eq!(
         cluster.job(full).state,

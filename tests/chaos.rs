@@ -64,7 +64,7 @@ fn run_chaos(seed: u64) -> (Outcome, FaultSchedule) {
             .iter()
             .map(|&j| {
                 let r = c.job(j);
-                (r.state, r.retries, r.metrics.completed)
+                (r.state, r.attempt, r.metrics.completed)
             })
             .collect(),
         failures: w.stats.failures_detected.clone(),
@@ -238,7 +238,7 @@ fn scripted_crash_and_rejoin_recovers_every_job_across_8_seeds() {
         let w = c.world();
         (
             jobs.iter()
-                .map(|&j| (c.job(j).state, c.job(j).retries, c.job(j).metrics.completed))
+                .map(|&j| (c.job(j).state, c.job(j).attempt, c.job(j).metrics.completed))
                 .collect::<Vec<_>>(),
             c.job(full).state,
             w.stats.failures_detected.clone(),

@@ -211,7 +211,7 @@ fn requeue_policy_retries_victim_on_surviving_capacity() {
     c.run_until(SimTime::from_secs(3));
     let rec = c.job(job);
     assert_eq!(rec.state, JobState::Completed, "requeued job completed");
-    assert_eq!(rec.retries, 1, "exactly one retry");
+    assert_eq!(rec.attempt, 1, "exactly one retry");
     assert_eq!(c.world().stats.requeues, 1);
     assert!(
         !rec.alloc().nodes.contains(&dead),
@@ -246,7 +246,7 @@ fn retry_budget_exhaustion_fails_the_job() {
     c.run_until(SimTime::from_secs(5));
     let rec = c.job(job);
     assert_eq!(rec.state, JobState::Failed, "budget exhausted -> Failed");
-    assert_eq!(rec.retries, 2, "both retries were spent");
+    assert_eq!(rec.attempt, 2, "both retries were spent");
 }
 
 #[test]
