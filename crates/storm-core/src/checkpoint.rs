@@ -41,6 +41,12 @@
 //! slot count and quarantine set; each live job's block is its record's
 //! allocation, carved back into the open slots after the world loads, and
 //! a block that does not fit is refused before the invariant check.
+//! Version 8 goes on: a replica's replicated state is its log position
+//! and digest, a failed replica's role holds its failure instant, the
+//! MM's next tick is one instant, and the dæmons are encoded as
+//! themselves, field by field, without the node or rank their wiring
+//! position already gives. A pending fragment or launch fan-out of a live
+//! job's current attempt must address that job's block.
 //!
 //! Each type's layout is declared once. The [`Codec`] impls come from
 //! macros over field and variant lists — `record!` (an object keyed by
@@ -62,16 +68,16 @@ use crate::job::{
     Allocation, JobId, JobMetrics, JobRecord, JobSpec, JobState, ReportSet, TransferState,
 };
 use crate::matrix::GangMatrix;
-use crate::mm::{MachineManager, MmState};
+use crate::mm::MachineManager;
 use crate::msg::{Msg, ReportKind};
-use crate::nm::{NmLocalJobState, NmState, NodeManager};
+use crate::nm::{LocalJob, NodeManager};
 use crate::pl::ProgramLauncher;
-use crate::replica::{Decision, MmCoreState, MmRole, ReplStats, ReplicaState};
+use crate::replica::{Decision, MmCoreState, MmRole, ReplStats};
 use crate::world::{ClusterStats, IdleLeap, NodeTable, World};
 use std::collections::VecDeque;
 use std::fmt::Arguments;
 use std::sync::Arc;
-use storm_apps::{AppSpec, Step, Workload};
+use storm_apps::{AppSpec, Step, Workload, WorkloadCursor};
 use storm_fs::FsKind;
 use storm_mech::{
     CawAudit, ErrorBurst, GlobalMemory, Mechanisms, MemoryState, NodeId, NodeSet, VarId,
@@ -89,7 +95,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 7;
+pub const CHECKPOINT_VERSION: u64 = 8;
 
 type R<T> = Result<T, String>;
 
@@ -104,9 +110,10 @@ trait Codec: Sized {
     fn dec(v: &Value) -> R<Self>;
 }
 
-/// Decoding in place, for the two types that also hold layout
-/// [`Cluster::new`] rebuilds from the config: the world and its mechanism
-/// layer. Every [`Codec`] type patches by replacement.
+/// Decoding in place, for the types that also hold layout [`Cluster::new`]
+/// rebuilds from the config: the world, its mechanism layer and the
+/// dæmons, whose rank or node is their wiring position. Every [`Codec`]
+/// type patches by replacement.
 trait Patch {
     fn save(&self, out: &mut Writer);
     fn load(&mut self, v: &Value) -> R<()>;
@@ -222,8 +229,21 @@ macro_rules! record {
     };
 }
 
-/// A positional array of the listed fields.
+/// A positional array of the listed fields. The `into` form decodes in
+/// place (see [`Patch`]).
 macro_rules! row {
+    (into $ty:ty [$($f:ident),* $(,)?]) => {
+        impl Patch for $ty {
+            fn save(&self, out: &mut Writer) {
+                out.arr(|out| { $(self.$f.save(out);)* });
+            }
+            fn load(&mut self, v: &Value) -> R<()> {
+                let mut items = Items::new(v, 0, <[&str]>::len(&[$(stringify!($f)),*]))?;
+                $(self.$f = items.next()?;)*
+                Ok(())
+            }
+        }
+    };
     ($ty:ty [$($f:ident),* $(,)?]) => {
         impl Codec for $ty {
             fn enc(&self, out: &mut Writer) {
@@ -451,15 +471,6 @@ impl<T: Codec> Codec for Arc<[T]> {
     }
 }
 
-impl<T: Codec> Codec for Box<T> {
-    fn enc(&self, out: &mut Writer) {
-        T::enc(self, out);
-    }
-    fn dec(v: &Value) -> R<Self> {
-        T::dec(v).map(Box::new)
-    }
-}
-
 impl<const N: usize> Codec for [u64; N] {
     fn enc(&self, out: &mut Writer) {
         list(out, self);
@@ -482,6 +493,9 @@ via! {
     Nic => SimTime: Nic::next_free, Nic::from_state;
     DeliveryOrder => DeliveryOrderState: DeliveryOrder::export_state, DeliveryOrder::import_state;
     GlobalMemory => MemoryState: GlobalMemory::export_state, GlobalMemory::import_state;
+    WorkloadCursor => (usize, SimSpan, SimSpan):
+        |c: &WorkloadCursor| (c.steps_done(), c.consumed_in_step(), c.total_consumed()),
+        |(step, in_step, total)| WorkloadCursor::from_parts(step, in_step, total);
 }
 
 // ---------------------------------------------------------------------------
@@ -508,7 +522,6 @@ record!(ClusterConfig {
     mm_standbys,
     telemetry,
     delivery_order,
-    fast_forward,
     daemon,
     seed,
 });
@@ -574,15 +587,15 @@ names!(JobState, "job state" {
     Killed => "killed",
     Failed => "failed",
 });
-names!(MmRole, "MM role" {
-    Active => "active",
-    Standby => "standby",
-    Failed => "failed",
-});
 
 tagged!(OrderModeState, "delivery-order mode" {
     "seeded" => Seeded { state, amplitude },
     "script" => Script(ties),
+});
+tagged!(MmRole, "MM role" {
+    "active" => Active,
+    "standby" => Standby,
+    "failed" => Failed { at },
 });
 tagged!(FaultEvent, "fault event" {
     "crash" => Crash { at, node },
@@ -632,7 +645,7 @@ tagged!(Msg, "message tag" {
     "stall_node" => StallNode { until },
     "flush_reports" => FlushReports,
     "resync" => Resync { epoch },
-    "mm_beat" => MmBeat { epoch, ticks, log_len },
+    "mm_beat" => MmBeat { epoch },
     "mm_watchdog" => MmWatchdog,
     "mm_fail" => MmFail,
     "repl_log" => ReplLog { epoch, seq, decision },
@@ -732,7 +745,6 @@ record!(into World {
     mm_core,
     mm_replicas,
     mm_roles,
-    mm_failed_at,
     mm_active_rank,
     mm_epoch,
     mm_epoch_var,
@@ -794,16 +806,7 @@ record!(TransferState {
     written_var,
 });
 row!(Step [compute, comm_bytes]);
-record!(MmCoreState {
-    ticks,
-    hb_round,
-    detected_failed,
-    queue,
-    active_slot,
-    log_len,
-    digest
-});
-record!(ReplicaState { applied, state });
+record!(MmCoreState { log_len, digest });
 record!(ReplStats {
     log_records,
     checkpoints,
@@ -852,27 +855,24 @@ record!(ContinuousQuery {
 row!(Alert [slice, at, query, observed]);
 record!(IdleLeap {
     from,
-    parked,
     settled,
     pending,
     pct
 });
 
-// Dæmons.
-record!(MmState {
-    tick_scheduled,
+// Dæmons, decoded in place: an MM's rank and an NM's node are their
+// wiring position.
+record!(into MachineManager {
     pending_reports,
     ticks,
-    last_tick_at,
-    rank,
+    next_tick,
     epoch,
     last_beat_seen,
     beats_sent,
 });
 // One NM per node, so its state and resident jobs are rows, like the
 // node table: keys repeated on every node would be most of the section.
-row!(NmState [
-    node,
+row!(into NodeManager [
     busy_until,
     write_free,
     current_slot,
@@ -883,7 +883,7 @@ row!(NmState [
     flush_scheduled,
     stalled_until,
 ]);
-row!(NmLocalJobState [
+row!(LocalJob [
     job,
     ranks,
     forked,
@@ -1151,9 +1151,9 @@ fn tag(msg: &Msg) -> String {
         .to_string()
 }
 
-/// The first job `msg` names that is not one of the `jobs` records.
-fn unknown_job(msg: &Msg, jobs: usize) -> Option<JobId> {
-    let named: &[JobId] = match msg {
+/// The job `msg` names, if any.
+fn job_of(msg: &Msg) -> Option<JobId> {
+    match *msg {
         Msg::Submit(job)
         | Msg::Kill(job)
         | Msg::RequeueJob(job)
@@ -1176,20 +1176,19 @@ fn unknown_job(msg: &Msg, jobs: usize) -> Option<JobId> {
                 | Decision::Complete { job }
                 | Decision::Requeue { job, .. },
             ..
-        } => std::slice::from_ref(job),
-        Msg::ReplCheckpoint { state, .. } => &state.queue,
-        _ => &[],
-    };
-    named.iter().find(|j| j.index() >= jobs).copied()
+        } => Some(job),
+        _ => None,
+    }
 }
 
 /// The engine image must be able to run on. Its event cap may not lie
 /// below the events already handled, and every pending message must
 /// reach a dæmon of the kind that handles it — a unicast the MM, NM or
 /// PL its variant names, a group (the MM's fan-outs) only NMs, with an
-/// NM message — and name only jobs that have a record. Entries whose
-/// payload or target does not resolve are left to the engine import,
-/// which refuses them.
+/// NM message — and name only jobs that have a record. A fragment or
+/// launch fan-out of a live job's current attempt must address the NMs
+/// of that job's block. Entries whose payload or target does not resolve
+/// are left to the engine import, which refuses them.
 fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
     if engine.max_events < engine.handled {
         return Err(format!(
@@ -1209,7 +1208,7 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
     let kind_of = |ix: u64| kinds.get(usize::try_from(ix).ok()?).copied().flatten();
     for (i, e) in engine.entries.iter().enumerate() {
         // `u32::MAX` is the engine's group-entry sentinel.
-        let msg = if e.target == u32::MAX {
+        let (msg, group) = if e.target == u32::MAX {
             let Some(g) = live(&engine.groups, e.payload) else {
                 continue;
             };
@@ -1241,7 +1240,7 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
                     tag(&g.msg)
                 ));
             }
-            &g.msg
+            (&g.msg, Some(&g.targets))
         } else {
             let (Some(msg), Some(is)) =
                 (live(&engine.msgs, e.payload), kind_of(u64::from(e.target)))
@@ -1256,14 +1255,30 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
                     e.target
                 ));
             }
-            msg
+            (msg, None)
         };
-        if let Some(job) = unknown_job(msg, world.jobs.len()) {
+        let Some(job) = job_of(msg) else { continue };
+        let Some(rec) = world.jobs.get(job.index()) else {
             return Err(format!(
                 "engine.entries[{i}]: {} message names job {}, which has no record",
                 tag(msg),
                 job.0
             ));
+        };
+        if let (Msg::Fragment { attempt, .. } | Msg::LaunchCmd { attempt, .. }, Some(targets)) =
+            (msg, group)
+        {
+            // An older attempt's, or a finished job's: its receivers drop it.
+            let current = !rec.state.is_terminal() && rec.attempt == *attempt;
+            let block = rec.allocation.as_ref();
+            if current && block.is_none_or(|a| *targets != wiring.nm_targets(&a.node_set())) {
+                return Err(format!(
+                    "engine.entries[{i}]: {} fan-out of job {} misses its block {:?}",
+                    tag(msg),
+                    job.0,
+                    block.map(|a| &a.nodes)
+                ));
+            }
         }
     }
     Ok(())
@@ -1324,8 +1339,7 @@ impl Cluster {
         let sim = self.sim();
         let w = sim.world();
         let mut out = Writer::default();
-        // Sections stream one after another; each dæmon's state is
-        // encoded as soon as it is exported, so no copy outlives its text.
+        // Sections stream one after another, each dæmon encoded in place.
         out.obj(|out| {
             put(out, "version", &CHECKPOINT_VERSION);
             put(out, "kind", &"storm-checkpoint");
@@ -1337,13 +1351,13 @@ impl Cluster {
             out.key("mms");
             out.arr(|out| {
                 for &id in &w.wiring.mms {
-                    daemon::<MachineManager>(sim, id).export_state().enc(out);
+                    daemon::<MachineManager>(sim, id).save(out);
                 }
             });
             out.key("nms");
             out.arr(|out| {
                 for &id in &w.wiring.nms {
-                    daemon::<NodeManager>(sim, id).export_state().enc(out);
+                    daemon::<NodeManager>(sim, id).save(out);
                 }
             });
             out.key("pls");
@@ -1385,8 +1399,6 @@ impl Cluster {
             .map_err(|e| format!("embedded config invalid: {e}"))?;
         let pls: Vec<Vec<u64>> = field(doc, "pls")?;
         check_layout(&cfg, doc, &pls)?;
-        let mms: Vec<MmState> = field(doc, "mms")?;
-        let nms: Vec<NmState> = field(doc, "nms")?;
         let engine: EngineState<Msg> = field(doc, "engine")?;
         let next_job: u32 = field(doc, "next_job")?;
 
@@ -1396,7 +1408,6 @@ impl Cluster {
         let w = sim.world_mut();
         w.load(member(doc, "world")?)
             .map_err(|e| at(format_args!(".world"), e))?;
-        w.recount_unfinished();
         // The matrix decoded with its slots open and empty: carve each live
         // job's block back, in job-id order.
         for (i, job) in w.jobs.iter().enumerate() {
@@ -1411,28 +1422,19 @@ impl Cluster {
         // The engine image replaces construction-time posts wholesale.
         sim.import_engine_state(engine)
             .map_err(|e| format!("engine: {e}"))?;
-        let w = sim.world();
-        let (mm_ids, nm_ids, pl_ids) = (
-            w.wiring.mms.clone(),
-            w.wiring.nms.clone(),
-            w.wiring.pls.clone(),
-        );
-        for ((r, &id), state) in (0u32..).zip(&mm_ids).zip(mms) {
-            if state.rank != r {
-                return Err(format!("mms[{r}].rank: {} is not its position", state.rank));
-            }
-            *daemon_mut::<MachineManager>(sim, id) = MachineManager::import_state(state);
+        // The dæmons load in place, keeping the rank or node `Cluster::new`
+        // wired them at (`check_layout` matched the section lengths).
+        let wiring = sim.world().wiring.clone();
+        let rows = |key| member(doc, key).map(|v| v.as_arr().unwrap_or_default());
+        for (r, (&id, v)) in wiring.mms.iter().zip(rows("mms")?).enumerate() {
+            (daemon_mut::<MachineManager>(sim, id).load(v))
+                .map_err(|e| at(format_args!(".mms[{r}]"), e))?;
         }
-        for ((n, &id), state) in (0u32..).zip(&nm_ids).zip(nms) {
-            if state.node != n {
-                return Err(format!(
-                    "nms[{n}].node: {} is not its wiring position",
-                    state.node
-                ));
-            }
-            *daemon_mut::<NodeManager>(sim, id) = NodeManager::import_state(state);
+        for (n, (&id, v)) in wiring.nms.iter().zip(rows("nms")?).enumerate() {
+            (daemon_mut::<NodeManager>(sim, id).load(v))
+                .map_err(|e| at(format_args!(".nms[{n}]"), e))?;
         }
-        for (ids, forks) in pl_ids.iter().zip(pls) {
+        for (ids, forks) in wiring.pls.iter().zip(pls) {
             for (&id, f) in ids.iter().zip(forks) {
                 daemon_mut::<ProgramLauncher>(sim, id).restore_forks(f);
             }
@@ -1507,11 +1509,14 @@ mod tests {
         // version 5 a `cursor` per job record and no variable free list,
         // version 6 every matrix placement, each MM's role and detected
         // set, `world.mm_failed`, an NM `failed` column and per-record
-        // report counts and retries.
+        // report counts and retries, version 7 each standby's mirror of
+        // the queue, round, quarantine set, slot and tick count,
+        // `world.mm_failed_at`, the MM's tick flag and last-tick instant,
+        // each dæmon's rank or node and `config.fast_forward`.
         let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
         let key = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
-        for old in 1..=6 {
+        for old in 1..=7 {
             let relabelled = current.replacen(&key, &format!("\"version\":{old}"), 1);
             let err = Cluster::restore(&relabelled)
                 .err()
@@ -1532,7 +1537,7 @@ mod tests {
         use crate::cq::Condition;
         use crate::fault::{FailurePolicy, FaultEvent};
         use crate::job::{JobId, JobState};
-        use crate::mm::MmState;
+        use crate::mm::MachineManager;
         use crate::msg::{Msg, ReportKind};
         use crate::replica::{Decision, MmCoreState, MmRole};
         use storm_apps::AppSpec;
@@ -1588,11 +1593,6 @@ mod tests {
             let j = JobId(3);
             let t = SimTime::from_nanos(1_500);
             let core = MmCoreState {
-                ticks: 9,
-                hb_round: -1,
-                detected_failed: vec![2],
-                queue: vec![j],
-                active_slot: 1,
                 log_len: 4,
                 digest: 77,
             };
@@ -1685,14 +1685,7 @@ mod tests {
                 (Msg::StallNode { until: t }, r#"["stall_node",1500]"#),
                 (Msg::FlushReports, r#"["flush_reports"]"#),
                 (Msg::Resync { epoch: 12 }, r#"["resync",12]"#),
-                (
-                    Msg::MmBeat {
-                        epoch: 1,
-                        ticks: 2,
-                        log_len: 3,
-                    },
-                    r#"["mm_beat",1,2,3]"#,
-                ),
+                (Msg::MmBeat { epoch: 1 }, r#"["mm_beat",1]"#),
                 (Msg::MmWatchdog, r#"["mm_watchdog"]"#),
                 (Msg::MmFail, r#"["mm_fail"]"#),
                 (
@@ -1706,9 +1699,9 @@ mod tests {
                 (
                     Msg::ReplCheckpoint {
                         epoch: 2,
-                        state: Box::new(core.clone()),
+                        state: core,
                     },
-                    r#"["repl_checkpoint",2,{"ticks":9,"hb_round":-1,"detected_failed":[2],"queue":[3],"active_slot":1,"log_len":4,"digest":77}]"#,
+                    r#"["repl_checkpoint",2,{"log_len":4,"digest":77}]"#,
                 ),
                 (Msg::Fork { job: j, attempt: 1 }, r#"["fork",3,1]"#),
             ];
@@ -1938,26 +1931,33 @@ mod tests {
             );
             assert_eq!(JobSpec::unpin(&named.pin()).map(|j| j.name), Ok(named.name));
 
-            let mm = MmState {
-                tick_scheduled: true,
+            // An MM decodes in place and keeps its rank.
+            let mm = MachineManager {
                 pending_reports: vec![(1, JobId(2), 3, ReportKind::Started)],
                 ticks: 4,
-                last_tick_at: None,
+                next_tick: Some(SimTime::from_nanos(5)),
                 rank: 1,
                 epoch: 6,
                 last_beat_seen: Some(SimTime::from_nanos(7)),
                 beats_sent: 8,
             };
-            check(
-                &mm,
-                None,
-                r#"{"tick_scheduled":true,"pending_reports":[[1,2,3,["started"]]],"ticks":4,"last_tick_at":null,"rank":1,"epoch":6,"last_beat_seen":7,"beats_sent":8}"#,
-                &mut bad,
+            let encoded = |mm: &MachineManager| {
+                let mut out = Writer::default();
+                mm.save(&mut out);
+                out.finish()
+            };
+            let text = encoded(&mm);
+            assert_eq!(
+                text,
+                r#"{"pending_reports":[[1,2,3,["started"]]],"ticks":4,"next_tick":5,"epoch":6,"last_beat_seen":7,"beats_sent":8}"#
             );
+            let mut back = MachineManager::standby(1);
+            back.load(&parse(&text).unwrap()).unwrap();
+            assert_eq!(encoded(&back), text);
             let roles = [
-                (MmRole::Active, r#""active""#),
-                (MmRole::Standby, r#""standby""#),
-                (MmRole::Failed, r#""failed""#),
+                (MmRole::Active, r#"["active"]"#),
+                (MmRole::Standby, r#"["standby"]"#),
+                (MmRole::Failed { at: t }, r#"["failed",1500]"#),
             ];
             for (r, want) in &roles {
                 check(r, None, want, &mut bad);

@@ -13,7 +13,7 @@ use crate::msg::Msg;
 use crate::nm::NodeManager;
 use crate::pl::ProgramLauncher;
 use crate::world::World;
-use storm_sim::{ComponentId, QueueBackend, QueueStats, SimSpan, SimTime, Simulation};
+use storm_sim::{QueueBackend, QueueStats, SimSpan, SimTime, Simulation};
 
 /// A fully-wired simulated STORM cluster.
 pub struct Cluster {
@@ -43,7 +43,12 @@ impl Cluster {
         sim.reserve_components(
             1 + cfg.nodes as usize * (1 + per_node as usize) + cfg.mm_standbys as usize,
         );
-        let mm = sim.add_component(MachineManager::new());
+        // Fault detection runs the MM's tick chain from t = 0.
+        let first_tick = cfg.fault_detection.then_some(SimTime::ZERO);
+        let mm = sim.add_component(MachineManager {
+            next_tick: first_tick,
+            ..MachineManager::new()
+        });
         let mut nms = Vec::with_capacity(cfg.nodes as usize);
         let mut pls = Vec::with_capacity(cfg.nodes as usize);
         for node in 0..cfg.nodes {
@@ -72,37 +77,49 @@ impl Cluster {
                 w.mm_epoch_var = Some(w.mech.memory.alloc_var(0));
             }
         }
-        // Fault detection needs the MM heartbeat loop running from t = 0,
-        // and every standby's watchdog armed alongside it.
-        if cfg.fault_detection {
-            sim.post(SimTime::ZERO, mm, Msg::Tick);
+        // The heartbeat loop starts with the first tick, and every
+        // standby's watchdog is armed alongside it.
+        if let Some(at) = first_tick {
+            sim.post(at, mm, Msg::Tick);
             for &standby in &mms[1..] {
-                sim.post(SimTime::ZERO, standby, Msg::MmWatchdog);
+                sim.post(at, standby, Msg::MmWatchdog);
             }
         }
         // Post the fault schedule's timed events (the probabilistic faults
         // were installed in the mechanism layer by `World::new`).
+        let mut cluster = Cluster { sim, next_job: 0 };
         for ev in &cfg.faults.events {
-            match *ev {
-                FaultEvent::Crash { at, node } => {
-                    let nm = sim.world().wiring.nms[node as usize];
-                    sim.post(at, nm, Msg::FailNode);
-                }
-                FaultEvent::Rejoin { at, node } => {
-                    let nm = sim.world().wiring.nms[node as usize];
-                    sim.post(at, nm, Msg::RejoinNode);
-                }
-                FaultEvent::Stall { from, until, node } => {
-                    let nm = sim.world().wiring.nms[node as usize];
-                    sim.post(from, nm, Msg::StallNode { until });
-                }
-                FaultEvent::MmCrash { at, rank } => {
-                    let target = sim.world().wiring.mms[rank as usize];
-                    sim.post(at, target, Msg::MmFail);
-                }
-            }
+            cluster.inject(ev);
         }
-        Cluster { sim, next_job: 0 }
+        cluster
+    }
+
+    /// A cluster whose MM never leaps an idle gap, so every boundary is a
+    /// real tick: the fully strobed reference that equivalence tests
+    /// compare a leaping run with. The setting is not checkpointed; a
+    /// checkpoint of this cluster restores into one that leaps.
+    #[doc(hidden)]
+    pub fn new_fully_strobed(cfg: ClusterConfig) -> Self {
+        let mut cluster = Cluster::new(cfg);
+        cluster.sim.world_mut().fully_strobed = true;
+        cluster
+    }
+
+    /// Post a timed fault's message to the dæmon it names — the one path
+    /// from a [`FaultEvent`] into the simulation, for the configured
+    /// schedule and the `*_at` methods alike. The event's node or rank
+    /// must exist.
+    fn inject(&mut self, ev: &FaultEvent) {
+        let wiring = &self.sim.world().wiring;
+        let (at, target, msg) = match *ev {
+            FaultEvent::Crash { at, node } => (at, wiring.nms[node as usize], Msg::FailNode),
+            FaultEvent::Rejoin { at, node } => (at, wiring.nms[node as usize], Msg::RejoinNode),
+            FaultEvent::Stall { from, until, node } => {
+                (from, wiring.nms[node as usize], Msg::StallNode { until })
+            }
+            FaultEvent::MmCrash { at, rank } => (at, wiring.mms[rank as usize], Msg::MmFail),
+        };
+        self.sim.post(at, target, msg);
     }
 
     /// Enable trace recording (renderable via [`Cluster::trace`]).
@@ -215,36 +232,34 @@ impl Cluster {
         self.sim.post(at, mm, Msg::Kill(job));
     }
 
-    fn nm_of(&self, node: u32) -> ComponentId {
+    /// Inject `ev` for the node `node`, which must exist.
+    fn inject_on_node(&mut self, node: u32, ev: FaultEvent) {
         let nodes = self.sim.world().cfg.nodes;
         assert!(
             node < nodes,
             "node {node} out of range (cluster has {nodes} nodes)"
         );
-        self.sim.world().wiring.nms[node as usize]
+        self.inject(&ev);
     }
 
     /// Inject a node failure at `at`: the node's NM stops responding to
     /// everything (fragments, strobes, heartbeats).
     pub fn fail_node_at(&mut self, at: SimTime, node: u32) {
-        let nm = self.nm_of(node);
-        self.sim.post(at, nm, Msg::FailNode);
+        self.inject_on_node(node, FaultEvent::Crash { at, node });
     }
 
     /// Revive a previously-failed node at `at`. The NM comes back with
     /// empty local state; the MM re-admits the node to the allocator once
     /// its heartbeats catch up.
     pub fn rejoin_node_at(&mut self, at: SimTime, node: u32) {
-        let nm = self.nm_of(node);
-        self.sim.post(at, nm, Msg::RejoinNode);
+        self.inject_on_node(node, FaultEvent::Rejoin { at, node });
     }
 
     /// Stall a node's dæmon over `[from, until)`: messages are deferred
     /// (not lost) until the stall ends — the node looks dead to the
     /// heartbeat protocol but recovers by itself.
     pub fn stall_node(&mut self, node: u32, from: SimTime, until: SimTime) {
-        let nm = self.nm_of(node);
-        self.sim.post(from, nm, Msg::StallNode { until });
+        self.inject_on_node(node, FaultEvent::Stall { node, from, until });
     }
 
     /// Kill an MM replica at `at`. Rank 0 is the primary; killing the
@@ -252,14 +267,12 @@ impl Cluster {
     /// watchdogs detect the silence, the lowest surviving rank promotes
     /// itself and fences the old epoch off the cluster).
     pub fn fail_mm_at(&mut self, at: SimTime, rank: u32) {
-        let mms = &self.sim.world().wiring.mms;
+        let replicas = self.sim.world().wiring.mms.len();
         assert!(
-            (rank as usize) < mms.len(),
-            "MM rank {rank} out of range ({} replicas)",
-            mms.len()
+            (rank as usize) < replicas,
+            "MM rank {rank} out of range ({replicas} replicas)"
         );
-        let target = mms[rank as usize];
-        self.sim.post(at, target, Msg::MmFail);
+        self.inject(&FaultEvent::MmCrash { at, rank });
     }
 
     /// Run until all submitted jobs are terminal and the event queue
@@ -325,10 +338,7 @@ impl Cluster {
     /// probabilistic mechanism-layer faults and the timed crash/rejoin/stall
     /// events — none of which this raw hook guarantees.
     pub fn with_world_mut<R>(&mut self, f: impl FnOnce(&mut World) -> R) -> R {
-        let w = self.sim.world_mut();
-        let r = f(w);
-        w.recount_unfinished();
-        r
+        f(self.sim.world_mut())
     }
 
     /// Total simulation events delivered (simulator-performance metric).

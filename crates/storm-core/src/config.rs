@@ -149,9 +149,10 @@ pub struct ClusterConfig {
     /// What the MM does with jobs lost to a detected node failure.
     pub failure_policy: FailurePolicy,
     /// Number of standby MM replicas (0 = the classic single-MM cluster).
-    /// Standbys mirror the active MM's scheduling state via a decision log
-    /// plus periodic checkpoints, and the lowest surviving rank promotes
-    /// itself when the active MM's beats stop. A fault-free run with
+    /// Standbys follow the active MM's decision log (plus periodic
+    /// checkpoints of its position), and the lowest surviving rank
+    /// promotes itself when the active MM's beats stop, reading the
+    /// scheduling state from the world. A fault-free run with
     /// standbys configured is byte-identical (trace, stats, jobs) to a
     /// standby-free run.
     pub mm_standbys: u32,
@@ -169,13 +170,6 @@ pub struct ClusterConfig {
     /// run keys every insertion of the simulation's lifetime. See
     /// DESIGN.md §14.
     pub delivery_order: Option<DeliveryOrder>,
-    /// Idle fast-forward: when fault detection keeps the MM ticking but
-    /// the cluster is quiescent (no queued or running jobs) and no event
-    /// is due before the next heartbeat round, leap the clock straight to
-    /// that round instead of strobing empty timeslices, replaying the
-    /// skipped ticks' counters arithmetically. Observationally identical
-    /// to the un-leaped run (see DESIGN.md §12); on by default.
-    pub fast_forward: bool,
     /// Dæmon cost constants.
     pub daemon: DaemonCosts,
     /// RNG seed.
@@ -214,7 +208,6 @@ impl ClusterConfig {
             mm_standbys: 0,
             telemetry: false,
             delivery_order: None,
-            fast_forward: true,
             daemon: DaemonCosts::default(),
             seed: 0x5702_2002,
         }
@@ -294,12 +287,6 @@ impl ClusterConfig {
     /// Builder: toggle telemetry recording (metrics + lifecycle spans).
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
-        self
-    }
-
-    /// Builder: toggle idle fast-forward.
-    pub fn with_fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = on;
         self
     }
 

@@ -4,6 +4,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use storm_apps::{AppSpec, Workload};
+use storm_mech::NodeSet;
 use storm_sim::{SimSpan, SimTime};
 
 /// Identifies a job within one cluster (dense index).
@@ -145,6 +146,15 @@ impl Allocation {
         let offset = node - self.nodes.start;
         let before = offset * self.ranks_per_node;
         self.ranks.saturating_sub(before).min(self.ranks_per_node)
+    }
+
+    /// The allocated block as a node set: what the MM's fragment, launch
+    /// and flow-control multicasts for the job address.
+    pub fn node_set(&self) -> NodeSet {
+        NodeSet::Range {
+            start: self.nodes.start,
+            len: self.node_count(),
+        }
     }
 
     /// Number of allocated nodes (the full buddy block, which may exceed

@@ -81,7 +81,7 @@ pub use fault::{FailurePolicy, FaultEvent, FaultSchedule};
 pub use invariants::InvariantError;
 pub use job::{JobId, JobMetrics, JobSpec, JobState};
 pub use matrix::GangMatrix;
-pub use replica::{Decision, MmCoreState, MmRole, ReplStats, ReplicaState};
+pub use replica::{Decision, MmCoreState, MmRole, ReplStats};
 pub use world::{ClusterStats, World};
 
 /// The telemetry crate, re-exported so consumers need no direct dependency.
@@ -94,7 +94,7 @@ pub mod prelude {
     pub use crate::cq::{Alert, Condition};
     pub use crate::fault::{FailurePolicy, FaultEvent, FaultSchedule};
     pub use crate::job::{JobId, JobMetrics, JobSpec, JobState};
-    pub use crate::replica::{Decision, MmCoreState, MmRole, ReplStats, ReplicaState};
+    pub use crate::replica::{Decision, MmCoreState, MmRole, ReplStats};
     pub use crate::world::ClusterStats;
     pub use storm_apps::AppSpec;
     pub use storm_fs::FsKind;

@@ -41,28 +41,34 @@ const REPL_CKPT_BYTES: u64 = 4096;
 /// overflowing or parking a retry past any plausible horizon.
 const MAX_REQUEUE_DELAY: SimSpan = SimSpan::from_secs(60);
 
-/// The Machine Manager dæmon.
+/// The Machine Manager dæmon. Its scheduling state lives in the world
+/// (the paper's global memory); what it keeps itself is checkpointed field
+/// by field, except its rank, which the wiring gives.
 #[derive(Debug, Default)]
 pub struct MachineManager {
-    tick_scheduled: bool,
-    pending_reports: Vec<(u32, JobId, u32, ReportKind)>,
-    ticks: u64,
-    /// Instant of the last executed tick — deduplicates the superseded
-    /// far tick left in the queue when a mid-gap message re-densifies an
-    /// idle fast-forward leap.
-    last_tick_at: Option<SimTime>,
+    /// Buffered `(node, job, attempt, kind)` NM reports, collected at the
+    /// next tick.
+    pub(crate) pending_reports: Vec<(u32, JobId, u32, ReportKind)>,
+    /// Ticks executed so far, counting those an idle leap skipped.
+    pub(crate) ticks: u64,
+    /// When the next tick is due: the one `Tick` that runs. A `Tick` that
+    /// pops at any other instant was superseded — the parked tick of a
+    /// re-densified idle leap, or a second tick for a boundary that
+    /// already ran — and is dropped. A delivery-order hook may delay the
+    /// due tick, so it runs when it pops at or after this instant.
+    pub(crate) next_tick: Option<SimTime>,
     /// This replica's rank (0 = the primary). Its role is
     /// `World::mm_roles[rank]`; the nodes it has detected failed are the
     /// gang matrix's quarantine set.
-    rank: u32,
+    pub(crate) rank: u32,
     /// The epoch this replica believes is current. Bumped on promotion and
     /// fenced into every node's global memory so stale-epoch multicasts
     /// are rejected.
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// When this standby last heard a liveness beat from the active MM.
-    last_beat_seen: Option<SimTime>,
+    pub(crate) last_beat_seen: Option<SimTime>,
     /// Liveness beats this replica has sent while active.
-    beats_sent: u64,
+    pub(crate) beats_sent: u64,
 }
 
 impl MachineManager {
@@ -88,20 +94,13 @@ impl MachineManager {
     fn ensure_tick(&mut self, ctx: &mut Context<'_, World, Msg>) {
         let period = ctx.world_ref().cfg.collect_period();
         let at = ctx.now().next_boundary(period);
-        if self.tick_scheduled {
-            // An armed idle leap parks the next tick up to a heartbeat
-            // round away. A message landing mid-gap (a submit, a kill, a
-            // requeue) needs the dense chain back *now*: schedule the
-            // earlier tick and lower `parked`; the superseded far tick is
-            // deduplicated by `last_tick_at` when it eventually pops.
-            let densify = ctx.world_ref().leap.as_ref().is_some_and(|l| at < l.parked);
-            if densify {
-                ctx.world().leap.as_mut().expect("armed").parked = at;
-                ctx.send_self_at(at, Msg::Tick);
-            }
-        } else {
+        // Schedule a tick unless one is due by then. An armed idle leap
+        // parks the next tick up to a heartbeat round away; a message
+        // landing mid-gap (a submit, a kill, a requeue) needs the dense
+        // chain back *now*, and the parked tick is superseded.
+        if self.next_tick.is_none_or(|t| at < t) {
+            self.next_tick = Some(at);
             ctx.send_self_at(at, Msg::Tick);
-            self.tick_scheduled = true;
         }
     }
 
@@ -123,11 +122,7 @@ impl MachineManager {
     fn try_leap(&mut self, ctx: &mut Context<'_, World, Msg>) -> bool {
         let (h, period) = {
             let w = ctx.world_ref();
-            if !w.cfg.fast_forward
-                || !w.cfg.fault_detection
-                || w.leap.is_some()
-                || !w.is_quiescent()
-            {
+            if w.fully_strobed || !w.cfg.fault_detection || w.leap.is_some() || !w.is_quiescent() {
                 return false;
             }
             (u64::from(w.cfg.heartbeat_every), w.cfg.collect_period())
@@ -162,22 +157,13 @@ impl MachineManager {
         };
         ctx.world().leap = Some(IdleLeap {
             from: now,
-            parked: target,
             settled: now,
             pending,
             pct,
         });
+        self.next_tick = Some(target);
         ctx.send_self_at(target, Msg::Tick);
-        self.tick_scheduled = true;
         true
-    }
-
-    /// The destination set of a job's allocation.
-    fn alloc_set(alloc: &Allocation) -> NodeSet {
-        NodeSet::Range {
-            start: alloc.nodes.start,
-            len: alloc.nodes.end - alloc.nodes.start,
-        }
     }
 
     /// Deliver `msg` to the NMs of `set`, member `rank` arriving at
@@ -242,12 +228,11 @@ impl MachineManager {
             return;
         }
         let now = ctx.now();
-        ctx.world().mm_core.ticks = self.ticks;
         self.beats_sent += 1;
         let ship_ckpt = self.beats_sent % 4 == 1;
         let beat_lat = ctx.world_ref().qsnet.ptp_span(CONTROL_MSG_BYTES);
         let ckpt_lat = ctx.world_ref().qsnet.ptp_span(REPL_CKPT_BYTES);
-        let (epoch, ticks, log_len) = (self.epoch, self.ticks, ctx.world_ref().mm_core.log_len);
+        let epoch = self.epoch;
         let targets = self.live_standbys(ctx);
         if targets.is_empty() {
             return;
@@ -257,17 +242,9 @@ impl MachineManager {
             ctx.world().repl.checkpoints += 1;
         }
         for target in targets {
-            ctx.send_at(
-                target,
-                now + beat_lat,
-                Msg::MmBeat {
-                    epoch,
-                    ticks,
-                    log_len,
-                },
-            );
+            ctx.send_at(target, now + beat_lat, Msg::MmBeat { epoch });
             if ship_ckpt {
-                let state = Box::new(ctx.world_ref().mm_core.clone());
+                let state = ctx.world_ref().mm_core.clone();
                 ctx.send_at(target, now + ckpt_lat, Msg::ReplCheckpoint { epoch, state });
             }
         }
@@ -280,8 +257,13 @@ impl MachineManager {
         let now = ctx.now();
         let r = self.rank as usize;
         let w = ctx.world();
-        w.mm_failed_at[r] = Some(now);
-        w.mm_roles[r] = MmRole::Failed;
+        w.mm_roles[r] = MmRole::Failed { at: now };
+        if self.rank == w.mm_active_rank {
+            // An idle leap parked this MM's next tick: the skipped
+            // boundaries up to now ran, and none after will.
+            w.settle_leap_through(now);
+            w.leap = None;
+        }
         w.metric_inc("mm.replica_failures");
         ctx.trace("mm.replica_failed", || format!("rank {}", self.rank));
     }
@@ -307,7 +289,7 @@ impl MachineManager {
         let successor = {
             let w = ctx.world_ref();
             (0..w.mm_roles.len())
-                .find(|&r| w.mm_roles[r] != MmRole::Failed)
+                .find(|&r| !matches!(w.mm_roles[r], MmRole::Failed { .. }))
                 .map(|r| r as u32)
         };
         if silent && successor == Some(self.rank) {
@@ -331,9 +313,7 @@ impl MachineManager {
         let epoch = ctx.world_ref().mm_epoch + 1;
         self.epoch = epoch;
         self.beats_sent = 0;
-        let adopted = ctx.world_ref().mm_replicas[self.rank as usize]
-            .state
-            .clone();
+        let adopted = ctx.world_ref().mm_replicas[self.rank as usize].clone();
         {
             let w = ctx.world();
             w.mm_epoch = epoch;
@@ -365,7 +345,7 @@ impl MachineManager {
         );
         {
             let w = ctx.world();
-            if let Some(at) = w.mm_failed_at[old_active] {
+            if let MmRole::Failed { at } = w.mm_roles[old_active] {
                 w.telemetry
                     .metrics
                     .observe_span("failover.detection_latency_us", now.since(at));
@@ -381,10 +361,6 @@ impl MachineManager {
         ctx.trace("mm.promoted", || {
             format!("rank {} epoch {epoch}", self.rank)
         });
-        // The old MM's parked fast-forward tick died with it: replay any
-        // settled arithmetic and disarm.
-        ctx.world().settle_leap_through(now);
-        ctx.world().leap = None;
         // Jobs mid-transfer lost their pipeline (ReadDone/BcastFreed/
         // FlowPoll targeted the dead component): requeue them. The attempt
         // bump kills the ghost pipeline; a failover burns one retry.
@@ -422,7 +398,7 @@ impl MachineManager {
         // Bring the surviving standbys up to this replica's state at once.
         let ckpt_lat = ctx.world_ref().qsnet.ptp_span(REPL_CKPT_BYTES);
         for target in self.live_standbys(ctx) {
-            let state = Box::new(ctx.world_ref().mm_core.clone());
+            let state = ctx.world_ref().mm_core.clone();
             ctx.send_at(target, now + ckpt_lat, Msg::ReplCheckpoint { epoch, state });
         }
         // Realign the tick chain: the next tick fires at the next
@@ -432,10 +408,8 @@ impl MachineManager {
         let period = ctx.world_ref().cfg.collect_period();
         let next = now.next_boundary(period);
         self.ticks = next.boundaries_since(SimTime::ZERO, period);
-        self.last_tick_at = None;
-        self.tick_scheduled = false;
+        self.next_tick = Some(next);
         ctx.send_self_at(next, Msg::Tick);
-        self.tick_scheduled = true;
     }
 
     /// Standby-role message handling: apply the replication stream, watch
@@ -443,25 +417,20 @@ impl MachineManager {
     /// previous role and is dropped.
     fn handle_standby(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
         match msg {
-            Msg::MmBeat { epoch, ticks, .. } => {
+            Msg::MmBeat { epoch } => {
                 if epoch < self.epoch {
                     return;
                 }
                 self.epoch = epoch;
                 self.last_beat_seen = Some(ctx.now());
-                let r = &mut ctx.world().mm_replicas[self.rank as usize];
-                r.state.ticks = r.state.ticks.max(ticks);
             }
             Msg::ReplLog { seq, decision, .. } => {
                 // Sequence contiguity, not epoch, is the apply criterion:
                 // a promoted successor continues the same log.
                 let w = ctx.world();
                 let r = &mut w.mm_replicas[self.rank as usize];
-                match seq.cmp(&r.applied) {
-                    std::cmp::Ordering::Equal => {
-                        r.state.apply(&decision);
-                        r.applied += 1;
-                    }
+                match seq.cmp(&r.log_len) {
+                    std::cmp::Ordering::Equal => r.apply(&decision),
                     std::cmp::Ordering::Greater => w.repl.log_gaps += 1,
                     std::cmp::Ordering::Less => {} // duplicate
                 }
@@ -472,9 +441,8 @@ impl MachineManager {
                 }
                 self.epoch = epoch;
                 let r = &mut ctx.world().mm_replicas[self.rank as usize];
-                if state.log_len >= r.applied {
-                    r.applied = state.log_len;
-                    r.state = *state;
+                if state.log_len >= r.log_len {
+                    *r = state;
                 }
             }
             Msg::MmWatchdog => self.watchdog(ctx),
@@ -507,7 +475,7 @@ impl MachineManager {
                 // Still the registered active (no successor yet): hold the
                 // message unless every replica is dead.
                 let w = ctx.world_ref();
-                if w.mm_roles.iter().all(|&r| r == MmRole::Failed) {
+                if (w.mm_roles.iter()).all(|r| matches!(r, MmRole::Failed { .. })) {
                     return;
                 }
                 let period = w.cfg.collect_period();
@@ -702,7 +670,7 @@ impl MachineManager {
                 t.total_chunks,
                 t.chunk_bytes(t.next_bcast, chunk_size),
                 t.written_var.expect("flow-control var"),
-                Self::alloc_set(rec.alloc()),
+                rec.alloc().node_set(),
                 rec.attempt,
             )
         };
@@ -831,7 +799,7 @@ impl MachineManager {
             (
                 i64::from(rec.transfer.total_chunks),
                 rec.transfer.written_var.expect("flow-control var"),
-                Self::alloc_set(rec.alloc()),
+                rec.alloc().node_set(),
                 rec.transfer_confirmed.is_some(),
             )
         };
@@ -880,11 +848,7 @@ impl MachineManager {
         for job in ready {
             let (set, load, placement) = {
                 let w = ctx.world_ref();
-                (
-                    Self::alloc_set(w.job(job).alloc()),
-                    w.cfg.load,
-                    w.cfg.placement,
-                )
+                (w.job(job).alloc().node_set(), w.cfg.load, w.cfg.placement)
             };
             let result = {
                 let (world, rng) = ctx.world_and_rng();
@@ -1400,7 +1364,7 @@ impl Component<World, Msg> for MachineManager {
         match ctx.world_ref().mm_roles[self.rank as usize] {
             MmRole::Active => {}
             MmRole::Standby => return self.handle_standby(msg, ctx),
-            MmRole::Failed => return self.handle_failed(msg, ctx),
+            MmRole::Failed { .. } => return self.handle_failed(msg, ctx),
         }
         // Active-role replication traffic: the injected kill, plus stale
         // leftovers from this replica's time as a standby.
@@ -1430,13 +1394,10 @@ impl Component<World, Msg> for MachineManager {
             }
             Msg::Tick => {
                 let tick_now = ctx.now();
-                if self.last_tick_at == Some(tick_now) {
-                    // The superseded far tick of a re-densified idle leap:
-                    // this boundary already ran. Drop the duplicate.
-                    return;
+                if self.next_tick.is_none_or(|t| t > tick_now) {
+                    return; // superseded: not the tick that is due
                 }
-                self.last_tick_at = Some(tick_now);
-                self.tick_scheduled = false;
+                self.next_tick = None;
                 // Resolve any armed fast-forward first: replay the skipped
                 // quiescent boundaries and realign the tick counter,
                 // exactly as if the chain had ticked through them.
@@ -1580,58 +1541,6 @@ impl Component<World, Msg> for MachineManager {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
-    }
-}
-
-/// A machine manager's private state, exported for checkpointing: every
-/// field of [`MachineManager`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MmState {
-    /// Whether a `Tick` is in flight.
-    pub tick_scheduled: bool,
-    /// Buffered `(node, job, attempt, kind)` NM reports.
-    pub pending_reports: Vec<(u32, JobId, u32, ReportKind)>,
-    /// Ticks executed so far.
-    pub ticks: u64,
-    /// Instant of the last executed tick.
-    pub last_tick_at: Option<SimTime>,
-    /// Replica rank (0 = primary).
-    pub rank: u32,
-    /// The epoch this replica believes is current.
-    pub epoch: u64,
-    /// When this standby last heard a liveness beat.
-    pub last_beat_seen: Option<SimTime>,
-    /// Liveness beats sent while active.
-    pub beats_sent: u64,
-}
-
-impl MachineManager {
-    /// Snapshot the dæmon's private state for a checkpoint.
-    pub fn export_state(&self) -> MmState {
-        MmState {
-            tick_scheduled: self.tick_scheduled,
-            pending_reports: self.pending_reports.clone(),
-            ticks: self.ticks,
-            last_tick_at: self.last_tick_at,
-            rank: self.rank,
-            epoch: self.epoch,
-            last_beat_seen: self.last_beat_seen,
-            beats_sent: self.beats_sent,
-        }
-    }
-
-    /// Rebuild a dæmon from a checkpointed [`MmState`].
-    pub fn import_state(state: MmState) -> Self {
-        MachineManager {
-            tick_scheduled: state.tick_scheduled,
-            pending_reports: state.pending_reports,
-            ticks: state.ticks,
-            last_tick_at: state.last_tick_at,
-            rank: state.rank,
-            epoch: state.epoch,
-            last_beat_seen: state.last_beat_seen,
-            beats_sent: state.beats_sent,
-        }
     }
 }
 

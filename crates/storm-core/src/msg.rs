@@ -172,10 +172,6 @@ pub enum Msg {
     MmBeat {
         /// The sender's epoch.
         epoch: u64,
-        /// The sender's scheduler tick counter at send time.
-        ticks: u64,
-        /// Length of the sender's decision log at send time.
-        log_len: u64,
     },
     /// Standby self-timer: check whether the active MM's beats stopped and
     /// promote if this replica is the deterministic successor.
@@ -191,12 +187,12 @@ pub enum Msg {
         /// The decision itself.
         decision: Decision,
     },
-    /// A full checkpoint of the active MM's private state.
+    /// A checkpoint of the active MM's log position and digest.
     ReplCheckpoint {
         /// The sender's epoch.
         epoch: u64,
-        /// The checkpointed state (boxed: it is by far the largest variant).
-        state: Box<MmCoreState>,
+        /// The sender's replicated state.
+        state: MmCoreState,
     },
 
     // ---------------------------------------------------------------- PL —
@@ -207,4 +203,17 @@ pub enum Msg {
         /// Launch attempt being forked.
         attempt: u32,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Msg;
+
+    #[test]
+    fn a_replication_checkpoint_fits_inline() {
+        // `ReplCheckpoint` carries its log position and digest unboxed and
+        // is no larger than the other variants: every queued event's
+        // payload slot stays 40 bytes.
+        assert_eq!(std::mem::size_of::<Msg>(), 40);
+    }
 }

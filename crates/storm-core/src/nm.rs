@@ -21,54 +21,69 @@
 //! lock-step the real gang scheduler enforces. Per-node skew enters through
 //! the report path (OS noise), which is where the paper locates it too.
 
+use crate::job::JobId;
 use crate::msg::{Msg, ReportKind};
 use crate::world::World;
 use storm_apps::WorkloadCursor;
 use storm_mech::NodeId;
 use storm_sim::{Component, Context, SimSpan, SimTime};
 
-/// Per-job local state on one node.
+/// One resident job's state on one node.
 #[derive(Debug)]
-struct LocalJob {
-    ranks: u32,
-    forked: u32,
-    exited: u32,
-    started_at: Option<SimTime>,
-    cursor: WorkloadCursor,
-    done: bool,
+pub(crate) struct LocalJob {
+    /// The job.
+    pub(crate) job: JobId,
+    /// Ranks hosted on this node.
+    pub(crate) ranks: u32,
+    /// Ranks forked so far.
+    pub(crate) forked: u32,
+    /// Ranks exited so far.
+    pub(crate) exited: u32,
+    /// When all local ranks were running.
+    pub(crate) started_at: Option<SimTime>,
+    /// Position in the job's workload.
+    pub(crate) cursor: WorkloadCursor,
+    /// Whether the job has finished locally.
+    pub(crate) done: bool,
     /// When the job finished locally; lets a post-failover resync re-report
     /// the original completion time instead of the resync instant.
-    done_at: Option<SimTime>,
+    pub(crate) done_at: Option<SimTime>,
     /// Launch attempt this local state belongs to; stale entries (from an
     /// incarnation lost to a node failure) are ignored everywhere.
-    attempt: u32,
+    pub(crate) attempt: u32,
 }
 
-/// One Node Manager dæmon.
+/// One Node Manager dæmon. Checkpointed field by field, except its node,
+/// which the wiring gives.
 #[derive(Debug)]
 pub struct NodeManager {
     /// This NM's node. Whether the node is failed is `World::nodes`.
-    node: u32,
+    pub(crate) node: u32,
     /// Management-CPU queue (strobe/command processing).
-    busy_until: SimTime,
+    pub(crate) busy_until: SimTime,
     /// Local filesystem write device.
-    write_free: SimTime,
-    current_slot: usize,
-    last_strobe: SimTime,
+    pub(crate) write_free: SimTime,
+    /// Slot currently running on this node.
+    pub(crate) current_slot: usize,
+    /// Instant of the last strobe.
+    pub(crate) last_strobe: SimTime,
     /// True when the interval beginning at `last_strobe` started with a
     /// context switch (its overhead is charged to that interval).
-    switch_pending: bool,
+    pub(crate) switch_pending: bool,
     /// Resident jobs, sorted by id. A node hosts at most `mpl_max` live
     /// jobs, and a launch drops the finished ones, so a sorted vector
     /// beats a hash map: lookups are a binary search over a handful of
     /// entries and the per-strobe scan walks it in job order with no
     /// collect-and-sort allocation.
-    local: Vec<(crate::job::JobId, LocalJob)>,
-    pending_reports: Vec<(crate::job::JobId, u32, ReportKind)>,
-    flush_scheduled: bool,
+    pub(crate) local: Vec<LocalJob>,
+    /// Buffered `(job, attempt, kind)` reports, flushed at the next
+    /// collection boundary.
+    pub(crate) pending_reports: Vec<(JobId, u32, ReportKind)>,
+    /// Whether a `FlushReports` is in flight.
+    pub(crate) flush_scheduled: bool,
     /// Injected dæmon stall: until this instant, message processing is
     /// deferred (messages are re-posted at the stall's end, not lost).
-    stalled_until: Option<SimTime>,
+    pub(crate) stalled_until: Option<SimTime>,
 }
 
 impl NodeManager {
@@ -92,17 +107,17 @@ impl NodeManager {
         NodeId(self.node)
     }
 
-    fn local_mut(&mut self, job: crate::job::JobId) -> Option<&mut LocalJob> {
-        match self.local.binary_search_by_key(&job, |&(j, _)| j) {
-            Ok(pos) => Some(&mut self.local[pos].1),
+    fn local_mut(&mut self, job: JobId) -> Option<&mut LocalJob> {
+        match self.local.binary_search_by_key(&job, |l| l.job) {
+            Ok(pos) => Some(&mut self.local[pos]),
             Err(_) => None,
         }
     }
 
-    fn local_insert(&mut self, job: crate::job::JobId, state: LocalJob) {
-        match self.local.binary_search_by_key(&job, |&(j, _)| j) {
-            Ok(pos) => self.local[pos].1 = state,
-            Err(pos) => self.local.insert(pos, (job, state)),
+    fn local_insert(&mut self, state: LocalJob) {
+        match self.local.binary_search_by_key(&state.job, |l| l.job) {
+            Ok(pos) => self.local[pos] = state,
+            Err(pos) => self.local.insert(pos, state),
         }
     }
 
@@ -121,7 +136,7 @@ impl NodeManager {
 
     fn buffer_report(
         &mut self,
-        job: crate::job::JobId,
+        job: JobId,
         attempt: u32,
         kind: ReportKind,
         ctx: &mut Context<'_, World, Msg>,
@@ -151,8 +166,8 @@ impl NodeManager {
         let m = self
             .local
             .iter()
-            .filter(|&&(j, ref l)| {
-                l.started_at.is_some() && !l.done && !ctx.world_ref().job(j).state.is_terminal()
+            .filter(|l| {
+                l.started_at.is_some() && !l.done && !ctx.world_ref().job(l.job).state.is_terminal()
             })
             .count() as u64;
         if m == 0 {
@@ -165,13 +180,13 @@ impl NodeManager {
         // old collect-and-sort did; nothing in the loop body adds or
         // removes entries, so plain indexing is safe.
         for idx in 0..self.local.len() {
-            let job = self.local[idx].0;
+            let job = self.local[idx].job;
             if ctx.world_ref().job(job).state.is_terminal() {
                 continue;
             }
             let attempt = ctx.world_ref().job(job).attempt;
             let finished_at = {
-                let local = &mut self.local[idx].1;
+                let local = &mut self.local[idx];
                 if local.attempt != attempt {
                     continue; // stale incarnation, job was requeued
                 }
@@ -411,27 +426,25 @@ impl Component<World, Msg> for NodeManager {
                 // Any other entry of a finished job stays: a fork or exit
                 // still in flight reports to it.
                 let w = ctx.world_ref();
-                self.local.retain(|&(j, ref l)| {
-                    let rec = w.job(j);
+                self.local.retain(|l| {
+                    let rec = w.job(l.job);
                     let settled = l.done
                         || (l.attempt == rec.attempt
                             && l.forked == l.ranks
                             && !rec.workload.is_empty());
                     !(rec.state.is_terminal() && settled)
                 });
-                self.local_insert(
+                self.local_insert(LocalJob {
                     job,
-                    LocalJob {
-                        ranks: ranks_here,
-                        forked: 0,
-                        exited: 0,
-                        started_at: None,
-                        cursor: ctx.world_ref().job(job).workload.cursor(),
-                        done: false,
-                        done_at: None,
-                        attempt,
-                    },
-                );
+                    ranks: ranks_here,
+                    forked: 0,
+                    exited: 0,
+                    started_at: None,
+                    cursor: ctx.world_ref().job(job).workload.cursor(),
+                    done: false,
+                    done_at: None,
+                    attempt,
+                });
                 // Command processing on the management CPU, plus the
                 // exponential OS wake-up delay that drives Fig. 2's
                 // execute-time growth with PE count.
@@ -582,7 +595,8 @@ impl Component<World, Msg> for NodeManager {
                 // counters converge.
                 self.pending_reports.clear();
                 let mut announce = Vec::new();
-                for &(job, ref local) in &self.local {
+                for local in &self.local {
+                    let job = local.job;
                     let rec = ctx.world_ref().job(job);
                     if rec.state.is_terminal() || rec.attempt != local.attempt {
                         continue;
@@ -612,124 +626,6 @@ impl Component<World, Msg> for NodeManager {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
-    }
-}
-
-/// One resident job's local state, exported for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NmLocalJobState {
-    /// Job id.
-    pub job: crate::job::JobId,
-    /// Ranks hosted on this node.
-    pub ranks: u32,
-    /// Ranks forked so far.
-    pub forked: u32,
-    /// Ranks exited so far.
-    pub exited: u32,
-    /// When all local ranks were running.
-    pub started_at: Option<SimTime>,
-    /// Workload cursor position: `(step, consumed_in_step, total_consumed)`.
-    pub cursor: (usize, SimSpan, SimSpan),
-    /// Whether the job has finished locally.
-    pub done: bool,
-    /// When the job finished locally.
-    pub done_at: Option<SimTime>,
-    /// Launch attempt this local state belongs to.
-    pub attempt: u32,
-}
-
-/// A node manager's private state, exported for checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NmState {
-    /// Node index.
-    pub node: u32,
-    /// Management-CPU busy horizon.
-    pub busy_until: SimTime,
-    /// Local filesystem write device horizon.
-    pub write_free: SimTime,
-    /// Slot currently running on this node.
-    pub current_slot: usize,
-    /// Instant of the last strobe.
-    pub last_strobe: SimTime,
-    /// Whether the current interval opened with a context switch.
-    pub switch_pending: bool,
-    /// Resident jobs, sorted by id.
-    pub local: Vec<NmLocalJobState>,
-    /// Buffered `(job, attempt, kind)` reports.
-    pub pending_reports: Vec<(crate::job::JobId, u32, ReportKind)>,
-    /// Whether a `FlushReports` is in flight.
-    pub flush_scheduled: bool,
-    /// End of an injected dæmon stall, if one is active.
-    pub stalled_until: Option<SimTime>,
-}
-
-impl NodeManager {
-    /// Snapshot the dæmon's private state for a checkpoint.
-    pub fn export_state(&self) -> NmState {
-        NmState {
-            node: self.node,
-            busy_until: self.busy_until,
-            write_free: self.write_free,
-            current_slot: self.current_slot,
-            last_strobe: self.last_strobe,
-            switch_pending: self.switch_pending,
-            local: self
-                .local
-                .iter()
-                .map(|&(job, ref l)| NmLocalJobState {
-                    job,
-                    ranks: l.ranks,
-                    forked: l.forked,
-                    exited: l.exited,
-                    started_at: l.started_at,
-                    cursor: (
-                        l.cursor.steps_done(),
-                        l.cursor.consumed_in_step(),
-                        l.cursor.total_consumed(),
-                    ),
-                    done: l.done,
-                    done_at: l.done_at,
-                    attempt: l.attempt,
-                })
-                .collect(),
-            pending_reports: self.pending_reports.clone(),
-            flush_scheduled: self.flush_scheduled,
-            stalled_until: self.stalled_until,
-        }
-    }
-
-    /// Rebuild a dæmon from a checkpointed [`NmState`].
-    pub fn import_state(state: NmState) -> Self {
-        NodeManager {
-            node: state.node,
-            busy_until: state.busy_until,
-            write_free: state.write_free,
-            current_slot: state.current_slot,
-            last_strobe: state.last_strobe,
-            switch_pending: state.switch_pending,
-            local: state
-                .local
-                .into_iter()
-                .map(|l| {
-                    (
-                        l.job,
-                        LocalJob {
-                            ranks: l.ranks,
-                            forked: l.forked,
-                            exited: l.exited,
-                            started_at: l.started_at,
-                            cursor: WorkloadCursor::from_parts(l.cursor.0, l.cursor.1, l.cursor.2),
-                            done: l.done,
-                            done_at: l.done_at,
-                            attempt: l.attempt,
-                        },
-                    )
-                })
-                .collect(),
-            pending_reports: state.pending_reports,
-            flush_scheduled: state.flush_scheduled,
-            stalled_until: state.stalled_until,
-        }
     }
 }
 

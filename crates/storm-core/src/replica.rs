@@ -1,22 +1,22 @@
-//! MM replication: the state machine that standby Machine Managers mirror.
+//! MM replication: the decision log that standby Machine Managers follow.
 //!
-//! The active MM drives the cluster through two kinds of state:
+//! The paper's MM keeps its scheduling state in the machine's global
+//! memory (§2.1). Here that memory is [`crate::World`]: the job queue,
+//! the heartbeat round, the quarantine set (the gang matrix's), the active
+//! slot and the tick cadence all live there, so a promoted standby reads
+//! them the instant it takes over and nothing ships them.
 //!
-//! * **Shared state** — the Ousterhout matrix, buddy tree, and global-memory
-//!   variables all live in the simulated *global memory* (the paper's
-//!   replicated-memory substrate), so any MM replica can read them the
-//!   instant it is promoted. They need no explicit shipping.
-//! * **Private state** — the job queue, heartbeat round, quarantine set,
-//!   active slot, and tick counter live inside the MM process. These are
-//!   captured here as [`MmCoreState`] and replicated to standbys as a
-//!   decision log ([`Decision`]) plus periodic full checkpoints.
-//!
-//! A standby applies log records strictly in sequence (`seq == applied`);
-//! anything else is a gap or a duplicate and is counted, not applied. A
-//! checkpoint replaces the standby's state wholesale when it is at least as
-//! new as what the standby has applied. The rolling FNV-1a digest over the
-//! encoded decision stream lets the `repl_consistency` oracle compare an
-//! up-to-date standby against the active mirror in O(1).
+//! What replication carries is the *decision log* ([`Decision`]): the
+//! active MM records each scheduling decision and ships it to every live
+//! standby in sequence order, plus periodic checkpoints of its log
+//! position. A replica's state ([`MmCoreState`]) is that position and a
+//! rolling FNV-1a digest of the decisions up to it. A standby applies
+//! log records strictly in sequence (`seq == log_len`); anything else is
+//! a gap or a duplicate and is counted, not applied. A checkpoint replaces
+//! the standby's state wholesale when it is at least as far along. The
+//! `repl_consistency` check compares a standby with the active in O(1):
+//! never past the active's position, and at the same position with the
+//! same digest.
 
 use crate::job::JobId;
 use storm_sim::SimTime;
@@ -30,7 +30,10 @@ pub enum MmRole {
     /// A warm replica: applies the decision log, watches for beats.
     Standby,
     /// A dead replica: drops everything except submit trampolining.
-    Failed,
+    Failed {
+        /// When the replica's failure was injected.
+        at: SimTime,
+    },
 }
 
 /// One replicated scheduling decision, shipped from the active MM to every
@@ -107,22 +110,12 @@ fn fnv_step(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The MM-private scheduling state that replication must preserve across a
-/// failover. `PartialEq` + the rolling digest make divergence detection
-/// cheap for the DST oracles.
+/// A replica's replicated state: how far through the decision log it is,
+/// and the digest of the decisions up to there. Equal positions with equal
+/// digests mean the replicas applied the same decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MmCoreState {
-    /// Scheduler ticks executed so far (mirrors `MachineManager::ticks`).
-    pub ticks: u64,
-    /// Last completed heartbeat round.
-    pub hb_round: i64,
-    /// Quarantined nodes, kept sorted for canonical comparison.
-    pub detected_failed: Vec<u32>,
-    /// Mirror of the job queue (pending, unplaced jobs) in order.
-    pub queue: Vec<JobId>,
-    /// Currently active timeslice slot.
-    pub active_slot: u32,
-    /// Number of decisions applied to this state.
+    /// Number of decisions applied.
     pub log_len: u64,
     /// Rolling FNV-1a digest over the encoded decision stream.
     pub digest: u64,
@@ -131,11 +124,6 @@ pub struct MmCoreState {
 impl Default for MmCoreState {
     fn default() -> Self {
         MmCoreState {
-            ticks: 0,
-            hb_round: 0,
-            detected_failed: Vec::new(),
-            queue: Vec::new(),
-            active_slot: 0,
             log_len: 0,
             digest: FNV_OFFSET,
         }
@@ -143,68 +131,28 @@ impl Default for MmCoreState {
 }
 
 impl MmCoreState {
-    /// Apply one decision, updating the mirrored state, the log length, and
-    /// the rolling digest. Deterministic and side-effect free: the active MM
-    /// and every standby run the exact same function over the exact same
-    /// sequence, so equal `log_len` must imply equal `digest` and state.
+    /// Apply one decision: fold its encoding into the digest and count it.
+    /// Deterministic and side-effect free: the active MM and every standby
+    /// run the exact same function over the exact same sequence, so equal
+    /// `log_len` must imply equal `digest`.
     pub fn apply(&mut self, d: &Decision) {
         let (tag, a, b): (u8, u64, u64) = match *d {
-            Decision::Submit { job } => {
-                self.queue.push(job);
-                (1, u64::from(job.0), 0)
-            }
-            Decision::Place { job, slot } => {
-                self.queue.retain(|&j| j != job);
-                (2, u64::from(job.0), u64::from(slot))
-            }
-            Decision::Admit { job } => {
-                self.queue.push(job);
-                (3, u64::from(job.0), 0)
-            }
+            Decision::Submit { job } => (1, u64::from(job.0), 0),
+            Decision::Place { job, slot } => (2, u64::from(job.0), u64::from(slot)),
+            Decision::Admit { job } => (3, u64::from(job.0), 0),
             Decision::Launch { job, attempt } => (4, u64::from(job.0), u64::from(attempt)),
-            Decision::Complete { job } => {
-                // A killed job can be completed straight out of the queue.
-                self.queue.retain(|&j| j != job);
-                (5, u64::from(job.0), 0)
-            }
-            Decision::Requeue { job, retry } => {
-                self.queue.retain(|&j| j != job);
-                (6, u64::from(job.0), u64::from(retry))
-            }
-            Decision::Quarantine { node } => {
-                if let Err(pos) = self.detected_failed.binary_search(&node) {
-                    self.detected_failed.insert(pos, node);
-                }
-                (7, u64::from(node), 0)
-            }
-            Decision::Rejoin { node } => {
-                self.detected_failed.retain(|&n| n != node);
-                (8, u64::from(node), 0)
-            }
-            Decision::Round { round } => {
-                self.hb_round = round;
-                (9, round as u64, 0)
-            }
-            Decision::Slot { slot } => {
-                self.active_slot = slot;
-                (10, u64::from(slot), 0)
-            }
+            Decision::Complete { job } => (5, u64::from(job.0), 0),
+            Decision::Requeue { job, retry } => (6, u64::from(job.0), u64::from(retry)),
+            Decision::Quarantine { node } => (7, u64::from(node), 0),
+            Decision::Rejoin { node } => (8, u64::from(node), 0),
+            Decision::Round { round } => (9, round as u64, 0),
+            Decision::Slot { slot } => (10, u64::from(slot), 0),
         };
         self.digest = fnv_step(self.digest, &[tag]);
         self.digest = fnv_step(self.digest, &a.to_le_bytes());
         self.digest = fnv_step(self.digest, &b.to_le_bytes());
         self.log_len += 1;
     }
-}
-
-/// A standby's view of the replicated state: how far through the decision
-/// log it has applied, and the resulting mirrored state.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplicaState {
-    /// Next log sequence number this replica expects (== records applied).
-    pub applied: u64,
-    /// The mirrored MM-private state.
-    pub state: MmCoreState,
 }
 
 /// Replication-plane counters. Kept separate from [`crate::ClusterStats`] so
@@ -231,25 +179,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn apply_mirrors_queue_and_membership() {
+    fn apply_counts_and_digests_every_decision() {
+        let j = JobId(1);
+        let every = [
+            Decision::Submit { job: j },
+            Decision::Place { job: j, slot: 0 },
+            Decision::Admit { job: j },
+            Decision::Launch { job: j, attempt: 1 },
+            Decision::Complete { job: j },
+            Decision::Requeue { job: j, retry: 1 },
+            Decision::Quarantine { node: 7 },
+            Decision::Rejoin { node: 7 },
+            Decision::Round { round: 5 },
+            Decision::Slot { slot: 1 },
+        ];
         let mut s = MmCoreState::default();
-        s.apply(&Decision::Submit { job: JobId(1) });
-        s.apply(&Decision::Submit { job: JobId(2) });
-        assert_eq!(s.queue, vec![JobId(1), JobId(2)]);
-        s.apply(&Decision::Place {
-            job: JobId(1),
-            slot: 0,
-        });
-        assert_eq!(s.queue, vec![JobId(2)]);
-        s.apply(&Decision::Quarantine { node: 7 });
-        s.apply(&Decision::Quarantine { node: 3 });
-        s.apply(&Decision::Quarantine { node: 7 });
-        assert_eq!(s.detected_failed, vec![3, 7]);
-        s.apply(&Decision::Rejoin { node: 3 });
-        assert_eq!(s.detected_failed, vec![7]);
-        s.apply(&Decision::Round { round: 5 });
-        assert_eq!(s.hb_round, 5);
-        assert_eq!(s.log_len, 8);
+        let mut seen = vec![s.digest];
+        for (n, d) in (1..).zip(&every) {
+            s.apply(d);
+            assert_eq!(s.log_len, n, "{d:?} is counted");
+            assert!(!seen.contains(&s.digest), "{d:?} moves the digest");
+            seen.push(s.digest);
+        }
+        // Same decision kind, other operands: another digest.
+        let mut a = MmCoreState::default();
+        let mut b = MmCoreState::default();
+        a.apply(&Decision::Quarantine { node: 3 });
+        b.apply(&Decision::Quarantine { node: 4 });
+        assert_ne!(a.digest, b.digest);
     }
 
     #[test]

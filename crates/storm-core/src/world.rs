@@ -5,7 +5,7 @@
 use crate::config::ClusterConfig;
 use crate::job::{JobId, JobRecord, JobState, ReportSet};
 use crate::matrix::GangMatrix;
-use crate::replica::{MmCoreState, MmRole, ReplStats, ReplicaState};
+use crate::replica::{MmCoreState, MmRole, ReplStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use storm_mech::{Mechanisms, NodeSet};
@@ -160,10 +160,6 @@ pub struct World {
     pub mech: Mechanisms,
     /// All jobs ever submitted, indexed by `JobId`.
     pub jobs: Vec<JobRecord>,
-    /// How many of `jobs` are not terminal. Derived, not checkpointed:
-    /// [`World::recount_unfinished`] rebuilds it after a restore or a raw
-    /// edit of the records.
-    unfinished_jobs: usize,
     /// Queued job ids awaiting allocation, FCFS order.
     pub queue: VecDeque<JobId>,
     /// The gang matrix: slot membership and the quarantine set.
@@ -180,17 +176,16 @@ pub struct World {
     pub hb_var: Option<storm_mech::VarId>,
     /// Current heartbeat round.
     pub hb_round: i64,
-    /// The active MM's authoritative mirror of its replicated private
-    /// state. Maintained only when standbys are configured.
+    /// The active MM's log position and digest. Maintained only when
+    /// standbys are configured.
     pub mm_core: MmCoreState,
-    /// Per-rank standby replica state (entry 0, the primary, is unused).
-    pub mm_replicas: Vec<ReplicaState>,
+    /// Each standby's log position and digest, by rank (entry 0, the
+    /// primary, is unused).
+    pub mm_replicas: Vec<MmCoreState>,
     /// Per-rank MM roles, the one record of MM membership: a replica is
-    /// dead exactly when its role is `Failed`. Always length
-    /// `mm_standbys + 1`.
+    /// dead exactly when its role is `Failed`, which holds its failure
+    /// instant. Always length `mm_standbys + 1`.
     pub mm_roles: Vec<MmRole>,
-    /// When each MM replica's failure was injected.
-    pub mm_failed_at: Vec<Option<SimTime>>,
     /// Rank of the currently active MM.
     pub mm_active_rank: u32,
     /// Current MM epoch; bumped (and CAW-fenced into every node's memory)
@@ -218,6 +213,10 @@ pub struct World {
     pub cq: crate::cq::ContinuousQueries,
     /// Armed idle fast-forward, if any (see [`IdleLeap`]).
     pub(crate) leap: Option<IdleLeap>,
+    /// Never leap: every boundary is a real tick. Set only for the fully
+    /// strobed reference that equivalence tests compare a leaping run with
+    /// (`Cluster::new_fully_strobed`); not checkpointed.
+    pub(crate) fully_strobed: bool,
     /// Number of idle fast-forward leaps taken.
     pub sim_leaps: u64,
     /// Total quiescent collect-period ticks skipped by fast-forward.
@@ -225,18 +224,15 @@ pub struct World {
 }
 
 /// An armed idle fast-forward: the MM tick chain has leaped over a run of
-/// quiescent collect-period boundaries, parking its next `Tick` just
-/// before the upcoming heartbeat round, and the arithmetic effects of the
-/// skipped ticks are replayed lazily — when the next tick actually fires,
-/// or at a `run_until` deadline that lands mid-gap (see DESIGN.md §12).
+/// quiescent collect-period boundaries, parking its next `Tick` at the
+/// upcoming heartbeat round (`MachineManager::next_tick`), and the effects
+/// of the skipped ticks are replayed lazily — when the next tick actually
+/// fires, or at a `run_until` deadline that lands mid-gap (see DESIGN.md
+/// §12).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IdleLeap {
     /// The real tick (a collect-period boundary) that armed the leap.
     pub from: SimTime,
-    /// When the parked `Tick` event fires. Lowered when a mid-gap message
-    /// (e.g. a submit) re-densifies the chain; the superseded far tick is
-    /// deduplicated by the MM when it eventually pops.
-    pub parked: SimTime,
     /// Boundary through which skipped-tick effects have been replayed.
     pub settled: SimTime,
     /// Logical pending-message count each skipped tick would observe.
@@ -264,7 +260,6 @@ impl World {
             qsnet,
             mech,
             jobs: Vec::new(),
-            unfinished_jobs: 0,
             queue: VecDeque::new(),
             matrix,
             active_slot: 0,
@@ -274,15 +269,12 @@ impl World {
             hb_var: None,
             hb_round: 0,
             mm_core: MmCoreState::default(),
-            mm_replicas: (0..=cfg.mm_standbys)
-                .map(|_| ReplicaState::default())
-                .collect(),
+            mm_replicas: vec![MmCoreState::default(); cfg.mm_standbys as usize + 1],
             mm_roles: {
                 let mut r = vec![MmRole::Active];
                 r.extend((0..cfg.mm_standbys).map(|_| MmRole::Standby));
                 r
             },
-            mm_failed_at: vec![None; cfg.mm_standbys as usize + 1],
             mm_active_rank: 0,
             mm_epoch: 0,
             mm_epoch_var: None,
@@ -293,6 +285,7 @@ impl World {
             telemetry: Telemetry::new(cfg.telemetry),
             cq: crate::cq::ContinuousQueries::new(),
             leap: None,
+            fully_strobed: false,
             sim_leaps: 0,
             sim_leaped_slices: 0,
             cfg,
@@ -309,15 +302,14 @@ impl World {
     pub fn register_job(&mut self, rec: JobRecord) -> JobId {
         let id = rec.id;
         assert_eq!(id.index(), self.jobs.len(), "job ids must be dense");
-        self.unfinished_jobs += usize::from(!rec.state.is_terminal());
         self.jobs.push(rec);
         id
     }
 
     /// The one terminal transition: `job` ends in `state` at `now`. What
     /// only a live job needs goes with it — its matrix placement, its
-    /// flow-control variable and its report sets — and it stops counting
-    /// as unfinished. The workload and the transfer's chunk sizes stay:
+    /// flow-control variable and its report sets — and it counts as
+    /// completed. The workload and the transfer's chunk sizes stay:
     /// forks and fragments still in flight read them.
     pub(crate) fn finish_job(&mut self, job: JobId, state: JobState, now: SimTime) {
         debug_assert!(state.is_terminal());
@@ -325,7 +317,6 @@ impl World {
         self.matrix.remove(job);
         let rec = &mut self.jobs[job.index()];
         if !rec.state.is_terminal() {
-            self.unfinished_jobs -= 1;
             self.stats.completed_jobs += 1;
         }
         rec.state = state;
@@ -343,12 +334,6 @@ impl World {
         if let Some(var) = self.jobs[job.index()].transfer.written_var.take() {
             self.mech.memory.free_var(var);
         }
-    }
-
-    /// Recount the unfinished jobs from the records — after a restore
-    /// loads them, or after a raw edit through `Cluster::with_world_mut`.
-    pub(crate) fn recount_unfinished(&mut self) {
-        self.unfinished_jobs = self.jobs.iter().filter(|j| !j.state.is_terminal()).count();
     }
 
     /// The live allocated jobs in job-id order: the gang matrix's
@@ -430,11 +415,12 @@ impl World {
         self.cfg.mm_standbys > 0
     }
 
-    /// Are all jobs terminal and the queue empty (cluster idle)? O(1): a
-    /// job registered for a future submit is unfinished, so it keeps the
-    /// MM's tick chain running until it is done.
+    /// Are all jobs terminal and the queue empty (cluster idle)? O(1):
+    /// `completed_jobs` counts the terminal jobs (the `job_accounting`
+    /// invariant), and a job registered for a future submit is not
+    /// terminal, so it keeps the MM's tick chain running until it is done.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.unfinished_jobs == 0
+        self.queue.is_empty() && self.stats.completed_jobs == self.jobs.len() as u64
     }
 
     /// Idle in the strong sense fast-forward requires: nothing queued,
@@ -444,11 +430,13 @@ impl World {
         self.is_idle() && self.matrix.job_count() == 0
     }
 
-    /// Replay the per-tick arithmetic of skipped quiescent boundaries in
+    /// Replay the per-tick work of skipped quiescent boundaries in
     /// `(leap.settled, upto]`, advancing the settled watermark. Counters
     /// and histogram observations accumulate; gauges need no replay (the
-    /// skipped ticks would re-set the values they already hold). Keeps the
-    /// leap armed — the caller decides when to disarm.
+    /// skipped ticks would re-set the values they already hold); each
+    /// boundary evaluates the continuous queries at its own instant and
+    /// tick number, over a sample that is constant across the gap. Keeps
+    /// the leap armed — the caller decides when to disarm.
     pub(crate) fn settle_leap_through(&mut self, upto: SimTime) {
         let Some(l) = self.leap else { return };
         let period = self.cfg.collect_period();
@@ -468,6 +456,16 @@ impl World {
             m.observe("engine.pending_messages_per_tick", l.pending);
             if let Some(p) = l.pct {
                 m.observe("sched.matrix_utilization_pct", p);
+            }
+        }
+        if !self.cq.is_empty() {
+            // Leaps need fault detection, whose tick chain starts at 0 and
+            // is realigned on promotion: boundary `b` is tick `b / period
+            // + 1`.
+            let first = l.settled.next_boundary(period);
+            for at in (0..k).map(|i| first + period * i) {
+                let slice = at.boundaries_since(SimTime::ZERO, period) + 1;
+                self.evaluate_continuous_queries(slice, at);
             }
         }
     }

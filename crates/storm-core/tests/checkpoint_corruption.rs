@@ -5,7 +5,7 @@
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v7.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v8.json");
 
 /// The value at a dotted path of object keys and array indices.
 fn at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
@@ -129,9 +129,14 @@ fn a_queue_entry_for_an_unknown_component_is_refused() {
 
 #[test]
 fn a_group_member_outside_the_cluster_is_refused() {
-    // Entry 1 is a group delivery whose payload lives in group slot 1.
+    // Entry 1 is a group delivery whose payload lives in group slot 1: a
+    // fragment of job 1, made an older attempt's so that it need not
+    // address the job's block.
     refused(
-        set("engine.groups.slots.1.1.targets.1", num(99_999)),
+        |doc| {
+            set("engine.groups.slots.1.1.targets.1", num(99_999))(doc);
+            set("engine.groups.slots.1.1.msg.3", num(1))(doc);
+        },
         "is not a pending delivery",
     );
 }
@@ -181,14 +186,6 @@ fn a_queue_entry_with_a_stale_payload_generation_is_refused() {
     refused(
         set("engine.entries.0.5", num(8)),
         "is not a pending delivery",
-    );
-}
-
-#[test]
-fn an_nm_out_of_its_wiring_position_is_refused() {
-    refused(
-        set("nms.3.0", num(5)),
-        "nms[3].node: 5 is not its wiring position",
     );
 }
 
@@ -285,6 +282,20 @@ fn a_live_block_that_does_not_fit_is_refused() {
 }
 
 #[test]
+fn a_fan_out_that_misses_its_jobs_block_is_refused() {
+    // Job 1's record moved to nodes 2..4, free in slot 0: the block fits,
+    // but the fragment in flight (entry 1) still addresses nodes 0..2, so
+    // the transfer would never finish.
+    refused(
+        |doc| {
+            set("world.jobs.1.allocation.nodes_start", num(2))(doc);
+            set("world.jobs.1.allocation.nodes_end", num(4))(doc);
+        },
+        "engine.entries[1]: fragment fan-out of job 1 misses its block Some(2..4)",
+    );
+}
+
+#[test]
 fn a_quarantined_node_inside_a_live_block_is_refused() {
     refused(
         set("world.matrix.quarantined", Value::Arr(vec![num(5)])),
@@ -365,12 +376,30 @@ fn a_per_node_table_of_the_wrong_length_is_refused() {
 #[test]
 fn a_per_replica_table_of_the_wrong_length_is_refused() {
     // The fixture runs a primary and two standbys.
-    for table in ["mm_replicas", "mm_roles", "mm_failed_at"] {
+    for table in ["mm_replicas", "mm_roles"] {
         refused(
             truncate(format!("world.{table}"), 2),
             &format!("shape: world.{table}: 2 entries for 3 MM replicas"),
         );
     }
+}
+
+// Rank 2 stands by at the active's log position, record 28.
+
+#[test]
+fn a_standby_at_the_actives_position_with_another_digest_is_refused() {
+    refused(
+        set("world.mm_replicas.2.digest", num(7)),
+        "repl_consistency: standby 2 is at the active's log position 28 but diverged",
+    );
+}
+
+#[test]
+fn a_standby_past_the_actives_position_is_refused() {
+    refused(
+        set("world.mm_replicas.2.log_len", num(29)),
+        "repl_consistency: standby 2 is ahead of the active: at record 29 of 28",
+    );
 }
 
 #[test]
@@ -381,7 +410,10 @@ fn an_active_rank_that_is_no_live_leader_is_refused() {
         "shape: world.mm_active_rank: 7 for 3 MM replicas",
     );
     refused(
-        set("world.mm_roles.1", Value::Str("standby".into())),
+        set(
+            "world.mm_roles.1",
+            Value::Arr(vec![Value::Str("standby".into())]),
+        ),
         "single_active_mm: world.mm_active_rank 1 is a standby in epoch 1",
     );
     refused(
@@ -482,14 +514,6 @@ fn a_report_from_outside_the_allocation_is_refused() {
             nodes(&[4, u64::from(u32::MAX)]),
         ),
         "world.jobs[0].reported_done: node 4294967295 is outside the 8 nodes",
-    );
-}
-
-#[test]
-fn an_mm_out_of_its_rank_position_is_refused() {
-    refused(
-        set("mms.2.rank", num(7)),
-        "mms[2].rank: 7 is not its position",
     );
 }
 

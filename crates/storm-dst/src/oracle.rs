@@ -274,14 +274,11 @@ mod tests {
         c.run_until(SimTime::from_millis(20));
         let mut suite = standard_suite();
         assert_eq!(check_all(&mut suite, c.world(), c.now()), None);
-        // A replica that claims to be caught up but mirrors a different
-        // queue is exactly the divergence the digest contract forbids.
+        // A replica at the active's log position with another digest is
+        // exactly the divergence the digest contract forbids.
         c.with_world_mut(|w| {
-            let core = w.mm_core.clone();
-            let r = &mut w.mm_replicas[1];
-            r.applied = core.log_len;
-            r.state = core;
-            r.state.queue.push(JobId(999));
+            w.mm_replicas[1] = w.mm_core.clone();
+            w.mm_replicas[1].digest ^= 1;
         });
         let v = check_all(&mut suite, c.world(), c.now()).expect("must fire");
         assert_eq!(v.oracle, "repl_consistency");

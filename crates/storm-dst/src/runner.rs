@@ -137,11 +137,10 @@ fn apply_injection(c: &mut Cluster, kind: &InjectionKind) {
             w.queue.pop_front();
         }
         InjectionKind::ReplicaSkew { rank } => {
-            let core = w.mm_core.clone();
+            // At the active's log position, with another digest.
             let r = &mut w.mm_replicas[rank as usize];
-            r.applied = core.log_len;
-            r.state = core;
-            r.state.queue.push(JobId(u32::MAX));
+            *r = w.mm_core.clone();
+            r.digest ^= 1;
         }
         InjectionKind::DualActive => {
             w.mm_roles[1] = MmRole::Active;

@@ -121,8 +121,8 @@ pub enum InjectionKind {
     /// Pop a live job out of the MM queue without completing it — a lost
     /// job, caught by `no_job_lost`.
     JobVanish,
-    /// Make a standby claim it applied the full decision log while holding
-    /// a diverged queue mirror — caught by `repl_consistency`.
+    /// Put a standby at the active's log position with another digest —
+    /// caught by `repl_consistency`.
     ReplicaSkew {
         /// The standby rank to skew (≥ 1).
         rank: u32,

@@ -158,18 +158,18 @@ pub fn replicas(c: &Cluster) -> Table {
         &["rank", "role", "active", "epoch", "applied", "failed_at"],
     );
     for (rank, role) in w.mm_roles.iter().enumerate() {
-        let role_str = match role {
-            MmRole::Active => "active",
-            MmRole::Standby => "standby",
-            MmRole::Failed => "failed",
+        let (role_str, failed_at) = match *role {
+            MmRole::Active => ("active", None),
+            MmRole::Standby => ("standby", None),
+            MmRole::Failed { at } => ("failed", Some(at)),
         };
         out.push(vec![
             Datum::U64(rank as u64),
             Datum::Str(role_str.to_string()),
             Datum::Bool(rank as u32 == w.mm_active_rank),
             Datum::U64(w.mm_epoch),
-            Datum::U64(w.mm_replicas.get(rank).map_or(0, |r| r.applied)),
-            t(w.mm_failed_at.get(rank).copied().flatten()),
+            Datum::U64(w.mm_replicas.get(rank).map_or(0, |r| r.log_len)),
+            t(failed_at),
         ]);
     }
     out

@@ -87,7 +87,7 @@ pub fn tree_depth(rank: u64, fanout: u64) -> u64 {
 /// shared slice for irregular sets. Cloning is allocation-free (a field
 /// copy or an `Arc` refcount bump), which is what lets
 /// [`Context::multicast`] borrow the caller's targets.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GroupTargets {
     /// `len` components at ids `first, first+stride, first+2·stride, …`.
     Strided {

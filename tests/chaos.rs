@@ -315,7 +315,7 @@ fn mm_failover_detects_promotes_and_replays() {
             w.repl.clone(),
             w.mm_epoch,
             w.mm_active_rank,
-            w.mm_core.hb_round,
+            w.hb_round,
             w.stats.failures_detected.clone(),
         )
     };

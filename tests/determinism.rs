@@ -107,11 +107,17 @@ struct MixedRun {
     events: u64,
     /// (leaps, leaped slices).
     leaps: (u64, u64),
+    /// Continuous-query alerts.
+    alerts: Vec<Alert>,
 }
 
-fn mixed_workload_run(cfg: ClusterConfig) -> MixedRun {
-    let mut c = Cluster::new(cfg);
+/// Run the mixed workload on `c` (built from [`mixed_workload_cfg`]), with
+/// a query that fires at every timeslice and one that fires while a node
+/// is quarantined.
+fn mixed_workload_run(mut c: Cluster) -> MixedRun {
     c.enable_tracing();
+    c.register_query("every_slice", Condition::AliveNodesBelow(65));
+    c.register_query("quarantine", Condition::QuarantinedAbove(0));
     let _launch = c.submit(JobSpec::new(AppSpec::do_nothing_mb(12), 256));
     let _gang_a = c.submit_at(
         SimTime::from_millis(10),
@@ -147,21 +153,27 @@ fn mixed_workload_run(cfg: ClusterConfig) -> MixedRun {
         messages: c.messages_handled(),
         events: c.events_delivered(),
         leaps: c.leap_stats(),
+        alerts: c.alerts().to_vec(),
     }
 }
 
 /// Idle fast-forward leaps the clock over quiescent timeslices instead of
 /// strobing them; every *simulation* observable — trace, statistics, job
-/// metrics — must still match the fully-strobed run bit for bit. Only the
-/// tick bookkeeping (handler invocations, queue pops) may shrink, and the
-/// leaped run must actually have leaped.
+/// metrics, continuous-query alerts — must still match the fully-strobed
+/// run bit for bit. Only the tick bookkeeping (handler invocations, queue
+/// pops) may shrink, and the leaped run must actually have leaped.
 #[test]
 fn fast_forward_is_byte_identical_to_full_strobing() {
-    let leaped = mixed_workload_run(mixed_workload_cfg().with_fast_forward(true));
-    let strobed = mixed_workload_run(mixed_workload_cfg().with_fast_forward(false));
+    let leaped = mixed_workload_run(Cluster::new(mixed_workload_cfg()));
+    let strobed = mixed_workload_run(Cluster::new_fully_strobed(mixed_workload_cfg()));
     assert_eq!(leaped.trace, strobed.trace, "event traces");
     assert_eq!(leaped.stats, strobed.stats, "cluster statistics");
     assert_eq!(leaped.jobs, strobed.jobs, "job states and metrics");
+    assert_eq!(leaped.alerts, strobed.alerts, "continuous-query alerts");
+    // The every-slice query fires once at each of the 401 boundaries in
+    // [0, 400 ms], the leaped ones included.
+    let every = (leaped.alerts.iter()).filter(|a| a.query == "every_slice");
+    assert!(every.map(|a| a.slice).eq(1..=401), "one alert a slice");
     let (leaps, slices) = leaped.leaps;
     assert!(leaps > 0, "the idle tail must have been fast-forwarded");
     assert!(slices >= leaps, "each leap skips at least one timeslice");
@@ -177,6 +189,37 @@ fn fast_forward_is_byte_identical_to_full_strobing() {
         "fast-forward must pop fewer queue entries ({} vs {})",
         leaped.events,
         strobed.events
+    );
+}
+
+/// An active MM killed inside an idle leap, with no standby to take over,
+/// ticks no more: the leaped run replays the skipped boundaries up to the
+/// kill and none after, as the fully strobed run ticks up to it.
+#[test]
+fn a_kill_inside_an_idle_leap_ends_the_skipped_ticks() {
+    let run = |mut c: Cluster| {
+        c.register_query("every_slice", Condition::AliveNodesBelow(65));
+        // Heartbeat rounds fall at 0, 8, 16 ms: 10.5 ms is inside a leap.
+        c.run_until(SimTime::from_micros(10_500));
+        c.fail_mm_at(c.now(), 0);
+        c.run_until(SimTime::from_millis(100));
+        let families = ["sim.time.", "sim.queue.", "sim.arena."];
+        let metrics = strip_metric_lines(&c.metrics_snapshot().to_json(), &families);
+        (metrics, c.alerts().to_vec(), c.leap_stats())
+    };
+    let cfg = ClusterConfig::paper_cluster()
+        .with_fault_detection(8)
+        .with_telemetry(true);
+    let leaped = run(Cluster::new(cfg.clone()));
+    let strobed = run(Cluster::new_fully_strobed(cfg));
+    let (leaps, _) = leaped.2;
+    assert!(leaps > 0, "the kill must land inside a leap");
+    assert_eq!(leaped.0, strobed.0, "metrics snapshots");
+    assert_eq!(leaped.1, strobed.1, "continuous-query alerts");
+    assert_eq!(
+        strobed.1.len(),
+        11,
+        "ticks at 0..=10 ms, none after the kill"
     );
 }
 
@@ -217,11 +260,10 @@ fn event_count_per_timeslice_is_node_independent() {
 /// returning every serialised observability artefact plus the raw trace
 /// and handler count for cross-checks against the uninstrumented run.
 fn instrumented_run() -> (String, String, String, String, u64) {
-    instrumented_run_cfg(mixed_workload_cfg().with_telemetry(true))
+    instrumented_run_on(Cluster::new(mixed_workload_cfg().with_telemetry(true)))
 }
 
-fn instrumented_run_cfg(cfg: ClusterConfig) -> (String, String, String, String, u64) {
-    let mut c = Cluster::new(cfg);
+fn instrumented_run_on(mut c: Cluster) -> (String, String, String, String, u64) {
     c.enable_tracing();
     c.submit(JobSpec::new(AppSpec::do_nothing_mb(12), 256));
     c.submit_at(
@@ -271,12 +313,10 @@ fn strip_metric_lines(snapshot: &str, families: &[&str]) -> String {
 /// may differ.
 #[test]
 fn fast_forward_telemetry_matches_full_strobing() {
-    let leaped = instrumented_run_cfg(mixed_workload_cfg().with_telemetry(true));
-    let strobed = instrumented_run_cfg(
-        mixed_workload_cfg()
-            .with_telemetry(true)
-            .with_fast_forward(false),
-    );
+    let leaped = instrumented_run();
+    let strobed = instrumented_run_on(Cluster::new_fully_strobed(
+        mixed_workload_cfg().with_telemetry(true),
+    ));
     assert_eq!(
         strip_metric_lines(&leaped.0, &["sim.time.", "sim.queue.", "sim.arena."]),
         strip_metric_lines(&strobed.0, &["sim.time.", "sim.queue.", "sim.arena."]),
@@ -322,7 +362,7 @@ fn telemetry_is_byte_identical_across_replays() {
 /// must equal those of the plain run of the same workload.
 #[test]
 fn telemetry_does_not_perturb_the_simulation() {
-    let plain = mixed_workload_run(mixed_workload_cfg());
+    let plain = mixed_workload_run(Cluster::new(mixed_workload_cfg()));
     let instrumented = instrumented_run();
     assert_eq!(plain.trace, instrumented.3, "event traces");
     assert_eq!(plain.messages, instrumented.4, "handler invocations");
