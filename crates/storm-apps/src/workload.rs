@@ -116,6 +116,7 @@ impl WorkloadCursor {
     /// step's exchanged bytes into a span (network-model dependent).
     /// Returns the time actually consumed (`< grant` only if the workload
     /// completed).
+    #[inline]
     pub fn advance(
         &mut self,
         workload: &Workload,

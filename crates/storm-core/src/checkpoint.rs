@@ -70,7 +70,7 @@ use crate::job::{
 use crate::matrix::GangMatrix;
 use crate::mm::MachineManager;
 use crate::msg::{Msg, ReportKind};
-use crate::nm::{LocalJob, NodeManager};
+use crate::nm::{LocalJob, NmRow};
 use crate::pl::ProgramLauncher;
 use crate::replica::{Decision, MmCoreState, MmRole, ReplStats};
 use crate::world::{ClusterStats, IdleLeap, NodeTable, World};
@@ -111,9 +111,9 @@ trait Codec: Sized {
 }
 
 /// Decoding in place, for the types that also hold layout [`Cluster::new`]
-/// rebuilds from the config: the world, its mechanism layer and the
-/// dæmons, whose rank or node is their wiring position. Every [`Codec`]
-/// type patches by replacement.
+/// rebuilds from the config: the world, its mechanism layer and the MMs,
+/// whose rank is their wiring position. Every [`Codec`] type patches by
+/// replacement.
 trait Patch {
     fn save(&self, out: &mut Writer);
     fn load(&mut self, v: &Value) -> R<()>;
@@ -229,21 +229,8 @@ macro_rules! record {
     };
 }
 
-/// A positional array of the listed fields. The `into` form decodes in
-/// place (see [`Patch`]).
+/// A positional array of the listed fields.
 macro_rules! row {
-    (into $ty:ty [$($f:ident),* $(,)?]) => {
-        impl Patch for $ty {
-            fn save(&self, out: &mut Writer) {
-                out.arr(|out| { $(self.$f.save(out);)* });
-            }
-            fn load(&mut self, v: &Value) -> R<()> {
-                let mut items = Items::new(v, 0, <[&str]>::len(&[$(stringify!($f)),*]))?;
-                $(self.$f = items.next()?;)*
-                Ok(())
-            }
-        }
-    };
     ($ty:ty [$($f:ident),* $(,)?]) => {
         impl Codec for $ty {
             fn enc(&self, out: &mut Writer) {
@@ -860,8 +847,7 @@ record!(IdleLeap {
     pct
 });
 
-// Dæmons, decoded in place: an MM's rank and an NM's node are their
-// wiring position.
+// MMs, decoded in place: an MM's rank is its wiring position.
 record!(into MachineManager {
     pending_reports,
     ticks,
@@ -872,7 +858,8 @@ record!(into MachineManager {
 });
 // One NM per node, so its state and resident jobs are rows, like the
 // node table: keys repeated on every node would be most of the section.
-row!(into NodeManager [
+// A row's node is its index in `World::nm_rows`.
+row!(NmRow [
     busy_until,
     write_free,
     current_slot,
@@ -1354,12 +1341,7 @@ impl Cluster {
                     daemon::<MachineManager>(sim, id).save(out);
                 }
             });
-            out.key("nms");
-            out.arr(|out| {
-                for &id in &w.wiring.nms {
-                    daemon::<NodeManager>(sim, id).save(out);
-                }
-            });
+            put(out, "nms", &w.nm_rows);
             out.key("pls");
             out.arr(|out| {
                 for ids in &w.wiring.pls {
@@ -1422,17 +1404,18 @@ impl Cluster {
         // The engine image replaces construction-time posts wholesale.
         sim.import_engine_state(engine)
             .map_err(|e| format!("engine: {e}"))?;
-        // The dæmons load in place, keeping the rank or node `Cluster::new`
-        // wired them at (`check_layout` matched the section lengths).
+        // The MMs load in place, keeping the rank `Cluster::new` wired them
+        // at, and each NM row at its node (`check_layout` matched the
+        // section lengths).
         let wiring = sim.world().wiring.clone();
         let rows = |key| member(doc, key).map(|v| v.as_arr().unwrap_or_default());
         for (r, (&id, v)) in wiring.mms.iter().zip(rows("mms")?).enumerate() {
             (daemon_mut::<MachineManager>(sim, id).load(v))
                 .map_err(|e| at(format_args!(".mms[{r}]"), e))?;
         }
-        for (n, (&id, v)) in wiring.nms.iter().zip(rows("nms")?).enumerate() {
-            (daemon_mut::<NodeManager>(sim, id).load(v))
-                .map_err(|e| at(format_args!(".nms[{n}]"), e))?;
+        let nms = sim.world_mut().nm_rows.iter_mut();
+        for (n, (row, v)) in nms.zip(rows("nms")?).enumerate() {
+            *row = NmRow::dec(v).map_err(|e| at(format_args!(".nms[{n}]"), e))?;
         }
         for (ids, forks) in wiring.pls.iter().zip(pls) {
             for (&id, f) in ids.iter().zip(forks) {

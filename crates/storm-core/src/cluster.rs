@@ -52,7 +52,7 @@ impl Cluster {
         let mut nms = Vec::with_capacity(cfg.nodes as usize);
         let mut pls = Vec::with_capacity(cfg.nodes as usize);
         for node in 0..cfg.nodes {
-            nms.push(sim.add_component(NodeManager::new(node)));
+            nms.push(sim.add_component(NodeManager));
             let mut node_pls = Vec::with_capacity(per_node as usize);
             for i in 0..per_node {
                 node_pls.push(sim.add_component(ProgramLauncher::new(node, i)));
@@ -206,24 +206,50 @@ impl Cluster {
         self.next_job = n;
     }
 
-    /// Submit a job at the current simulated time.
+    /// Submit a job at the current simulated time. Panics where
+    /// [`Cluster::try_submit_at`] refuses the job.
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         let now = self.sim.now();
         self.submit_at(now, spec)
     }
 
-    /// Submit a job at a future instant.
+    /// Submit a job at a future instant. Panics where
+    /// [`Cluster::try_submit_at`] refuses the job.
     pub fn submit_at(&mut self, at: SimTime, spec: JobSpec) -> JobId {
-        assert!(
-            spec.nodes_needed(self.sim.world().cfg.cpus_per_node) <= self.sim.world().cfg.nodes,
-            "job needs more nodes than the cluster has"
-        );
+        self.try_submit_at(at, spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Submit a job at a future instant, or refuse one no slot of the gang
+    /// matrix could ever hold. Each slot's buddy allocator places a job in
+    /// an aligned block of a power-of-two node count, so a job needing 3
+    /// nodes takes a 4-node block and fits no 3-node cluster.
+    pub fn try_submit_at(&mut self, at: SimTime, spec: JobSpec) -> Result<JobId, String> {
+        let cfg = &self.sim.world().cfg;
+        let needed = spec.nodes_needed(cfg.cpus_per_node);
+        if needed > cfg.nodes {
+            return Err(format!(
+                "job needs more nodes than the cluster has ({needed} of {})",
+                cfg.nodes
+            ));
+        }
+        match needed.checked_next_power_of_two() {
+            Some(block) if block <= cfg.nodes => {}
+            block => {
+                return Err(format!(
+                    "job needs a block of {} nodes for its {needed}, more nodes than the cluster \
+                     has ({})",
+                    block.map_or(1 << 32, u64::from),
+                    cfg.nodes
+                ))
+            }
+        }
         let id = JobId(self.next_job);
         self.next_job += 1;
         self.sim.world_mut().register_job(JobRecord::new(id, spec));
         let mm = self.mm();
         self.sim.post(at, mm, Msg::Submit(id));
-        id
+        Ok(id)
     }
 
     /// Kill a job at `at` (how the endless hog programs are stopped).
@@ -643,5 +669,46 @@ mod tests {
     fn oversized_job_rejected_at_submit() {
         let mut cluster = Cluster::new(ClusterConfig::paper_cluster());
         cluster.submit(JobSpec::new(AppSpec::do_nothing_mb(4), 10_000));
+    }
+
+    #[test]
+    fn a_job_no_buddy_block_can_hold_is_refused() {
+        // 4 CPUs a node: 12 PEs take 3 nodes, a 4-node block; 24 take 6,
+        // an 8-node block.
+        for (nodes, pes, block) in [(3, 12, 4), (6, 24, 8)] {
+            let mut cluster = Cluster::new(ClusterConfig::paper_cluster().with_nodes(nodes));
+            let spec = JobSpec::new(AppSpec::do_nothing_mb(4), pes);
+            let err = cluster.try_submit_at(SimTime::ZERO, spec).unwrap_err();
+            assert!(err.contains(&format!("a block of {block} nodes")), "{err}");
+            assert!(
+                cluster.world().jobs.is_empty(),
+                "a refused job is not registered"
+            );
+        }
+        // 16 PEs take 4 nodes, a 4-node block of the 5.
+        let mut cluster = Cluster::new(ClusterConfig::paper_cluster().with_nodes(5));
+        let spec = JobSpec::new(AppSpec::do_nothing_mb(4), 16);
+        let job = cluster.try_submit_at(SimTime::ZERO, spec).expect("fits");
+        cluster.run_until_idle();
+        assert_eq!(cluster.job(job).state, JobState::Completed);
+    }
+
+    #[test]
+    #[should_panic(expected = "a block of 4 nodes for its 3")]
+    fn submit_panics_where_try_submit_refuses() {
+        let mut cluster = Cluster::new(ClusterConfig::paper_cluster().with_nodes(3));
+        cluster.submit(JobSpec::new(AppSpec::do_nothing_mb(4), 12));
+    }
+
+    #[test]
+    fn an_empty_binary_launches_and_completes() {
+        // Nothing to read or broadcast: the transfer is confirmed at once.
+        let mut cluster = Cluster::new(ClusterConfig::paper_cluster());
+        let job = cluster.submit(JobSpec::new(AppSpec::do_nothing_mb(0), 256));
+        cluster.run_until(SimTime::from_secs(5));
+        let rec = cluster.job(job);
+        assert_eq!(rec.state, JobState::Completed);
+        assert_eq!(cluster.world().stats.fragments, 0);
+        assert!(rec.metrics.total_launch_span().is_some());
     }
 }

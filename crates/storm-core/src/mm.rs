@@ -595,7 +595,13 @@ impl MachineManager {
                 slot: u32::try_from(slot).expect("slot index"),
             },
         );
-        self.try_start_read(job, ctx);
+        if total_chunks == 0 {
+            // An empty binary has nothing to read or broadcast: go straight
+            // to the final COMPARE-AND-WRITE, which every node passes.
+            self.try_broadcast(job, ctx);
+        } else {
+            self.try_start_read(job, ctx);
+        }
     }
 
     fn try_start_read(&mut self, job: JobId, ctx: &mut Context<'_, World, Msg>) {

@@ -24,6 +24,7 @@
 use crate::job::JobId;
 use crate::msg::{Msg, ReportKind};
 use crate::world::World;
+use std::cell::Cell;
 use storm_apps::WorkloadCursor;
 use storm_mech::NodeId;
 use storm_sim::{Component, Context, SimSpan, SimTime};
@@ -53,12 +54,11 @@ pub(crate) struct LocalJob {
     pub(crate) attempt: u32,
 }
 
-/// One Node Manager dæmon. Checkpointed field by field, except its node,
-/// which the wiring gives.
+/// One Node Manager's state: its node's row of `World::nm_rows`. The
+/// checkpoint writes it as one row of the `nms` section; its node is its
+/// index.
 #[derive(Debug)]
-pub struct NodeManager {
-    /// This NM's node. Whether the node is failed is `World::nodes`.
-    pub(crate) node: u32,
+pub(crate) struct NmRow {
     /// Management-CPU queue (strobe/command processing).
     pub(crate) busy_until: SimTime,
     /// Local filesystem write device.
@@ -86,11 +86,48 @@ pub struct NodeManager {
     pub(crate) stalled_until: Option<SimTime>,
 }
 
-impl NodeManager {
-    /// The NM for `node`.
-    pub fn new(node: u32) -> Self {
-        NodeManager {
-            node,
+/// The Node Manager dæmon registered at each node's wiring position. It
+/// holds no state: its node is its position in `Wiring::nms`, and its
+/// state is that node's [`World`] row, so a strobe or heartbeat to every
+/// node runs as one loop over the rows.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NodeManager;
+
+/// What every NM reads alike while it handles one delivery, worked out
+/// once per delivery: for a group, once for all of its members. The
+/// configuration and the network model do not change during a run.
+struct Shared {
+    /// Management-CPU time of one strobe, stretched by the CPU load.
+    strobe_service: SimSpan,
+    /// The last application message size costed, with its span.
+    comm: Cell<Option<(u64, SimSpan)>>,
+}
+
+impl Shared {
+    fn of(w: &World) -> Self {
+        Shared {
+            strobe_service: w.cfg.load.inflate(w.cfg.daemon.nm_strobe_service),
+            comm: Cell::new(None),
+        }
+    }
+
+    /// [`World::comm_span`], computed once per message size.
+    fn comm_span(&self, w: &World, bytes: u64) -> SimSpan {
+        match self.comm.get() {
+            Some((b, span)) if b == bytes => span,
+            _ => {
+                let span = w.comm_span(bytes);
+                self.comm.set(Some((bytes, span)));
+                span
+            }
+        }
+    }
+}
+
+impl NmRow {
+    /// A fresh NM's row.
+    pub(crate) fn new() -> Self {
+        NmRow {
             busy_until: SimTime::ZERO,
             write_free: SimTime::ZERO,
             current_slot: 0,
@@ -103,10 +140,6 @@ impl NodeManager {
         }
     }
 
-    fn node_id(&self) -> NodeId {
-        NodeId(self.node)
-    }
-
     fn local_mut(&mut self, job: JobId) -> Option<&mut LocalJob> {
         match self.local.binary_search_by_key(&job, |l| l.job) {
             Ok(pos) => Some(&mut self.local[pos]),
@@ -114,7 +147,13 @@ impl NodeManager {
         }
     }
 
-    fn local_insert(&mut self, state: LocalJob) {
+    fn local_insert(&mut self, state: LocalJob, mpl_max: usize) {
+        if self.local.capacity() == 0 {
+            // A node hosts at most `mpl_max` live jobs. Tables sized to
+            // that on first use seldom regrow, and the tables one launch
+            // fan-out allocates sit close together for a strobe to walk.
+            self.local.reserve_exact(mpl_max);
+        }
         match self.local.binary_search_by_key(&state.job, |l| l.job) {
             Ok(pos) => self.local[pos] = state,
             Err(pos) => self.local.insert(pos, state),
@@ -122,12 +161,12 @@ impl NodeManager {
     }
 
     /// True when a control message carries an epoch older than the one the
-    /// promoted MM fenced into this node's global memory. Without standbys
+    /// promoted MM fenced into `node`'s global memory. Without standbys
     /// there is no fence variable and nothing is ever stale.
-    fn epoch_stale(&self, epoch: u64, ctx: &Context<'_, World, Msg>) -> bool {
+    fn epoch_stale(node: NodeId, epoch: u64, ctx: &Context<'_, World, Msg>) -> bool {
         match ctx.world_ref().mm_epoch_var {
             Some(var) => {
-                let fenced = ctx.world_ref().mech.memory.read(self.node_id(), var);
+                let fenced = ctx.world_ref().mech.memory.read(node, var);
                 (epoch as i64) < fenced
             }
             None => false,
@@ -158,7 +197,7 @@ impl NodeManager {
     /// expected wait for the peer's next local quantum. Coarse-grained applications barely
     /// notice; fine-grained ones crawl, which is exactly the trade-off that
     /// motivates gang scheduling (§5.2).
-    fn advance_ics(&mut self, now: SimTime, ctx: &mut Context<'_, World, Msg>) {
+    fn advance_ics(&mut self, now: SimTime, shared: &Shared, ctx: &mut Context<'_, World, Msg>) {
         let interval = now.saturating_since(self.last_strobe);
         if interval.is_zero() {
             return;
@@ -211,7 +250,7 @@ impl NodeManager {
                 // the spin-block wait for a descheduled peer.
                 let comm = |bytes| match bytes {
                     0 => SimSpan::ZERO,
-                    _ => w.comm_span(bytes) + penalty,
+                    _ => shared.comm_span(w, bytes) + penalty,
                 };
                 let used = local.cursor.advance(workload, grant, comm);
                 if local.cursor.finished(workload) {
@@ -239,7 +278,13 @@ impl NodeManager {
 
     /// Advance the cursors of every started job in `slot` over the interval
     /// `[self.last_strobe, now]`, detecting completions.
-    fn advance_slot(&mut self, slot: usize, now: SimTime, ctx: &mut Context<'_, World, Msg>) {
+    fn advance_slot(
+        &mut self,
+        slot: usize,
+        now: SimTime,
+        shared: &Shared,
+        ctx: &mut Context<'_, World, Msg>,
+    ) {
         let interval = now.saturating_since(self.last_strobe);
         if interval.is_zero() {
             return;
@@ -252,12 +297,16 @@ impl NodeManager {
         let last_strobe = self.last_strobe;
         // Index into the matrix's slot list instead of copying it: the loop
         // body never edits slot membership, so the indices stay stable.
-        for i in 0..ctx.world_ref().matrix.jobs_in_slot(slot).len() {
-            let job = ctx.world_ref().matrix.jobs_in_slot(slot)[i].0;
-            if ctx.world_ref().job(job).state.is_terminal() {
+        for i in 0.. {
+            let w = ctx.world_ref();
+            let Some(job) = w.matrix.jobs_in_slot(slot).get(i).map(|e| e.0) else {
+                break;
+            };
+            let rec = w.job(job);
+            if rec.state.is_terminal() {
                 continue;
             }
-            let attempt = ctx.world_ref().job(job).attempt;
+            let attempt = rec.attempt;
             let finished_at = {
                 let Some(local) = self.local_mut(job) else {
                     continue;
@@ -283,7 +332,7 @@ impl NodeManager {
                 }
                 let used = local
                     .cursor
-                    .advance(workload, grant, |bytes| w.comm_span(bytes));
+                    .advance(workload, grant, |bytes| shared.comm_span(w, bytes));
                 if local.cursor.finished(workload) {
                     local.done = true;
                     let exit_at = from + overhead + used;
@@ -298,11 +347,17 @@ impl NodeManager {
             }
         }
     }
-}
 
-impl Component<World, Msg> for NodeManager {
-    fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
-        if ctx.world_ref().nodes.is_failed(self.node)
+    /// Handle `msg` at `node`: the one implementation of every NM
+    /// message, for a unicast delivery and for each member of a group.
+    fn handle(
+        &mut self,
+        node: NodeId,
+        msg: &Msg,
+        shared: &Shared,
+        ctx: &mut Context<'_, World, Msg>,
+    ) {
+        if ctx.world_ref().nodes.is_failed(node.0)
             && !matches!(msg, Msg::FailNode | Msg::RejoinNode)
         {
             return; // a dead node answers nothing
@@ -315,323 +370,396 @@ impl Component<World, Msg> for NodeManager {
                 // messages are deferred, not lost, so heartbeat replies
                 // arrive late — exactly what lets the MM tell a slow node
                 // from a dead one.
-                ctx.send_self_at(until, msg);
+                ctx.send_self_at(until, msg.clone());
                 return;
             }
         }
-        match msg {
-            Msg::FailNode => {
-                // Everything resident on the node dies with it.
-                self.local.clear();
-                self.pending_reports.clear();
-                self.flush_scheduled = false;
-                self.stalled_until = None;
-                let now = ctx.now();
-                ctx.world().nodes.mark_failed(self.node, now);
-            }
-            Msg::RejoinNode => {
-                if !ctx.world_ref().nodes.is_failed(self.node) {
-                    return; // spurious revival of a live node
-                }
-                let now = ctx.now();
-                self.local.clear();
-                self.pending_reports.clear();
-                self.flush_scheduled = false;
-                self.stalled_until = None;
-                self.busy_until = now;
-                self.write_free = now;
-                self.last_strobe = now;
-                self.switch_pending = false;
-                self.current_slot = ctx.world_ref().active_slot;
-                ctx.world().nodes.clear_failed(self.node);
-                // The node stays quarantined in the allocator until its
-                // heartbeats catch up and the MM's rejoin scan re-admits it.
-            }
+        match *msg {
+            Msg::Strobe { slot, epoch } => self.strobe(node, slot, epoch, shared, ctx),
+            Msg::Heartbeat { round, epoch } => self.heartbeat(node, round, epoch, ctx),
+            Msg::Fragment {
+                job,
+                chunk,
+                attempt,
+            } => self.fragment(job, chunk, attempt, ctx),
+            Msg::WriteDone { job, attempt, .. } => self.write_done(node, job, attempt, ctx),
+            Msg::LaunchCmd { job, attempt } => self.launch(node, job, attempt, ctx),
+            Msg::ForkDone { job, attempt, .. } => self.fork_done(job, attempt, ctx),
+            Msg::PlExited { job, attempt, .. } => self.pl_exited(job, attempt, ctx),
+            Msg::FlushReports => self.flush_reports(node, ctx),
+            Msg::Resync { epoch } => self.resync(node, epoch, ctx),
             Msg::StallNode { until } => {
                 if until > ctx.now() {
                     self.stalled_until = Some(until);
                 }
             }
-            Msg::Fragment {
+            Msg::FailNode => self.fail(node, ctx),
+            Msg::RejoinNode => self.rejoin(node, ctx),
+            _ => panic!("NM received unexpected message {msg:?}"),
+        }
+    }
+
+    /// The node crashes: everything resident on it dies with it.
+    fn fail(&mut self, node: NodeId, ctx: &mut Context<'_, World, Msg>) {
+        self.local.clear();
+        self.pending_reports.clear();
+        self.flush_scheduled = false;
+        self.stalled_until = None;
+        let now = ctx.now();
+        ctx.world().nodes.mark_failed(node.0, now);
+    }
+
+    /// The node comes back with empty local state.
+    fn rejoin(&mut self, node: NodeId, ctx: &mut Context<'_, World, Msg>) {
+        if !ctx.world_ref().nodes.is_failed(node.0) {
+            return; // spurious revival of a live node
+        }
+        let now = ctx.now();
+        self.local.clear();
+        self.pending_reports.clear();
+        self.flush_scheduled = false;
+        self.stalled_until = None;
+        self.busy_until = now;
+        self.write_free = now;
+        self.last_strobe = now;
+        self.switch_pending = false;
+        self.current_slot = ctx.world_ref().active_slot;
+        ctx.world().nodes.clear_failed(node.0);
+        // The node stays quarantined in the allocator until its
+        // heartbeats catch up and the MM's rejoin scan re-admits it.
+    }
+
+    /// A broadcast fragment lands: write it to the local filesystem.
+    fn fragment(
+        &mut self,
+        job: JobId,
+        chunk: u32,
+        attempt: u32,
+        ctx: &mut Context<'_, World, Msg>,
+    ) {
+        if ctx.world_ref().job(job).attempt != attempt {
+            return; // fragment of a lost incarnation
+        }
+        let now = ctx.now();
+        let (fs, placement, load, write_sigma) = {
+            let w = ctx.world_ref();
+            (
+                w.cfg.fs,
+                w.cfg.placement,
+                w.cfg.load,
+                w.cfg.daemon.write_sigma,
+            )
+        };
+        let bytes = {
+            let w = ctx.world_ref();
+            let t = &w.job(job).transfer;
+            t.chunk_bytes(chunk, w.cfg.chunk_bytes)
+        };
+        // Write to the local (RAM-disk) filesystem, serialised on the
+        // node's write device, with per-node log-normal noise — the
+        // variability the multi-buffering exists to absorb (§2.3).
+        let noise = ctx.rng().lognormal_jitter(write_sigma);
+        let span = load.inflate(fs.write_span(bytes, placement).mul_f64(noise));
+        let start = now.max(self.write_free);
+        let done = start + span;
+        self.write_free = done;
+        ctx.send_self_at(
+            done,
+            Msg::WriteDone {
                 job,
                 chunk,
                 attempt,
-            } => {
-                if ctx.world_ref().job(job).attempt != attempt {
-                    return; // fragment of a lost incarnation
-                }
-                let now = ctx.now();
-                let (fs, placement, load, write_sigma) = {
-                    let w = ctx.world_ref();
-                    (
-                        w.cfg.fs,
-                        w.cfg.placement,
-                        w.cfg.load,
-                        w.cfg.daemon.write_sigma,
-                    )
-                };
-                let bytes = {
-                    let w = ctx.world_ref();
-                    let t = &w.job(job).transfer;
-                    t.chunk_bytes(chunk, w.cfg.chunk_bytes)
-                };
-                // Write to the local (RAM-disk) filesystem, serialised on the
-                // node's write device, with per-node log-normal noise — the
-                // variability the multi-buffering exists to absorb (§2.3).
-                let noise = ctx.rng().lognormal_jitter(write_sigma);
-                let span = load.inflate(fs.write_span(bytes, placement).mul_f64(noise));
-                let start = now.max(self.write_free);
-                let done = start + span;
-                self.write_free = done;
-                ctx.send_self_at(
-                    done,
-                    Msg::WriteDone {
-                        job,
-                        chunk,
-                        attempt,
-                    },
-                );
-            }
-            Msg::WriteDone { job, attempt, .. } => {
-                if ctx.world_ref().job(job).attempt != attempt {
-                    return; // write for a lost incarnation
-                }
-                // Bump the per-node fragment counter the MM's
-                // COMPARE-AND-WRITE flow control watches — unless the job
-                // has finished meanwhile (killed mid-transfer): its
-                // variable was freed and may belong to another job now.
-                let Some(var) = ctx.world_ref().job(job).transfer.written_var else {
-                    return;
-                };
-                ctx.world().mech.memory.add(self.node_id(), var, 1);
-            }
-            Msg::LaunchCmd { job, attempt } => {
-                if ctx.world_ref().job(job).attempt != attempt {
-                    return; // launch of a lost incarnation
-                }
-                let now = ctx.now();
-                let (costs, load) = {
-                    let w = ctx.world_ref();
-                    (w.cfg.daemon, w.cfg.load)
-                };
-                let ranks_here = ctx.world_ref().job(job).alloc().ranks_on(self.node);
-                if ranks_here == 0 {
-                    return;
-                }
-                // Forget the entries of jobs the MM has finished that
-                // nothing in flight can reach, so the table tracks live
-                // jobs: those done here, and those of the job's last
-                // incarnation whose forks have all reported, unless its
-                // workload is the empty one (its PLs report each exit).
-                // Any other entry of a finished job stays: a fork or exit
-                // still in flight reports to it.
-                let w = ctx.world_ref();
-                self.local.retain(|l| {
-                    let rec = w.job(l.job);
-                    let settled = l.done
-                        || (l.attempt == rec.attempt
-                            && l.forked == l.ranks
-                            && !rec.workload.is_empty());
-                    !(rec.state.is_terminal() && settled)
-                });
-                self.local_insert(LocalJob {
-                    job,
-                    ranks: ranks_here,
-                    forked: 0,
-                    exited: 0,
-                    started_at: None,
-                    cursor: ctx.world_ref().job(job).workload.cursor(),
-                    done: false,
-                    done_at: None,
-                    attempt,
-                });
-                // Command processing on the management CPU, plus the
-                // exponential OS wake-up delay that drives Fig. 2's
-                // execute-time growth with PE count.
-                let os = SimSpan::from_secs_f64(
-                    ctx.rng().exponential(costs.os_delay_mean.as_secs_f64()),
-                );
-                let service = load.inflate(costs.nm_msg_service + os);
-                let start = now.max(self.busy_until);
-                self.busy_until = start + service;
-                let ready = self.busy_until;
-                // Fork each rank through its own Program Launcher, staggered
-                // by the sequential dispatch loop.
-                for r in 0..ranks_here {
-                    let pl = ctx.world_ref().wiring.pls[self.node as usize][r as usize];
-                    let dispatch = SimSpan::from_micros(30) * u64::from(r);
-                    ctx.send_at(pl, ready + dispatch, Msg::Fork { job, attempt });
-                }
-            }
-            Msg::ForkDone { job, attempt, .. } => {
-                let Some(local) = self.local_mut(job) else {
-                    return;
-                };
-                if local.attempt != attempt {
-                    return; // fork of a lost incarnation
-                }
-                local.forked += 1;
-                if local.forked == local.ranks {
-                    local.started_at = Some(ctx.now());
-                    self.buffer_report(job, attempt, ReportKind::Started, ctx);
-                }
-            }
-            Msg::PlExited { job, attempt, .. } => {
-                let now = ctx.now();
-                let Some(local) = self.local_mut(job) else {
-                    return;
-                };
-                if local.attempt != attempt {
-                    return; // exit of a lost incarnation
-                }
-                local.exited += 1;
-                if local.exited == local.ranks && !local.done {
-                    local.done = true;
-                    local.done_at = Some(now);
-                    self.buffer_report(job, attempt, ReportKind::Done { app_done: now }, ctx);
-                }
-            }
-            Msg::Strobe { slot, epoch } => {
-                if self.epoch_stale(epoch, ctx) {
-                    return; // strobe from a deposed MM, fenced off
-                }
-                let now = ctx.now();
-                // NM strobe processing occupies the management CPU; quanta
-                // shorter than the service time melt the NM down (§3.2.1's
-                // ≈ 300 µs floor). We track overruns for the stats.
-                let (service, timeslice) = {
-                    let w = ctx.world_ref();
-                    (
-                        w.cfg.load.inflate(w.cfg.daemon.nm_strobe_service),
-                        w.cfg.timeslice,
-                    )
-                };
-                let start = now.max(self.busy_until);
-                self.busy_until = start + service;
-                if self.busy_until.saturating_since(now) > timeslice * 4 {
-                    let w = ctx.world();
-                    w.stats.nm_overruns += 1;
-                    w.metric_inc("nm.overruns");
-                }
-                // Close the interval that ran under the previous slot (or,
-                // under implicit coscheduling, the locally-timeshared mix).
-                if ctx.world_ref().cfg.scheduler == crate::config::SchedulerKind::ImplicitCosched {
-                    self.advance_ics(now, ctx);
-                    self.current_slot = slot as usize;
-                    self.last_strobe = now;
-                    self.switch_pending = false;
-                } else {
-                    self.advance_slot(self.current_slot, now, ctx);
-                    let switched = self.current_slot != slot as usize;
-                    self.current_slot = slot as usize;
-                    self.last_strobe = now;
-                    self.switch_pending = switched;
-                }
-            }
-            Msg::Heartbeat { round, epoch } => {
-                if self.epoch_stale(epoch, ctx) {
-                    return; // heartbeat from a deposed MM, fenced off
-                }
-                let drop_prob = ctx.world_ref().cfg.faults.heartbeat_drop_prob;
-                if drop_prob > 0.0 && ctx.rng().uniform() < drop_prob {
-                    let w = ctx.world();
-                    w.stats.hb_drops += 1;
-                    w.metric_inc("fault.hb_drops");
-                    return;
-                }
-                if let Some(var) = ctx.world_ref().hb_var {
-                    // Write the round number (not +1): for a healthy node this
-                    // is identical to incrementing once per round, but a node
-                    // that comes back after missing rounds catches up in a
-                    // single beat — which is what the MM's rejoin scan polls
-                    // for.
-                    ctx.world().mech.memory.write(self.node_id(), var, round);
-                }
-            }
-            Msg::FlushReports => {
-                self.flush_scheduled = false;
-                if self.pending_reports.is_empty() {
-                    return;
-                }
-                let (mm, qsnet, load, os_mean) = {
-                    let w = ctx.world_ref();
-                    (
-                        w.active_mm(),
-                        w.qsnet,
-                        w.cfg.load,
-                        w.cfg.daemon.os_delay_mean,
-                    )
-                };
-                // Take-drain-restore keeps the buffer's capacity across
-                // flushes instead of reallocating it each boundary.
-                let mut reports = std::mem::take(&mut self.pending_reports);
-                for (job, attempt, kind) in reports.drain(..) {
-                    // Small point-to-point message to the MM plus OS noise.
-                    let os =
-                        SimSpan::from_secs_f64(ctx.rng().exponential(os_mean.as_secs_f64() / 4.0));
-                    let span = qsnet.ptp_span(128) + load.inflate(os);
-                    ctx.send(
-                        mm,
-                        span,
-                        Msg::NmReport {
-                            node: self.node,
-                            job,
-                            kind,
-                            attempt,
-                        },
-                    );
-                }
-                reports.append(&mut self.pending_reports);
-                self.pending_reports = reports;
-            }
-            Msg::Resync { epoch } => {
-                if self.epoch_stale(epoch, ctx) {
-                    return;
-                }
-                let now = ctx.now();
-                // In-flight and buffered reports addressed to the dead MM may
-                // be lost; drop the buffer and re-announce the status of every
-                // live incarnation so the promoted MM's per-node exactly-once
-                // counters converge.
-                self.pending_reports.clear();
-                let mut announce = Vec::new();
-                for local in &self.local {
-                    let job = local.job;
-                    let rec = ctx.world_ref().job(job);
-                    if rec.state.is_terminal() || rec.attempt != local.attempt {
-                        continue;
-                    }
-                    if local.done {
-                        let app_done = local.done_at.unwrap_or(now);
-                        announce.push((job, local.attempt, ReportKind::Done { app_done }));
-                    } else if local.forked == local.ranks && local.started_at.is_some() {
-                        announce.push((job, local.attempt, ReportKind::Started));
-                    }
-                }
-                for (job, attempt, kind) in announce {
-                    self.buffer_report(job, attempt, kind, ctx);
-                }
-            }
-            other => panic!("NM received unexpected message {other:?}"),
+            },
+        );
+    }
+
+    /// A fragment is written: count it for the MM's flow control.
+    fn write_done(
+        &mut self,
+        node: NodeId,
+        job: JobId,
+        attempt: u32,
+        ctx: &mut Context<'_, World, Msg>,
+    ) {
+        if ctx.world_ref().job(job).attempt != attempt {
+            return; // write for a lost incarnation
         }
+        // Bump the per-node fragment counter the MM's
+        // COMPARE-AND-WRITE flow control watches — unless the job
+        // has finished meanwhile (killed mid-transfer): its
+        // variable was freed and may belong to another job now.
+        let Some(var) = ctx.world_ref().job(job).transfer.written_var else {
+            return;
+        };
+        ctx.world().mech.memory.add(node, var, 1);
+    }
+
+    /// A launch command: fork the node's ranks of `job`.
+    fn launch(
+        &mut self,
+        node: NodeId,
+        job: JobId,
+        attempt: u32,
+        ctx: &mut Context<'_, World, Msg>,
+    ) {
+        if ctx.world_ref().job(job).attempt != attempt {
+            return; // launch of a lost incarnation
+        }
+        let now = ctx.now();
+        let (costs, load) = {
+            let w = ctx.world_ref();
+            (w.cfg.daemon, w.cfg.load)
+        };
+        let ranks_here = ctx.world_ref().job(job).alloc().ranks_on(node.0);
+        if ranks_here == 0 {
+            return;
+        }
+        // Forget the entries of jobs the MM has finished that
+        // nothing in flight can reach, so the table tracks live
+        // jobs: those done here, and those of the job's last
+        // incarnation whose forks have all reported, unless its
+        // workload is the empty one (its PLs report each exit).
+        // Any other entry of a finished job stays: a fork or exit
+        // still in flight reports to it.
+        let w = ctx.world_ref();
+        let mpl_max = w.cfg.mpl_max;
+        self.local.retain(|l| {
+            let rec = w.job(l.job);
+            let settled = l.done
+                || (l.attempt == rec.attempt && l.forked == l.ranks && !rec.workload.is_empty());
+            !(rec.state.is_terminal() && settled)
+        });
+        self.local_insert(
+            LocalJob {
+                job,
+                ranks: ranks_here,
+                forked: 0,
+                exited: 0,
+                started_at: None,
+                cursor: ctx.world_ref().job(job).workload.cursor(),
+                done: false,
+                done_at: None,
+                attempt,
+            },
+            mpl_max,
+        );
+        // Command processing on the management CPU, plus the
+        // exponential OS wake-up delay that drives Fig. 2's
+        // execute-time growth with PE count.
+        let os = SimSpan::from_secs_f64(ctx.rng().exponential(costs.os_delay_mean.as_secs_f64()));
+        let service = load.inflate(costs.nm_msg_service + os);
+        let start = now.max(self.busy_until);
+        self.busy_until = start + service;
+        let ready = self.busy_until;
+        // Fork each rank through its own Program Launcher, staggered
+        // by the sequential dispatch loop.
+        for r in 0..ranks_here {
+            let pl = ctx.world_ref().wiring.pls[node.index()][r as usize];
+            let dispatch = SimSpan::from_micros(30) * u64::from(r);
+            ctx.send_at(pl, ready + dispatch, Msg::Fork { job, attempt });
+        }
+    }
+
+    /// A Program Launcher forked one rank.
+    fn fork_done(&mut self, job: JobId, attempt: u32, ctx: &mut Context<'_, World, Msg>) {
+        let Some(local) = self.local_mut(job) else {
+            return;
+        };
+        if local.attempt != attempt {
+            return; // fork of a lost incarnation
+        }
+        local.forked += 1;
+        if local.forked == local.ranks {
+            local.started_at = Some(ctx.now());
+            self.buffer_report(job, attempt, ReportKind::Started, ctx);
+        }
+    }
+
+    /// A rank of an empty workload exited.
+    fn pl_exited(&mut self, job: JobId, attempt: u32, ctx: &mut Context<'_, World, Msg>) {
+        let now = ctx.now();
+        let Some(local) = self.local_mut(job) else {
+            return;
+        };
+        if local.attempt != attempt {
+            return; // exit of a lost incarnation
+        }
+        local.exited += 1;
+        if local.exited == local.ranks && !local.done {
+            local.done = true;
+            local.done_at = Some(now);
+            self.buffer_report(job, attempt, ReportKind::Done { app_done: now }, ctx);
+        }
+    }
+
+    /// The coordinated context switch: close the interval that ran and
+    /// switch to `slot`.
+    fn strobe(
+        &mut self,
+        node: NodeId,
+        slot: u32,
+        epoch: u64,
+        shared: &Shared,
+        ctx: &mut Context<'_, World, Msg>,
+    ) {
+        if Self::epoch_stale(node, epoch, ctx) {
+            return; // strobe from a deposed MM, fenced off
+        }
+        let now = ctx.now();
+        // NM strobe processing occupies the management CPU; quanta
+        // shorter than the service time melt the NM down (§3.2.1's
+        // ≈ 300 µs floor). We track overruns for the stats.
+        let timeslice = ctx.world_ref().cfg.timeslice;
+        let start = now.max(self.busy_until);
+        self.busy_until = start + shared.strobe_service;
+        if self.busy_until.saturating_since(now) > timeslice * 4 {
+            let w = ctx.world();
+            w.stats.nm_overruns += 1;
+            w.metric_inc("nm.overruns");
+        }
+        // Close the interval that ran under the previous slot (or,
+        // under implicit coscheduling, the locally-timeshared mix).
+        if ctx.world_ref().cfg.scheduler == crate::config::SchedulerKind::ImplicitCosched {
+            self.advance_ics(now, shared, ctx);
+            self.current_slot = slot as usize;
+            self.last_strobe = now;
+            self.switch_pending = false;
+        } else {
+            self.advance_slot(self.current_slot, now, shared, ctx);
+            let switched = self.current_slot != slot as usize;
+            self.current_slot = slot as usize;
+            self.last_strobe = now;
+            self.switch_pending = switched;
+        }
+    }
+
+    /// A heartbeat round: beat in global memory, unless the beat is lost.
+    fn heartbeat(
+        &mut self,
+        node: NodeId,
+        round: i64,
+        epoch: u64,
+        ctx: &mut Context<'_, World, Msg>,
+    ) {
+        if Self::epoch_stale(node, epoch, ctx) {
+            return; // heartbeat from a deposed MM, fenced off
+        }
+        let drop_prob = ctx.world_ref().cfg.faults.heartbeat_drop_prob;
+        if drop_prob > 0.0 && ctx.rng().uniform() < drop_prob {
+            let w = ctx.world();
+            w.stats.hb_drops += 1;
+            w.metric_inc("fault.hb_drops");
+            return;
+        }
+        if let Some(var) = ctx.world_ref().hb_var {
+            // Write the round number (not +1): for a healthy node this
+            // is identical to incrementing once per round, but a node
+            // that comes back after missing rounds catches up in a
+            // single beat — which is what the MM's rejoin scan polls
+            // for.
+            ctx.world().mech.memory.write(node, var, round);
+        }
+    }
+
+    /// A collection boundary: send the buffered reports to the MM.
+    fn flush_reports(&mut self, node: NodeId, ctx: &mut Context<'_, World, Msg>) {
+        self.flush_scheduled = false;
+        if self.pending_reports.is_empty() {
+            return;
+        }
+        let (mm, qsnet, load, os_mean) = {
+            let w = ctx.world_ref();
+            (
+                w.active_mm(),
+                w.qsnet,
+                w.cfg.load,
+                w.cfg.daemon.os_delay_mean,
+            )
+        };
+        // Take-drain-restore keeps the buffer's capacity across
+        // flushes instead of reallocating it each boundary.
+        let mut reports = std::mem::take(&mut self.pending_reports);
+        for (job, attempt, kind) in reports.drain(..) {
+            // Small point-to-point message to the MM plus OS noise.
+            let os = SimSpan::from_secs_f64(ctx.rng().exponential(os_mean.as_secs_f64() / 4.0));
+            let span = qsnet.ptp_span(128) + load.inflate(os);
+            ctx.send(
+                mm,
+                span,
+                Msg::NmReport {
+                    node: node.0,
+                    job,
+                    kind,
+                    attempt,
+                },
+            );
+        }
+        reports.append(&mut self.pending_reports);
+        self.pending_reports = reports;
+    }
+
+    /// A promoted MM asks every node to re-announce its live jobs.
+    fn resync(&mut self, node: NodeId, epoch: u64, ctx: &mut Context<'_, World, Msg>) {
+        if Self::epoch_stale(node, epoch, ctx) {
+            return;
+        }
+        let now = ctx.now();
+        // In-flight and buffered reports addressed to the dead MM may
+        // be lost; drop the buffer and re-announce the status of every
+        // live incarnation so the promoted MM's per-node exactly-once
+        // counters converge.
+        self.pending_reports.clear();
+        let mut announce = Vec::new();
+        for local in &self.local {
+            let job = local.job;
+            let rec = ctx.world_ref().job(job);
+            if rec.state.is_terminal() || rec.attempt != local.attempt {
+                continue;
+            }
+            if local.done {
+                let app_done = local.done_at.unwrap_or(now);
+                announce.push((job, local.attempt, ReportKind::Done { app_done }));
+            } else if local.forked == local.ranks && local.started_at.is_some() {
+                announce.push((job, local.attempt, ReportKind::Started));
+            }
+        }
+        for (job, attempt, kind) in announce {
+            self.buffer_report(job, attempt, kind, ctx);
+        }
+    }
+}
+
+impl Component<World, Msg> for NodeManager {
+    fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
+        let node = ctx.world_ref().wiring.nm_node(ctx.self_id());
+        // The rows leave the world for the call (an O(1) swap): an NM
+        // reads and writes only its own row.
+        let shared = Shared::of(ctx.world_ref());
+        let mut rows = std::mem::take(&mut ctx.world().nm_rows);
+        rows[node.index()].handle(node, &msg, &shared, ctx);
+        ctx.world().nm_rows = rows;
+    }
+
+    /// Every NM group — strobe, heartbeat, fragment, launch command,
+    /// resync — targets NMs only, so the first member takes them all: one
+    /// loop over the members' rows, each handled as its unicast would be.
+    fn handle_group(&mut self, msg: &Msg, ctx: &mut Context<'_, World, Msg>) {
+        let shared = Shared::of(ctx.world_ref());
+        let mut rows = std::mem::take(&mut ctx.world().nm_rows);
+        while let Some(id) = ctx.next_member() {
+            let node = ctx.world_ref().wiring.nm_node(id);
+            rows[node.index()].handle(node, msg, &shared, ctx);
+        }
+        ctx.world().nm_rows = rows;
     }
 
     fn name(&self) -> &str {
         "NM"
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::NodeManager;
     use crate::cluster::Cluster;
     use crate::config::ClusterConfig;
     use crate::job::{JobSpec, JobState};
@@ -640,14 +768,7 @@ mod tests {
 
     /// Resident entries per NM.
     fn resident(c: &Cluster) -> Vec<usize> {
-        let sim = c.sim();
-        (sim.world().wiring.nms.iter())
-            .map(|&id| {
-                let nm = sim.component(id).as_any().and_then(|a| a.downcast_ref());
-                let nm: &NodeManager = nm.expect("an NM is wired at each node");
-                nm.local.len()
-            })
-            .collect()
+        c.world().nm_rows.iter().map(|r| r.local.len()).collect()
     }
 
     #[test]

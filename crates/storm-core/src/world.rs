@@ -5,10 +5,11 @@
 use crate::config::ClusterConfig;
 use crate::job::{JobId, JobRecord, JobState, ReportSet};
 use crate::matrix::GangMatrix;
+use crate::nm::NmRow;
 use crate::replica::{MmCoreState, MmRole, ReplStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use storm_mech::{Mechanisms, NodeSet};
+use storm_mech::{Mechanisms, NodeId, NodeSet};
 use storm_net::{Nic, QsNetModel};
 use storm_sim::{ComponentId, GroupTargets, SimSpan, SimTime};
 use storm_telemetry::Telemetry;
@@ -26,16 +27,29 @@ pub struct Wiring {
 }
 
 impl Wiring {
+    /// The component-id distance between consecutive nodes' NMs.
+    fn nm_stride(&self) -> u32 {
+        if self.nms.len() >= 2 {
+            u32::try_from(self.nms[1].index() - self.nms[0].index()).expect("nm stride")
+        } else {
+            1
+        }
+    }
+
+    /// The node whose NM is component `id`, which must be an NM.
+    pub fn nm_node(&self, id: ComponentId) -> NodeId {
+        let first = self.nms[0].index() as u32;
+        let node = NodeId((id.index() as u32 - first) / self.nm_stride());
+        debug_assert_eq!(self.nms.get(node.index()), Some(&id), "{id} is no NM");
+        node
+    }
+
     /// The [`GroupTargets`] addressing the NMs of a node set, in ascending
     /// node order. `Cluster::new` lays NMs out at a fixed component-id
     /// stride, so `All`/`Range` sets need no per-member allocation at all;
     /// `List` sets (fault-detection survivors) materialise a shared slice.
     pub fn nm_targets(&self, set: &NodeSet) -> GroupTargets {
-        let stride = if self.nms.len() >= 2 {
-            u32::try_from(self.nms[1].index() - self.nms[0].index()).expect("nm stride")
-        } else {
-            1
-        };
+        let stride = self.nm_stride();
         match *set {
             NodeSet::All(n) => {
                 debug_assert_eq!(n as usize, self.nms.len());
@@ -168,6 +182,9 @@ pub struct World {
     pub active_slot: usize,
     /// Per-node failure flags and instants — see [`NodeTable`].
     pub nodes: NodeTable,
+    /// Every Node Manager's state, indexed by node: the dæmons themselves
+    /// hold none (see [`NodeManager`](crate::nm::NodeManager)).
+    pub(crate) nm_rows: Vec<NmRow>,
     /// The management node's filesystem read device (serialises reads).
     pub read_dev: Nic,
     /// The source NIC + helper process (serialises broadcasts).
@@ -264,6 +281,7 @@ impl World {
             matrix,
             active_slot: 0,
             nodes: NodeTable::new(cfg.nodes),
+            nm_rows: (0..cfg.nodes).map(|_| NmRow::new()).collect(),
             read_dev: Nic::new(),
             bcast_dev: Nic::new(),
             hb_var: None,
@@ -489,7 +507,6 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use storm_apps::AppSpec;
-    use storm_mech::NodeId;
 
     #[test]
     fn world_builds_for_paper_cluster() {

@@ -1,5 +1,10 @@
 //! Global memory: per-node variable and event tables.
 //!
+//! Both tables are flat and variable-major: one variable's (or event's)
+//! copies on every node sit side by side, `table[id * nodes + node]`, so
+//! a set-wide read or write and a fan-out that touches each node's copy
+//! walk contiguous memory.
+//!
 //! "Global data refers to data at the same virtual address on all nodes"
 //! (§2.2, point 1). We model an allocation as an index that is valid on
 //! every node simultaneously; depending on the implementation the paper
@@ -33,10 +38,14 @@ pub struct CawAudit {
 #[derive(Debug, Clone)]
 pub struct GlobalMemory {
     nodes: u32,
-    /// `vars[node][var]`
-    vars: Vec<Vec<i64>>,
-    /// `events[node][event]` — the instant the event was signalled, if any.
-    events: Vec<Vec<Option<SimTime>>>,
+    /// `vars[var * nodes + node]`
+    vars: Vec<i64>,
+    /// `events[event * nodes + node]` — the instant the event was
+    /// signalled, if any.
+    events: Vec<Option<SimTime>>,
+    /// Why an imported image's rows did not fit its node count, reported
+    /// by [`GlobalMemory::check_shape`]; such an image imports empty.
+    misshapen: Option<String>,
     /// When enabled, the last set-wide write per variable (keyed by var
     /// id), invalidated by any later per-node write to that variable.
     /// Disabled by default: the audit trail costs a map insert per CAW
@@ -53,11 +62,20 @@ impl GlobalMemory {
         assert!(nodes > 0);
         GlobalMemory {
             nodes,
-            vars: vec![Vec::new(); nodes as usize],
-            events: vec![Vec::new(); nodes as usize],
+            vars: Vec::new(),
+            events: Vec::new(),
+            misshapen: None,
             caw_audit: None,
             free_vars: Vec::new(),
         }
+    }
+
+    /// Index of `node`'s copy of entry `id` in a flat table. A node
+    /// outside the cluster panics, as it would index past a per-node row,
+    /// instead of reaching another entry's copies.
+    fn at(&self, node: NodeId, id: u32) -> usize {
+        assert!(node.0 < self.nodes, "{node:?} of {} nodes", self.nodes);
+        id as usize * self.nodes as usize + node.index()
     }
 
     /// Enable the CAW write-visibility audit trail (see [`CawAudit`]).
@@ -85,7 +103,10 @@ impl GlobalMemory {
 
     /// Number of variables allocated on every node.
     pub fn var_count(&self) -> usize {
-        self.vars.iter().map(Vec::len).min().unwrap_or(0)
+        self.vars
+            .len()
+            .checked_div(self.nodes as usize)
+            .unwrap_or(0)
     }
 
     /// Allocate a global variable (same id on all nodes), initialised to
@@ -97,15 +118,13 @@ impl GlobalMemory {
             if let Some(audit) = &mut self.caw_audit {
                 audit.remove(&id);
             }
-            for v in &mut self.vars {
-                v[id as usize] = init;
-            }
+            let from = self.at(NodeId(0), id);
+            self.vars[from..from + self.nodes as usize].fill(init);
             return VarId(id);
         }
-        let id = VarId(u32::try_from(self.vars[0].len()).expect("too many vars"));
-        for v in &mut self.vars {
-            v.push(init);
-        }
+        let id = VarId(u32::try_from(self.var_count()).expect("too many vars"));
+        self.vars
+            .resize(self.vars.len() + self.nodes as usize, init);
         id
     }
 
@@ -127,16 +146,20 @@ impl GlobalMemory {
 
     /// Allocate a global event (same id on all nodes), unsignalled.
     pub fn alloc_event(&mut self) -> EventId {
-        let id = EventId(u32::try_from(self.events[0].len()).expect("too many events"));
-        for e in &mut self.events {
-            e.push(None);
-        }
+        let count = self
+            .events
+            .len()
+            .checked_div(self.nodes as usize)
+            .unwrap_or(0);
+        let id = EventId(u32::try_from(count).expect("too many events"));
+        self.events
+            .resize(self.events.len() + self.nodes as usize, None);
         id
     }
 
     /// Read a variable on one node.
     pub fn read(&self, node: NodeId, var: VarId) -> i64 {
-        self.vars[node.index()][var.0 as usize]
+        self.vars[self.at(node, var.0)]
     }
 
     /// Write a variable on one node. A per-node write supersedes any
@@ -146,7 +169,8 @@ impl GlobalMemory {
         if let Some(audit) = &mut self.caw_audit {
             audit.remove(&var.0);
         }
-        self.vars[node.index()][var.0 as usize] = value;
+        let at = self.at(node, var.0);
+        self.vars[at] = value;
     }
 
     /// Write a variable on a set of nodes (the COMPARE-AND-WRITE write half;
@@ -154,7 +178,8 @@ impl GlobalMemory {
     /// indivisible action). Records the audit entry when auditing is on.
     pub fn write_set(&mut self, set: &NodeSet, var: VarId, value: i64) {
         for node in set.iter() {
-            self.vars[node.index()][var.0 as usize] = value;
+            let at = self.at(node, var.0);
+            self.vars[at] = value;
         }
         if let Some(audit) = &mut self.caw_audit {
             audit.insert(
@@ -174,9 +199,9 @@ impl GlobalMemory {
         if let Some(audit) = &mut self.caw_audit {
             audit.remove(&var.0);
         }
-        let slot = &mut self.vars[node.index()][var.0 as usize];
-        *slot += delta;
-        *slot
+        let at = self.at(node, var.0);
+        self.vars[at] += delta;
+        self.vars[at]
     }
 
     /// Audit-invisible single-node write: changes one node's copy of `var`
@@ -185,12 +210,13 @@ impl GlobalMemory {
     /// and prove the `caw_visibility` invariant catches it. Never called by
     /// production code.
     pub fn poke(&mut self, node: NodeId, var: VarId, value: i64) {
-        self.vars[node.index()][var.0 as usize] = value;
+        let at = self.at(node, var.0);
+        self.vars[at] = value;
     }
 
     /// Is `event` visible as signalled to an observer on `node` at `now`?
     pub fn event_signalled(&self, node: NodeId, event: EventId, now: SimTime) -> bool {
-        match self.events[node.index()][event.0 as usize] {
+        match self.events[self.at(node, event.0)] {
             Some(at) => at <= now,
             None => false,
         }
@@ -198,14 +224,15 @@ impl GlobalMemory {
 
     /// When `event` was (or will be) signalled on `node`, if at all.
     pub fn signalled_at(&self, node: NodeId, event: EventId) -> Option<SimTime> {
-        self.events[node.index()][event.0 as usize]
+        self.events[self.at(node, event.0)]
     }
 
     /// Signal `event` on `node`, visible from instant `at`. An event that is
     /// already signalled keeps its *earlier* timestamp (signals are sticky
     /// until cleared).
     pub fn signal(&mut self, node: NodeId, event: EventId, at: SimTime) {
-        let slot = &mut self.events[node.index()][event.0 as usize];
+        let ix = self.at(node, event.0);
+        let slot = &mut self.events[ix];
         *slot = Some(match *slot {
             Some(prev) => prev.min(at),
             None => at,
@@ -221,30 +248,20 @@ impl GlobalMemory {
 
     /// Clear `event` on `node` (consume the signal).
     pub fn clear_event(&mut self, node: NodeId, event: EventId) {
-        self.events[node.index()][event.0 as usize] = None;
+        let at = self.at(node, event.0);
+        self.events[at] = None;
     }
 
-    /// Check the tables against the node count: one variable row and one
-    /// event row per node, each row as wide as the first, and every CAW
-    /// audit naming an allocated variable and nodes of the cluster only.
-    /// Errors name the member (`vars`, `events[3]`, `caw_audit`), so a
-    /// restored image can be refused before anything indexes it.
+    /// Check the tables against the node count: the imported image had
+    /// one variable row and one event row per node, each row as wide as
+    /// the first, and every CAW audit names an allocated variable and
+    /// nodes of the cluster only. Errors name the member (`vars`,
+    /// `events[3]`, `caw_audit`), so a restored image can be refused
+    /// before anything indexes it.
     pub fn check_shape(&self) -> Result<(), String> {
-        fn rows<T>(name: &str, rows: &[Vec<T>], nodes: u32) -> Result<(), String> {
-            if rows.len() != nodes as usize {
-                return Err(format!("{name}: {} rows for {nodes} nodes", rows.len()));
-            }
-            let width = rows.first().map_or(0, Vec::len);
-            match rows.iter().position(|r| r.len() != width) {
-                Some(n) => Err(format!(
-                    "{name}[{n}]: {} entries, row 0 has {width}",
-                    rows[n].len()
-                )),
-                None => Ok(()),
-            }
+        if let Some(e) = &self.misshapen {
+            return Err(e.clone());
         }
-        rows("vars", &self.vars, self.nodes)?;
-        rows("events", &self.events, self.nodes)?;
         let vars = self.var_count();
         for (var, audit) in self.caw_audits() {
             let end = match &audit.set {
@@ -273,10 +290,17 @@ impl GlobalMemory {
     /// variable and event tables, the CAW audit trail (if enabled) and the
     /// free list.
     pub fn export_state(&self) -> MemoryState {
+        /// Node-major rows of a variable-major table.
+        fn rows<T: Copy>(table: &[T], nodes: u32) -> Vec<Vec<T>> {
+            let nodes = nodes as usize;
+            (0..nodes)
+                .map(|n| table.iter().skip(n).step_by(nodes).copied().collect())
+                .collect()
+        }
         MemoryState {
             nodes: self.nodes,
-            vars: self.vars.clone(),
-            events: self.events.clone(),
+            vars: rows(&self.vars, self.nodes),
+            events: rows(&self.events, self.nodes),
             caw_audit: self
                 .caw_audit
                 .as_ref()
@@ -286,12 +310,40 @@ impl GlobalMemory {
     }
 
     /// Rebuild a memory from an exported image. See
-    /// [`GlobalMemory::export_state`].
+    /// [`GlobalMemory::export_state`]. The rows are checked before they
+    /// are flattened: an image without one row per node, or with rows of
+    /// unequal width, imports with empty tables, and
+    /// [`GlobalMemory::check_shape`] names the fault.
     pub fn import_state(state: MemoryState) -> Self {
+        /// The rows flattened variable-major, if they fit `nodes`.
+        fn flatten<T: Copy>(name: &str, rows: &[Vec<T>], nodes: u32) -> Result<Vec<T>, String> {
+            if rows.len() != nodes as usize {
+                return Err(format!("{name}: {} rows for {nodes} nodes", rows.len()));
+            }
+            let width = rows.first().map_or(0, Vec::len);
+            if let Some(n) = rows.iter().position(|r| r.len() != width) {
+                return Err(format!(
+                    "{name}[{n}]: {} entries, row 0 has {width}",
+                    rows[n].len()
+                ));
+            }
+            let mut flat = Vec::with_capacity(width * rows.len());
+            for id in 0..width {
+                flat.extend(rows.iter().map(|r| r[id]));
+            }
+            Ok(flat)
+        }
+        let tables = flatten("vars", &state.vars, state.nodes)
+            .and_then(|v| Ok((v, flatten("events", &state.events, state.nodes)?)));
+        let (vars, events, misshapen) = match tables {
+            Ok((vars, events)) => (vars, events, None),
+            Err(e) => (Vec::new(), Vec::new(), Some(e)),
+        };
         GlobalMemory {
             nodes: state.nodes,
-            vars: state.vars,
-            events: state.events,
+            vars,
+            events,
+            misshapen,
             caw_audit: state.caw_audit.map(|v| v.into_iter().collect()),
             free_vars: state.free_vars.into_iter().rev().collect(),
         }

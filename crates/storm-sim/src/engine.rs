@@ -18,9 +18,13 @@
 //! sifts and wheel bucket moves shuffle a few machine words per entry no
 //! matter how large the message type is. Components live in a flat
 //! dispatch table indexed by that component index (no per-delivery
-//! checkout/check-in). Every pop takes one path: a unicast entry is one
-//! [`Component::handle`] call, a group entry one call per member in rank
-//! order, with or without a [`DeliveryOrder`] hook installed.
+//! checkout/check-in). A unicast entry is one [`Component::handle`] call.
+//! A group whose members all arrive at the popped instant is offered to
+//! its first member's [`Component::handle_group`], which can handle every
+//! member in one loop over [`Context::next_member`]; the members it does
+//! not take, and every fan-out tree group, get one `handle` call each, in
+//! rank order. Both paths deliver the same messages in the same order,
+//! with or without a [`DeliveryOrder`] hook installed.
 
 use crate::arena::{ArenaState, ArenaStats, EventArena, PayloadId};
 use crate::queue::{
@@ -285,6 +289,20 @@ pub trait Component<W, M> {
     /// Handle one message delivered at `ctx.now()`.
     fn handle(&mut self, msg: M, ctx: &mut Context<'_, W, M>);
 
+    /// Handle a group delivery whose members all arrive at `ctx.now()`,
+    /// offered to its first member's component. Each
+    /// [`Context::next_member`] call makes the context act as the next
+    /// member, in rank order — its id, RNG stream and pending count, one
+    /// handled message — so a loop that does per member what
+    /// [`Component::handle`] would do delivers exactly what per-member
+    /// calls deliver. The members left untaken when this returns are
+    /// delivered one `handle` call each. Only a component that knows every
+    /// member to be of its own kind may take them: the call reaches the
+    /// first member only. The default takes none.
+    fn handle_group(&mut self, msg: &M, ctx: &mut Context<'_, W, M>) {
+        let _ = (msg, ctx);
+    }
+
     /// A short name used in traces; defaults to the type name.
     fn name(&self) -> &str {
         std::any::type_name::<Self>()
@@ -326,13 +344,30 @@ pub struct Context<'a, W, M> {
     queue: &'a mut EventQueue<EventRef>,
     msgs: &'a mut EventArena<M>,
     groups: &'a mut EventArena<GroupDelivery<M>>,
-    rng: &'a mut DeterministicRng,
+    /// Every component's stream; the handler draws from `self_id`'s.
+    streams: &'a mut [DeterministicRng],
     tracer: &'a mut Tracer,
     halt: &'a mut bool,
     /// The undelivered members of a group mid-expansion: popped from the
     /// queue but not yet handled, so [`Context::pending_messages`] must
     /// add them back in.
     in_flight: u64,
+    /// The group a [`Component::handle_group`] call walks, if any.
+    members: Option<Members<'a>>,
+}
+
+/// The members of a group being handled in one
+/// [`Component::handle_group`] call, and what each one counts against.
+struct Members<'a> {
+    targets: &'a GroupTargets,
+    /// Next member to hand out.
+    cursor: u32,
+    len: u32,
+    /// Registered components, so a member that names none panics as a
+    /// per-member delivery to it would.
+    components: usize,
+    handled: &'a mut u64,
+    max_events: u64,
 }
 
 impl<W, M> Context<'_, W, M> {
@@ -425,14 +460,43 @@ impl<W, M> Context<'_, W, M> {
     /// from the root seed and the component index at registration), so
     /// one component's draws never shift another's sequence.
     pub fn rng(&mut self) -> &mut DeterministicRng {
-        self.rng
+        &mut self.streams[self.self_id.index()]
     }
 
     /// Simultaneous access to the world and the RNG — for world-resident
     /// subsystems whose operations draw randomness (e.g. fault-injected
     /// mechanism calls).
     pub fn world_and_rng(&mut self) -> (&mut W, &mut DeterministicRng) {
-        (self.world, self.rng)
+        (self.world, &mut self.streams[self.self_id.index()])
+    }
+
+    /// Inside [`Component::handle_group`]: act as the group's next member
+    /// and return its id, or `None` once every member is handled, the
+    /// simulation has halted, or outside a group call. The member counts
+    /// one handled message against the event cap, draws from its own RNG
+    /// stream, and sees the members after it as pending — all as a
+    /// per-member delivery to it would.
+    #[inline]
+    pub fn next_member(&mut self) -> Option<ComponentId> {
+        let m = self.members.as_mut()?;
+        if *self.halt || m.cursor == m.len {
+            return None;
+        }
+        let target = m.targets.get(m.cursor);
+        m.cursor += 1;
+        *m.handled += 1;
+        assert!(
+            *m.handled <= m.max_events,
+            "event cap exceeded ({} events): runaway simulation?",
+            m.max_events
+        );
+        assert!(
+            target.index() < m.components,
+            "message to unknown component {target}"
+        );
+        self.self_id = target;
+        self.in_flight = u64::from(m.len - m.cursor);
+        Some(target)
     }
 
     /// Logical messages awaiting delivery: each unicast payload counts
@@ -704,11 +768,13 @@ impl<W, M: Clone> Simulation<W, M> {
     /// Deliver the next event, if any. Returns `false` when the queue is
     /// empty or the simulation has been halted.
     ///
-    /// A group entry is expanded here, member by member in ascending rank
-    /// order; members whose arrival instant lies beyond the popped entry's
-    /// (a fan-out tree's deeper ranks) are re-inserted as one entry at
-    /// their own reserved `(time, seq)` slot, so interleaving with every
-    /// other pending event matches per-member sends exactly.
+    /// A group entry is expanded here in ascending rank order, through
+    /// [`Component::handle_group`] when its members all arrive now and
+    /// member by member otherwise; members whose arrival instant lies
+    /// beyond the popped entry's (a fan-out tree's deeper ranks) are
+    /// re-inserted as one entry at their own reserved `(time, seq)` slot,
+    /// so interleaving with every other pending event matches per-member
+    /// sends exactly.
     pub fn step(&mut self) -> bool {
         if self.halt {
             return false;
@@ -735,12 +801,46 @@ impl<W, M: Clone> Simulation<W, M> {
         }
     }
 
-    /// Expand a popped group delivery member by member. The final member
-    /// receives the message by move — a group of N costs N-1 clones, and
-    /// none of them allocate for the fan-out message types the cluster
-    /// uses (asserted by the allocation-free expansion test).
+    /// Deliver a popped group. A simultaneous one is first offered to its
+    /// first member's [`Component::handle_group`]; the members that call
+    /// leaves are expanded member by member. There the final member
+    /// receives the message by move — N members cost N-1 clones, and none
+    /// of them allocate for the fan-out message types the cluster uses
+    /// (asserted by the allocation-free expansion test).
     fn expand_group(&mut self, time: SimTime, mut group: GroupDelivery<M>) {
         let len = group.targets.len();
+        if matches!(group.schedule, GroupSchedule::Simultaneous) && !self.halt {
+            let first = group.targets.get(group.cursor);
+            let components = self.components.len();
+            let Some(component) = self.components.get_mut(first.index()) else {
+                panic!("message to unknown component {first}");
+            };
+            let mut ctx = Context {
+                now: self.now,
+                self_id: first,
+                world: &mut self.world,
+                queue: &mut self.queue,
+                msgs: &mut self.msgs,
+                groups: &mut self.groups,
+                streams: &mut self.streams,
+                tracer: &mut self.tracer,
+                halt: &mut self.halt,
+                in_flight: u64::from(len - group.cursor),
+                members: Some(Members {
+                    targets: &group.targets,
+                    cursor: group.cursor,
+                    len,
+                    components,
+                    handled: &mut self.handled,
+                    max_events: self.max_events,
+                }),
+            };
+            component.handle_group(&group.msg, &mut ctx);
+            group.cursor = ctx.members.map_or(group.cursor, |m| m.cursor);
+            if group.cursor == len {
+                return;
+            }
+        }
         loop {
             let rank = group.cursor;
             let at = group.arrival(rank);
@@ -784,10 +884,11 @@ impl<W, M: Clone> Simulation<W, M> {
             queue: &mut self.queue,
             msgs: &mut self.msgs,
             groups: &mut self.groups,
-            rng: &mut self.streams[target.index()],
+            streams: &mut self.streams,
             tracer: &mut self.tracer,
             halt: &mut self.halt,
             in_flight,
+            members: None,
         };
         self.components[target.index()].handle(msg, &mut ctx);
     }
@@ -1550,5 +1651,180 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(sim.now(), SimTime::from_millis(5));
         assert_eq!(sim.events_delivered(), 2);
+    }
+
+    /// What one member saw: instant, id, value, pending messages and one
+    /// draw from its own stream.
+    type Seen = (SimTime, u32, u32, u64, u64);
+
+    /// The group tests' world: every delivery, and how often a group was
+    /// offered to [`Component::handle_group`].
+    #[derive(Default, Debug, PartialEq)]
+    struct GroupLog {
+        seen: Vec<Seen>,
+        offers: u32,
+    }
+
+    /// Records what it sees, traces it, and sends itself a follow-up
+    /// (value + 500) a microsecond later, so the sends' sequence numbers
+    /// and the follow-ups' pop order depend on the order members run in.
+    /// `take` decides whether it takes a group it is offered.
+    struct Member {
+        take: bool,
+    }
+
+    fn member_sees(msg: u32, ctx: &mut Context<'_, GroupLog, u32>) {
+        let (now, id, pending) = (ctx.now(), ctx.self_id().0, ctx.pending_messages());
+        let draw = ctx.rng().below(1 << 32);
+        ctx.world().seen.push((now, id, msg, pending, draw));
+        ctx.trace("member", || format!("{msg}"));
+        if msg < 500 {
+            ctx.send_self(SimSpan::from_micros(1), msg + 500);
+        }
+    }
+
+    impl Component<GroupLog, u32> for Member {
+        fn handle(&mut self, msg: u32, ctx: &mut Context<'_, GroupLog, u32>) {
+            member_sees(msg, ctx);
+        }
+
+        fn handle_group(&mut self, msg: &u32, ctx: &mut Context<'_, GroupLog, u32>) {
+            ctx.world().offers += 1;
+            if self.take {
+                while ctx.next_member().is_some() {
+                    member_sees(*msg, ctx);
+                }
+            }
+        }
+    }
+
+    /// Multicasts value 7 to six members from inside a handler, then
+    /// posts a competitor at the group's instant.
+    struct Hub {
+        schedule: GroupSchedule,
+    }
+
+    impl Component<GroupLog, u32> for Hub {
+        fn handle(&mut self, msg: u32, ctx: &mut Context<'_, GroupLog, u32>) {
+            if msg != 0 {
+                member_sees(msg, ctx);
+                return;
+            }
+            let base = ctx.now() + SimSpan::from_micros(10);
+            let targets = GroupTargets::Strided {
+                first: ComponentId(1),
+                stride: 1,
+                len: 6,
+            };
+            ctx.multicast(&targets, base, self.schedule, 7);
+            let id = ctx.self_id();
+            ctx.send_at(id, base, 900);
+        }
+    }
+
+    /// What one run of the hub's group shows.
+    #[derive(Debug, PartialEq)]
+    struct GroupRun {
+        log: GroupLog,
+        handled: u64,
+        /// The queue entries `(time, seq, target)` pending right after
+        /// the group's instant: the members' follow-ups.
+        pending: Vec<(SimTime, u64, u32)>,
+        trace: Vec<TraceRecord>,
+    }
+
+    fn group_run(take: bool, schedule: GroupSchedule) -> GroupRun {
+        let mut sim = Simulation::new(GroupLog::default(), 31);
+        let hub = sim.add_component(Hub { schedule });
+        for _ in 0..6 {
+            sim.add_component(Member { take });
+        }
+        sim.enable_tracing();
+        sim.post(SimTime::ZERO, hub, 0);
+        sim.run_until(SimTime::from_micros(10));
+        let pending = (sim.export_engine_state().entries.iter())
+            .map(|e| (e.time, e.seq, e.target))
+            .collect();
+        sim.run_to_completion();
+        GroupRun {
+            handled: sim.messages_handled(),
+            trace: sim.tracer().records().to_vec(),
+            pending,
+            log: sim.into_world(),
+        }
+    }
+
+    #[test]
+    fn group_hook_delivers_what_per_member_calls_deliver() {
+        let hooked = group_run(true, GroupSchedule::Simultaneous);
+        let declined = group_run(false, GroupSchedule::Simultaneous);
+        assert_eq!(hooked.log.offers, 1);
+        assert_eq!(declined.log.offers, 1, "offered, declined");
+        // Pop order, pending counts and draws per member; handled count;
+        // the members' follow-ups at the same sequence numbers; the trace.
+        assert_eq!(hooked.log.seen, declined.log.seen);
+        assert_eq!(hooked.handled, declined.handled);
+        assert_eq!(hooked.pending, declined.pending);
+        assert_eq!(hooked.trace, declined.trace);
+        // The hub's trigger and competitor, six members, six follow-ups.
+        assert_eq!(hooked.handled, 14);
+        assert_eq!(hooked.pending.len(), 6, "the members' follow-ups");
+        let members: Vec<u32> = hooked.log.seen[..6].iter().map(|s| s.1).collect();
+        assert_eq!(members, [1, 2, 3, 4, 5, 6], "rank order");
+    }
+
+    #[test]
+    fn fanout_tree_groups_are_never_offered_to_the_hook() {
+        let tree = GroupSchedule::FanoutTree {
+            per_hop: SimSpan::from_micros(3),
+            fanout: 2,
+        };
+        let hooked = group_run(true, tree);
+        assert_eq!(hooked.log.offers, 0);
+        assert_eq!(hooked, group_run(false, tree));
+    }
+
+    #[test]
+    fn halt_inside_the_hook_parks_the_untaken_members() {
+        struct Halter;
+        impl Component<RecWorld, u32> for Halter {
+            fn handle(&mut self, _msg: u32, _ctx: &mut Context<'_, RecWorld, u32>) {
+                unreachable!("the hook takes every member");
+            }
+            fn handle_group(&mut self, msg: &u32, ctx: &mut Context<'_, RecWorld, u32>) {
+                while let Some(id) = ctx.next_member() {
+                    let now = ctx.now();
+                    ctx.world().push((now, id.0, *msg));
+                    if id.0 == 2 {
+                        ctx.halt();
+                    }
+                }
+            }
+        }
+        struct Kick;
+        impl Component<RecWorld, u32> for Kick {
+            fn handle(&mut self, _msg: u32, ctx: &mut Context<'_, RecWorld, u32>) {
+                let targets = GroupTargets::Strided {
+                    first: ComponentId(1),
+                    stride: 1,
+                    len: 4,
+                };
+                ctx.multicast(&targets, ctx.now(), GroupSchedule::Simultaneous, 5);
+            }
+        }
+        let mut sim = Simulation::new(RecWorld::new(), 1);
+        let kick = sim.add_component(Kick);
+        for _ in 0..4 {
+            sim.add_component(Halter);
+        }
+        sim.post(SimTime::ZERO, kick, 0);
+        sim.run_to_completion();
+        // As member-by-member delivery: members 1 and 2 ran, 3 and 4 are
+        // parked as one entry.
+        assert!(sim.halted());
+        assert_eq!(sim.world().len(), 2);
+        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.pending_messages(), 2);
+        assert_eq!(sim.messages_handled(), 3);
     }
 }

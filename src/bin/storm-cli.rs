@@ -101,7 +101,8 @@ fn cmd_launch(args: &Args) -> Result<(), String> {
         .with_seed(seed);
     cfg.fs = fs;
     let mut cluster = Cluster::new(cfg);
-    let job = cluster.submit(JobSpec::new(AppSpec::do_nothing_mb(mb), pes));
+    let job =
+        cluster.try_submit_at(SimTime::ZERO, JobSpec::new(AppSpec::do_nothing_mb(mb), pes))?;
     cluster.run_until_idle();
     let m = &cluster.job(job).metrics;
     println!("launch of a {mb} MB binary on {pes} PEs / {nodes} nodes:");
@@ -139,9 +140,12 @@ fn cmd_gang(args: &Args) -> Result<(), String> {
         ));
     }
     let mut cluster = Cluster::new(cfg);
-    let jobs: Vec<JobId> = (0..mpl)
-        .map(|_| cluster.submit(JobSpec::new(app.clone(), nodes * 2).with_ranks_per_node(2)))
-        .collect();
+    let jobs = (0..mpl)
+        .map(|_| {
+            let spec = JobSpec::new(app.clone(), nodes * 2).with_ranks_per_node(2);
+            cluster.try_submit_at(SimTime::ZERO, spec)
+        })
+        .collect::<Result<Vec<JobId>, String>>()?;
     cluster.run_until_idle();
     let last = jobs
         .iter()
@@ -185,15 +189,15 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         ..StreamConfig::default()
     }
     .generate(&mut DeterministicRng::new(seed));
-    let ids: Vec<JobId> = stream
+    let ids = stream
         .iter()
         .map(|j| {
-            cluster.submit_at(
+            cluster.try_submit_at(
                 j.arrival,
                 JobSpec::new(j.app.clone(), j.ranks).with_estimate(j.estimate),
             )
         })
-        .collect();
+        .collect::<Result<Vec<JobId>, String>>()?;
     cluster.run_until_idle();
     let completed: Vec<CompletedJob> = ids
         .iter()
