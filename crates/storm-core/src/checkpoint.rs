@@ -6,18 +6,20 @@
 //!
 //! The artifact (`CKPT_*.json` by convention, mirroring the DST repro
 //! format) captures everything mutable: the engine image (clock, pending
-//! queue entries with their `(time, tie, seq)` pop keys, both payload
-//! arenas, the root RNG stream, delivery-order hook, trace), the shared
+//! queue entries with their `(time, tie, seq)` pop keys and payloads,
+//! the payload arenas' sizes, the root RNG stream, delivery-order hook,
+//! trace), the shared
 //! world (global memory, jobs, queue, gang matrix, node health, devices,
-//! replication plane, telemetry), and every dæmon's private state (MM,
-//! NMs, PLs). The configuration is embedded whole; nothing about a
-//! restore depends on the restoring process's environment.
+//! replication plane, telemetry), and the MMs' and NMs' state. The
+//! configuration is embedded whole; nothing about a restore depends on
+//! the restoring process's environment.
 //!
 //! Size grows with the node count, so per-node state stays small: the
-//! node table, each NM's state and resident jobs, and the PL fork counts
-//! are positional rows, not keyed objects; and of the per-component RNG
-//! streams, only those that have moved from the start the root seed
-//! derives are listed, as `[index, state]` rows (version 4).
+//! node table and each NM's state and resident jobs are positional rows,
+//! not keyed objects; and of the per-component RNG streams, only those
+//! that have moved from the start the root seed derives are listed, as
+//! `[index, state]` rows (version 4). PLs keep no state, so they have no
+//! section (version 9).
 //!
 //! Restore works by *reconstruction*: [`Cluster::new`] rebuilds the
 //! deterministic layout (component wiring, QsNET model, fault plan) from
@@ -46,7 +48,9 @@
 //! MM's next tick is one instant, and the dæmons are encoded as
 //! themselves, field by field, without the node or rank their wiring
 //! position already gives. A pending fragment or launch fan-out of a live
-//! job's current attempt must address that job's block.
+//! job's current attempt must address that job's block. Version 9 drops
+//! the `pls` section: a Program Launcher's fork counter was read by
+//! nothing but the checkpoint, and PLs now keep no state.
 //!
 //! Each type's layout is declared once. The [`Codec`] impls come from
 //! macros over field and variant lists — `record!` (an object keyed by
@@ -68,12 +72,11 @@ use crate::job::{
     Allocation, JobId, JobMetrics, JobRecord, JobSpec, JobState, ReportSet, TransferState,
 };
 use crate::matrix::GangMatrix;
-use crate::mm::MachineManager;
+use crate::mm::MmRow;
 use crate::msg::{Msg, ReportKind};
 use crate::nm::{LocalJob, NmRow};
-use crate::pl::ProgramLauncher;
 use crate::replica::{Decision, MmCoreState, MmRole, ReplStats};
-use crate::world::{ClusterStats, IdleLeap, NodeTable, World};
+use crate::world::{ClusterStats, Daemon, IdleLeap, NodeTable, World};
 use std::collections::VecDeque;
 use std::fmt::Arguments;
 use std::sync::Arc;
@@ -84,9 +87,9 @@ use storm_mech::{
 };
 use storm_net::{BackgroundLoad, BufferPlacement, NetworkKind, Nic};
 use storm_sim::{
-    intern_label, ArenaState, ComponentId, DeliveryOrder, DeliveryOrderState, EngineState,
-    GroupSchedule, GroupState, GroupTargets, OrderModeState, QueueAccounting, QueuedEventState,
-    SimSpan, SimTime, Simulation, TraceRecord,
+    intern_label, ArenaSize, ComponentId, Delivery, DeliveryOrder, DeliveryOrderState, EngineState,
+    GroupDelivery, GroupSchedule, GroupTargets, OrderModeState, QueueAccounting, QueuedEventState,
+    SimSpan, SimTime, TraceRecord,
 };
 use storm_telemetry::json::{parse, Value, Writer};
 use storm_telemetry::{
@@ -95,7 +98,7 @@ use storm_telemetry::{
 
 /// Artifact format version. Bumped on any incompatible layout change;
 /// [`Cluster::restore`] rejects artifacts from other versions.
-pub const CHECKPOINT_VERSION: u64 = 8;
+pub const CHECKPOINT_VERSION: u64 = 9;
 
 type R<T> = Result<T, String>;
 
@@ -111,9 +114,8 @@ trait Codec: Sized {
 }
 
 /// Decoding in place, for the types that also hold layout [`Cluster::new`]
-/// rebuilds from the config: the world, its mechanism layer and the MMs,
-/// whose rank is their wiring position. Every [`Codec`] type patches by
-/// replacement.
+/// rebuilds from the config: the world and its mechanism layer. Every
+/// [`Codec`] type patches by replacement.
 trait Patch {
     fn save(&self, out: &mut Writer);
     fn load(&mut self, v: &Value) -> R<()>;
@@ -350,7 +352,6 @@ macro_rules! tuple {
 tuple!(A 0, B 1);
 tuple!(A 0, B 1, C 2);
 tuple!(A 0, B 1, C 2, D 3);
-tuple!(A 0, B 1, C 2, D 3, E 4, F 5);
 
 impl Codec for bool {
     fn enc(&self, out: &mut Writer) {
@@ -695,24 +696,43 @@ record!(QueueAccounting {
     peak,
     pop_digest
 });
-record!(<T> ArenaState<T> { slots, free, peak, reserve });
-record!(GroupState<Msg> { targets, schedule, base, floor, base_seq, cursor, msg });
+record!(ArenaSize { peak, reserve });
+record!(GroupDelivery<Msg> { targets, schedule, base, floor, base_seq, cursor, msg });
 row!(TraceRecord [time, component, label, detail]);
 
-/// A queue entry is one flat row: `[time, tie, seq, target, slot, gen]`.
-impl Codec for QueuedEventState {
+/// A queue entry is one flat row with its payload inline: `[time, tie,
+/// seq, target, msg]` for a unicast, `[time, tie, seq, group]` for a
+/// group delivery.
+impl Codec for QueuedEventState<Msg> {
     fn enc(&self, out: &mut Writer) {
-        let (slot, gen) = self.payload;
-        (self.time, self.tie, self.seq, self.target, slot, gen).enc(out);
+        out.arr(|out| {
+            self.time.enc(out);
+            self.tie.enc(out);
+            self.seq.enc(out);
+            match &self.delivery {
+                Delivery::One { target, msg } => {
+                    target.enc(out);
+                    msg.enc(out);
+                }
+                Delivery::Group(group) => group.enc(out),
+            }
+        });
     }
     fn dec(v: &Value) -> R<Self> {
-        let (time, tie, seq, target, slot, gen) = Codec::dec(v)?;
+        let one = v.as_arr().is_some_and(|items| items.len() == 5);
+        let mut items = Items::new(v, 0, if one { 5 } else { 4 })?;
         Ok(QueuedEventState {
-            time,
-            tie,
-            seq,
-            target,
-            payload: (slot, gen),
+            time: items.next()?,
+            tie: items.next()?,
+            seq: items.next()?,
+            delivery: if one {
+                Delivery::One {
+                    target: items.next()?,
+                    msg: items.next()?,
+                }
+            } else {
+                Delivery::Group(items.next()?)
+            },
         })
     }
 }
@@ -847,8 +867,9 @@ record!(IdleLeap {
     pct
 });
 
-// MMs, decoded in place: an MM's rank is its wiring position.
-record!(into MachineManager {
+// One row per MM replica, keyed by field name; its rank is its index in
+// `World::mm_rows`.
+record!(MmRow {
     pending_reports,
     ticks,
     next_tick,
@@ -1071,22 +1092,6 @@ impl Codec for Telemetry {
 // Top level
 // ---------------------------------------------------------------------------
 
-/// The dæmon at `id`, downcast to its concrete type. `Cluster::new`
-/// wires every id to a dæmon of the kind its table names.
-fn daemon<T: 'static>(sim: &Simulation<World, Msg>, id: ComponentId) -> &T {
-    sim.component(id)
-        .as_any()
-        .and_then(|a| a.downcast_ref::<T>())
-        .expect("wiring points at a dæmon of the wired kind")
-}
-
-fn daemon_mut<T: 'static>(sim: &mut Simulation<World, Msg>, id: ComponentId) -> &mut T {
-    sim.component_mut(id)
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<T>())
-        .expect("wiring points at a dæmon of the wired kind")
-}
-
 /// The dæmon kind that handles `msg` (a component's `name()`); each kind
 /// panics on the others' messages.
 fn addressee(msg: &Msg) -> &'static str {
@@ -1118,12 +1123,6 @@ fn addressee(msg: &Msg) -> &'static str {
         | Msg::Resync { .. } => "NM",
         Msg::Fork { .. } => "PL",
     }
-}
-
-/// The payload a checkpointed `(slot, generation)` handle names, if live.
-fn live<T>(arena: &ArenaState<T>, (slot, gen): (u32, u32)) -> Option<&T> {
-    let (at, val) = arena.slots.get(slot as usize)?;
-    val.as_ref().filter(|_| *at == gen)
 }
 
 /// A message's tag as the checkpoint spells it: the text between the
@@ -1174,8 +1173,9 @@ fn job_of(msg: &Msg) -> Option<JobId> {
 /// PL its variant names, a group (the MM's fan-outs) only NMs, with an
 /// NM message — and name only jobs that have a record. A fragment or
 /// launch fan-out of a live job's current attempt must address the NMs
-/// of that job's block. Entries whose payload or target does not resolve
-/// are left to the engine import, which refuses them.
+/// of that job's block. A unicast to no dæmon is left to the engine
+/// import, which refuses it. A dæmon's kind is read off its id (see
+/// [`Wiring::daemon`](crate::world::Wiring::daemon)).
 fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
     if engine.max_events < engine.handled {
         return Err(format!(
@@ -1184,65 +1184,60 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
         ));
     }
     let wiring = &world.wiring;
-    let wired = (wiring.mms.iter().map(|&id| (id, "MM")))
-        .chain(wiring.nms.iter().map(|&id| (id, "NM")))
-        .chain(wiring.pls.iter().flatten().map(|&id| (id, "PL")));
-    let mut kinds = Vec::new();
-    for (id, kind) in wired {
-        kinds.resize(kinds.len().max(id.index() + 1), None);
-        kinds[id.index()] = Some(kind);
-    }
-    let kind_of = |ix: u64| kinds.get(usize::try_from(ix).ok()?).copied().flatten();
+    let kind_of = |ix: u64| {
+        let id = ComponentId::from_index(u32::try_from(ix).ok()?);
+        Some(match wiring.daemon(id)? {
+            Daemon::Mm(_) => "MM",
+            Daemon::Nm(_) => "NM",
+            Daemon::Pl { .. } => "PL",
+        })
+    };
     for (i, e) in engine.entries.iter().enumerate() {
-        // `u32::MAX` is the engine's group-entry sentinel.
-        let (msg, group) = if e.target == u32::MAX {
-            let Some(g) = live(&engine.groups, e.payload) else {
-                continue;
-            };
-            let wants = addressee(&g.msg);
-            if wants != "NM" {
-                return Err(format!(
-                    "engine.entries[{i}]: {wants} message {} in a group delivery",
-                    tag(&g.msg)
-                ));
-            }
-            // The first member that is not an NM. A strided scan stops
-            // within one step past the last component; a zero stride
-            // repeats its first member.
-            let stray = match g.targets {
-                GroupTargets::Strided { first, stride, len } => {
-                    let n = if stride == 0 { len.min(1) } else { len };
-                    (0..n)
-                        .map(|r| first.index() as u64 + u64::from(stride) * u64::from(r))
-                        .find(|&ix| kind_of(ix) != Some("NM"))
+        let (msg, group) = match &e.delivery {
+            Delivery::Group(g) => {
+                let wants = addressee(&g.msg);
+                if wants != "NM" {
+                    return Err(format!(
+                        "engine.entries[{i}]: {wants} message {} in a group delivery",
+                        tag(&g.msg)
+                    ));
                 }
-                GroupTargets::List(ref ids) => ids
-                    .iter()
-                    .map(|id| id.index() as u64)
-                    .find(|&ix| kind_of(ix) != Some("NM")),
-            };
-            if let Some((ix, Some(is))) = stray.map(|ix| (ix, kind_of(ix))) {
-                return Err(format!(
-                    "engine.entries[{i}]: group delivery of {} reaches {is} #{ix}",
-                    tag(&g.msg)
-                ));
+                // The first member that is not an NM. A strided scan stops
+                // within one step past the last component; a zero stride
+                // repeats its first member.
+                let stray = match g.targets {
+                    GroupTargets::Strided { first, stride, len } => {
+                        let n = if stride == 0 { len.min(1) } else { len };
+                        (0..n)
+                            .map(|r| first.index() as u64 + u64::from(stride) * u64::from(r))
+                            .find(|&ix| kind_of(ix) != Some("NM"))
+                    }
+                    GroupTargets::List(ref ids) => ids
+                        .iter()
+                        .map(|id| id.index() as u64)
+                        .find(|&ix| kind_of(ix) != Some("NM")),
+                };
+                if let Some((ix, Some(is))) = stray.map(|ix| (ix, kind_of(ix))) {
+                    return Err(format!(
+                        "engine.entries[{i}]: group delivery of {} reaches {is} #{ix}",
+                        tag(&g.msg)
+                    ));
+                }
+                (&g.msg, Some(&g.targets))
             }
-            (&g.msg, Some(&g.targets))
-        } else {
-            let (Some(msg), Some(is)) =
-                (live(&engine.msgs, e.payload), kind_of(u64::from(e.target)))
-            else {
-                continue;
-            };
-            let wants = addressee(msg);
-            if wants != is {
-                return Err(format!(
-                    "engine.entries[{i}]: {wants} message {} addressed to {is} #{}",
-                    tag(msg),
-                    e.target
-                ));
+            Delivery::One { target, msg } => {
+                let Some(is) = kind_of(target.index() as u64) else {
+                    continue;
+                };
+                let wants = addressee(msg);
+                if wants != is {
+                    return Err(format!(
+                        "engine.entries[{i}]: {wants} message {} addressed to {is} {target}",
+                        tag(msg)
+                    ));
+                }
+                (msg, None)
             }
-            (msg, None)
         };
         let Some(job) = job_of(msg) else { continue };
         let Some(rec) = world.jobs.get(job.index()) else {
@@ -1274,29 +1269,24 @@ fn check_engine(engine: &EngineState<Msg>, world: &World) -> R<()> {
 /// The embedded config's layout sizes must match the document's own
 /// tables, and job report sets name nodes of the cluster only, so a
 /// corrupt size fails here rather than in an allocation [`Cluster::new`]
-/// or a report-set decode cannot make.
-fn check_layout(cfg: &ClusterConfig, doc: &Value, pls: &[Vec<u64>]) -> R<()> {
+/// or a report-set decode cannot make. The config's own bound on the
+/// dæmon count ([`ClusterConfig::validate`]) caps what `Cluster::new`
+/// registers.
+fn check_layout(cfg: &ClusterConfig, doc: &Value) -> R<()> {
     let len = |v: &Value| v.as_arr().map_or(0, <[Value]>::len);
     let (mms, nms) = (len(member(doc, "mms")?), len(member(doc, "nms")?));
     let matrix = member(member(doc, "world")?, "matrix")?;
     let slots = member(matrix, "slots")?.as_u64().unwrap_or(0);
     let matrix_nodes = member(matrix, "nodes")?.as_u64();
-    let per_node = (cfg.cpus_per_node as usize).checked_mul(cfg.mpl_max);
     if nms != cfg.nodes as usize
-        || pls.len() != nms
-        || pls.iter().any(|row| Some(row.len()) != per_node)
         || Some(mms) != (cfg.mm_standbys as usize).checked_add(1)
         || matrix_nodes != Some(u64::from(cfg.nodes))
         || slots > cfg.mpl_max as u64
     {
         return Err(format!(
-            "config (nodes {}, cpus_per_node {}, mpl_max {}, mm_standbys {}) does not match \
-             the checkpoint's {nms} NMs, {} PL rows, {mms} MMs and {slots}-slot matrix",
-            cfg.nodes,
-            cfg.cpus_per_node,
-            cfg.mpl_max,
-            cfg.mm_standbys,
-            pls.len()
+            "config (nodes {}, mpl_max {}, mm_standbys {}) does not match the checkpoint's \
+             {nms} NMs, {mms} MMs and {slots}-slot matrix",
+            cfg.nodes, cfg.mpl_max, cfg.mm_standbys,
         ));
     }
     // A report set decodes to a bitmap as wide as the nodes it names, so
@@ -1335,23 +1325,8 @@ impl Cluster {
             put(out, "engine", &sim.export_engine_state());
             out.key("world");
             w.save(out);
-            out.key("mms");
-            out.arr(|out| {
-                for &id in &w.wiring.mms {
-                    daemon::<MachineManager>(sim, id).save(out);
-                }
-            });
+            put(out, "mms", &w.mm_rows);
             put(out, "nms", &w.nm_rows);
-            out.key("pls");
-            out.arr(|out| {
-                for ids in &w.wiring.pls {
-                    out.arr(|out| {
-                        for &id in ids {
-                            daemon::<ProgramLauncher>(sim, id).fork_count().enc(out);
-                        }
-                    });
-                }
-            });
         });
         out.finish()
     }
@@ -1379,8 +1354,7 @@ impl Cluster {
         let cfg: ClusterConfig = field(doc, "config")?;
         cfg.validate()
             .map_err(|e| format!("embedded config invalid: {e}"))?;
-        let pls: Vec<Vec<u64>> = field(doc, "pls")?;
-        check_layout(&cfg, doc, &pls)?;
+        check_layout(&cfg, doc)?;
         let engine: EngineState<Msg> = field(doc, "engine")?;
         let next_job: u32 = field(doc, "next_job")?;
 
@@ -1404,23 +1378,16 @@ impl Cluster {
         // The engine image replaces construction-time posts wholesale.
         sim.import_engine_state(engine)
             .map_err(|e| format!("engine: {e}"))?;
-        // The MMs load in place, keeping the rank `Cluster::new` wired them
-        // at, and each NM row at its node (`check_layout` matched the
-        // section lengths).
-        let wiring = sim.world().wiring.clone();
+        // Each MM row loads at its rank and each NM row at its node
+        // (`check_layout` matched the section lengths).
         let rows = |key| member(doc, key).map(|v| v.as_arr().unwrap_or_default());
-        for (r, (&id, v)) in wiring.mms.iter().zip(rows("mms")?).enumerate() {
-            (daemon_mut::<MachineManager>(sim, id).load(v))
-                .map_err(|e| at(format_args!(".mms[{r}]"), e))?;
+        let mms = sim.world_mut().mm_rows.iter_mut();
+        for (r, (row, v)) in mms.zip(rows("mms")?).enumerate() {
+            *row = MmRow::dec(v).map_err(|e| at(format_args!(".mms[{r}]"), e))?;
         }
         let nms = sim.world_mut().nm_rows.iter_mut();
         for (n, (row, v)) in nms.zip(rows("nms")?).enumerate() {
             *row = NmRow::dec(v).map_err(|e| at(format_args!(".nms[{n}]"), e))?;
-        }
-        for (ids, forks) in wiring.pls.iter().zip(pls) {
-            for (&id, f) in ids.iter().zip(forks) {
-                daemon_mut::<ProgramLauncher>(sim, id).restore_forks(f);
-            }
         }
         Ok(cluster)
     }
@@ -1495,11 +1462,12 @@ mod tests {
         // report counts and retries, version 7 each standby's mirror of
         // the queue, round, quarantine set, slot and tick count,
         // `world.mm_failed_at`, the MM's tick flag and last-tick instant,
-        // each dæmon's rank or node and `config.fast_forward`.
+        // each dæmon's rank or node and `config.fast_forward`, version 8
+        // a `pls` section of PL fork counts.
         let current = Cluster::new(ClusterConfig::paper_cluster()).checkpoint();
         let key = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(current.starts_with(&format!("{{{key},")), "{current:.80}");
-        for old in 1..=7 {
+        for old in 1..=8 {
             let relabelled = current.replacen(&key, &format!("\"version\":{old}"), 1);
             let err = Cluster::restore(&relabelled)
                 .err()
@@ -1520,7 +1488,7 @@ mod tests {
         use crate::cq::Condition;
         use crate::fault::{FailurePolicy, FaultEvent};
         use crate::job::{JobId, JobState};
-        use crate::mm::MachineManager;
+        use crate::mm::MmRow;
         use crate::msg::{Msg, ReportKind};
         use crate::replica::{Decision, MmCoreState, MmRole};
         use storm_apps::AppSpec;
@@ -1528,7 +1496,7 @@ mod tests {
         use storm_mech::{NodeId, NodeSet};
         use storm_net::{BufferPlacement, NetworkKind};
         use storm_sim::{
-            ComponentId, DeliveryOrderState, GroupSchedule, GroupState, GroupTargets,
+            ComponentId, DeliveryOrderState, GroupDelivery, GroupSchedule, GroupTargets,
             OrderModeState, SimSpan, SimTime,
         };
         use storm_telemetry::json::{parse, render, Value, Writer};
@@ -1786,7 +1754,7 @@ mod tests {
 
             let groups = [
                 (
-                    GroupState {
+                    GroupDelivery {
                         targets: GroupTargets::Strided {
                             first: ComponentId::from_index(5),
                             stride: 9,
@@ -1802,7 +1770,7 @@ mod tests {
                     r#"{"targets":["strided",5,9,4],"schedule":["simultaneous"],"base":1500,"floor":1000,"base_seq":12,"cursor":1,"msg":["tick"]}"#,
                 ),
                 (
-                    GroupState {
+                    GroupDelivery {
                         targets: GroupTargets::List(
                             [2, 7].map(ComponentId::from_index).to_vec().into(),
                         ),
@@ -1914,29 +1882,21 @@ mod tests {
             );
             assert_eq!(JobSpec::unpin(&named.pin()).map(|j| j.name), Ok(named.name));
 
-            // An MM decodes in place and keeps its rank.
-            let mm = MachineManager {
+            // An MM row is its fields by name; its rank is its index.
+            let mm = MmRow {
                 pending_reports: vec![(1, JobId(2), 3, ReportKind::Started)],
                 ticks: 4,
                 next_tick: Some(SimTime::from_nanos(5)),
-                rank: 1,
                 epoch: 6,
                 last_beat_seen: Some(SimTime::from_nanos(7)),
                 beats_sent: 8,
             };
-            let encoded = |mm: &MachineManager| {
-                let mut out = Writer::default();
-                mm.save(&mut out);
-                out.finish()
-            };
-            let text = encoded(&mm);
-            assert_eq!(
-                text,
-                r#"{"pending_reports":[[1,2,3,["started"]]],"ticks":4,"next_tick":5,"epoch":6,"last_beat_seen":7,"beats_sent":8}"#
+            check(
+                &mm,
+                None,
+                r#"{"pending_reports":[[1,2,3,["started"]]],"ticks":4,"next_tick":5,"epoch":6,"last_beat_seen":7,"beats_sent":8}"#,
+                &mut bad,
             );
-            let mut back = MachineManager::standby(1);
-            back.load(&parse(&text).unwrap()).unwrap();
-            assert_eq!(encoded(&back), text);
             let roles = [
                 (MmRole::Active, r#"["active"]"#),
                 (MmRole::Standby, r#"["standby"]"#),

@@ -39,50 +39,42 @@ impl Cluster {
         // is posted so every insertion of the run is keyed (which is what
         // makes a seeded run regenerable as an explicit tie script).
         sim.set_delivery_order(cfg.delivery_order.clone());
-        let per_node = cfg.cpus_per_node * u32::try_from(cfg.mpl_max).expect("mpl");
+        // Register the dæmons in the order `Wiring` computes their ids
+        // from. NMs and PLs are zero-sized, so their boxes allocate nothing.
+        let wiring = sim.world().wiring;
         sim.reserve_components(
-            1 + cfg.nodes as usize * (1 + per_node as usize) + cfg.mm_standbys as usize,
+            (1 + cfg.nodes * (1 + wiring.pls_per_node()) + cfg.mm_standbys) as usize,
         );
         // Fault detection runs the MM's tick chain from t = 0.
         let first_tick = cfg.fault_detection.then_some(SimTime::ZERO);
-        let mm = sim.add_component(MachineManager {
-            next_tick: first_tick,
-            ..MachineManager::new()
-        });
-        let mut nms = Vec::with_capacity(cfg.nodes as usize);
-        let mut pls = Vec::with_capacity(cfg.nodes as usize);
+        let mm = sim.add_component(MachineManager);
         for node in 0..cfg.nodes {
-            nms.push(sim.add_component(NodeManager));
-            let mut node_pls = Vec::with_capacity(per_node as usize);
-            for i in 0..per_node {
-                node_pls.push(sim.add_component(ProgramLauncher::new(node, i)));
+            let nm = sim.add_component(NodeManager);
+            debug_assert_eq!(nm, wiring.nm(node));
+            for _ in 0..wiring.pls_per_node() {
+                sim.add_component(ProgramLauncher);
             }
-            pls.push(node_pls);
         }
         // Standby MM replicas are appended *after* every NM and PL so that a
         // standby-free cluster's component ids are untouched — one of the two
         // levers behind the byte-identity guarantee for fault-free runs.
-        let mut mms = vec![mm];
         for rank in 1..=cfg.mm_standbys {
-            mms.push(sim.add_component(MachineManager::standby(rank)));
+            let standby = sim.add_component(MachineManager);
+            debug_assert_eq!(standby, wiring.mm(rank));
         }
-        {
+        if cfg.mm_standbys > 0 {
+            // Allocate the epoch fence variable eagerly so the promotion
+            // path never has to mutate the memory layout mid-run.
             let w = sim.world_mut();
-            w.wiring.mms = mms.clone();
-            w.wiring.nms = nms;
-            w.wiring.pls = pls;
-            if cfg.mm_standbys > 0 {
-                // Allocate the epoch fence variable eagerly so the promotion
-                // path never has to mutate the memory layout mid-run.
-                w.mm_epoch_var = Some(w.mech.memory.alloc_var(0));
-            }
+            w.mm_epoch_var = Some(w.mech.memory.alloc_var(0));
         }
         // The heartbeat loop starts with the first tick, and every
         // standby's watchdog is armed alongside it.
         if let Some(at) = first_tick {
+            sim.world_mut().mm_rows[0].next_tick = Some(at);
             sim.post(at, mm, Msg::Tick);
-            for &standby in &mms[1..] {
-                sim.post(at, standby, Msg::MmWatchdog);
+            for rank in 1..=cfg.mm_standbys {
+                sim.post(at, wiring.mm(rank), Msg::MmWatchdog);
             }
         }
         // Post the fault schedule's timed events (the probabilistic faults
@@ -112,12 +104,12 @@ impl Cluster {
     fn inject(&mut self, ev: &FaultEvent) {
         let wiring = &self.sim.world().wiring;
         let (at, target, msg) = match *ev {
-            FaultEvent::Crash { at, node } => (at, wiring.nms[node as usize], Msg::FailNode),
-            FaultEvent::Rejoin { at, node } => (at, wiring.nms[node as usize], Msg::RejoinNode),
+            FaultEvent::Crash { at, node } => (at, wiring.nm(node), Msg::FailNode),
+            FaultEvent::Rejoin { at, node } => (at, wiring.nm(node), Msg::RejoinNode),
             FaultEvent::Stall { from, until, node } => {
-                (from, wiring.nms[node as usize], Msg::StallNode { until })
+                (from, wiring.nm(node), Msg::StallNode { until })
             }
-            FaultEvent::MmCrash { at, rank } => (at, wiring.mms[rank as usize], Msg::MmFail),
+            FaultEvent::MmCrash { at, rank } => (at, wiring.mm(rank), Msg::MmFail),
         };
         self.sim.post(at, target, msg);
     }
@@ -293,9 +285,9 @@ impl Cluster {
     /// watchdogs detect the silence, the lowest surviving rank promotes
     /// itself and fences the old epoch off the cluster).
     pub fn fail_mm_at(&mut self, at: SimTime, rank: u32) {
-        let replicas = self.sim.world().wiring.mms.len();
+        let replicas = self.sim.world().wiring.mm_count();
         assert!(
-            (rank as usize) < replicas,
+            rank < replicas,
             "MM rank {rank} out of range ({replicas} replicas)"
         );
         self.inject(&FaultEvent::MmCrash { at, rank });

@@ -107,6 +107,11 @@ impl Default for DaemonCosts {
     }
 }
 
+/// The most dæmons (MMs, NMs and PLs) a cluster may register, checked by
+/// [`ClusterConfig::validate`] before anything is allocated. It leaves
+/// room for the 1M-node envelope at 4 CPUs and MPL 2 (9M dæmons).
+pub const MAX_DAEMONS: u64 = 1 << 24;
+
 /// Full configuration of a simulated STORM cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
@@ -348,6 +353,22 @@ impl ClusterConfig {
         }
         if self.heartbeat_every == 0 {
             return Err("heartbeat_every must be ≥ 1".into());
+        }
+        // The primary MM, per node an NM and its PLs, then the standbys.
+        let daemons = u64::try_from(self.mpl_max)
+            .ok()
+            .and_then(|mpl| mpl.checked_mul(u64::from(self.cpus_per_node)))
+            .and_then(|pls| (pls + 1).checked_mul(u64::from(self.nodes)))
+            .and_then(|wired| wired.checked_add(u64::from(self.mm_standbys) + 1));
+        if daemons.is_none_or(|n| n > MAX_DAEMONS) {
+            return Err(format!(
+                "{} nodes × (1 NM + {} CPUs × MPL {} PLs) + {} MMs is more than the {MAX_DAEMONS} \
+                 dæmons a cluster may have",
+                self.nodes,
+                self.cpus_per_node,
+                self.mpl_max,
+                u64::from(self.mm_standbys) + 1
+            ));
         }
         self.faults
             .validate(self.nodes, self.mm_standbys.saturating_add(1))?;

@@ -21,7 +21,7 @@ use crate::job::{Allocation, JobId, JobState};
 use crate::msg::{Msg, ReportKind};
 use crate::policy::{self, QueuedJob, RunningJob};
 use crate::replica::{Decision, MmRole};
-use crate::world::{IdleLeap, World};
+use crate::world::{Daemon, IdleLeap, World};
 use storm_mech::{CmpOp, NodeId, NodeSet};
 use storm_sim::{Component, Context, GroupSchedule, SimSpan, SimTime};
 use storm_telemetry::{JobSpan, Phase};
@@ -41,11 +41,16 @@ const REPL_CKPT_BYTES: u64 = 4096;
 /// overflowing or parking a retry past any plausible horizon.
 const MAX_REQUEUE_DELAY: SimSpan = SimSpan::from_secs(60);
 
-/// The Machine Manager dæmon. Its scheduling state lives in the world
-/// (the paper's global memory); what it keeps itself is checkpointed field
-/// by field, except its rank, which the wiring gives.
+/// The Machine Manager dæmon registered at each replica's wiring
+/// position. It holds no state: its rank is its position, and its state
+/// is that rank's row of `World::mm_rows`, which the checkpoint writes
+/// field by field.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MachineManager;
+
+/// One MM replica's state: its rank's row of `World::mm_rows`.
 #[derive(Debug, Default)]
-pub struct MachineManager {
+pub(crate) struct MmRow {
     /// Buffered `(node, job, attempt, kind)` NM reports, collected at the
     /// next tick.
     pub(crate) pending_reports: Vec<(u32, JobId, u32, ReportKind)>,
@@ -57,10 +62,6 @@ pub struct MachineManager {
     /// already ran — and is dropped. A delivery-order hook may delay the
     /// due tick, so it runs when it pops at or after this instant.
     pub(crate) next_tick: Option<SimTime>,
-    /// This replica's rank (0 = the primary). Its role is
-    /// `World::mm_roles[rank]`; the nodes it has detected failed are the
-    /// gang matrix's quarantine set.
-    pub(crate) rank: u32,
     /// The epoch this replica believes is current. Bumped on promotion and
     /// fenced into every node's global memory so stale-epoch multicasts
     /// are rejected.
@@ -71,20 +72,16 @@ pub struct MachineManager {
     pub(crate) beats_sent: u64,
 }
 
-impl MachineManager {
-    /// A fresh (primary, active) MM.
-    pub fn new() -> Self {
-        MachineManager::default()
-    }
+/// One MM replica while it handles a delivery: its rank (0 = the
+/// primary), and its row, taken out of the world for the call. Its role
+/// is `World::mm_roles[rank]`; the nodes it has detected failed are the
+/// gang matrix's quarantine set.
+struct Replica {
+    rank: u32,
+    row: MmRow,
+}
 
-    /// A standby replica with the given rank (≥ 1).
-    pub fn standby(rank: u32) -> Self {
-        MachineManager {
-            rank,
-            ..MachineManager::default()
-        }
-    }
-
+impl Replica {
     /// Ticks are the MM's *heartbeat*: they fire every
     /// `collect_period = min(timeslice, max_event_collect)`. Commands and
     /// event collection happen on every heartbeat; the gang matrix rotates
@@ -98,8 +95,8 @@ impl MachineManager {
         // parks the next tick up to a heartbeat round away; a message
         // landing mid-gap (a submit, a kill, a requeue) needs the dense
         // chain back *now*, and the parked tick is superseded.
-        if self.next_tick.is_none_or(|t| at < t) {
-            self.next_tick = Some(at);
+        if self.row.next_tick.is_none_or(|t| at < t) {
+            self.row.next_tick = Some(at);
             ctx.send_self_at(at, Msg::Tick);
         }
     }
@@ -127,12 +124,12 @@ impl MachineManager {
             }
             (u64::from(w.cfg.heartbeat_every), w.cfg.collect_period())
         };
-        debug_assert!(self.pending_reports.is_empty());
+        debug_assert!(self.row.pending_reports.is_empty());
         // Rounds fire at tick numbers n with (n - 1) % h == 0; skip the
         // intermediate ticks between this one (already counted) and the
         // next round.
-        let next_round = self.ticks + (h - (self.ticks - 1) % h);
-        let skipped = next_round - self.ticks - 1;
+        let next_round = self.row.ticks + (h - (self.row.ticks - 1) % h);
+        let skipped = next_round - self.row.ticks - 1;
         if skipped == 0 {
             return false;
         }
@@ -161,7 +158,7 @@ impl MachineManager {
             pending,
             pct,
         });
-        self.next_tick = Some(target);
+        self.row.next_tick = Some(target);
         ctx.send_self_at(target, Msg::Tick);
         true
     }
@@ -188,7 +185,7 @@ impl MachineManager {
         let w = ctx.world_ref();
         (0..w.mm_roles.len())
             .filter(|&r| r as u32 != self.rank && w.mm_roles[r] == MmRole::Standby)
-            .map(|r| w.wiring.mms[r])
+            .map(|r| w.wiring.mm(r as u32))
             .collect()
     }
 
@@ -212,7 +209,7 @@ impl MachineManager {
                 target,
                 now + lat,
                 Msg::ReplLog {
-                    epoch: self.epoch,
+                    epoch: self.row.epoch,
                     seq,
                     decision: d.clone(),
                 },
@@ -228,11 +225,11 @@ impl MachineManager {
             return;
         }
         let now = ctx.now();
-        self.beats_sent += 1;
-        let ship_ckpt = self.beats_sent % 4 == 1;
+        self.row.beats_sent += 1;
+        let ship_ckpt = self.row.beats_sent % 4 == 1;
         let beat_lat = ctx.world_ref().qsnet.ptp_span(CONTROL_MSG_BYTES);
         let ckpt_lat = ctx.world_ref().qsnet.ptp_span(REPL_CKPT_BYTES);
-        let epoch = self.epoch;
+        let epoch = self.row.epoch;
         let targets = self.live_standbys(ctx);
         if targets.is_empty() {
             return;
@@ -284,7 +281,7 @@ impl MachineManager {
             return;
         }
         let now = ctx.now();
-        let last = self.last_beat_seen.unwrap_or(SimTime::ZERO);
+        let last = self.row.last_beat_seen.unwrap_or(SimTime::ZERO);
         let silent = now.since(last) > beat_period;
         let successor = {
             let w = ctx.world_ref();
@@ -311,8 +308,8 @@ impl MachineManager {
         let now = ctx.now();
         let old_active = ctx.world_ref().mm_active_rank as usize;
         let epoch = ctx.world_ref().mm_epoch + 1;
-        self.epoch = epoch;
-        self.beats_sent = 0;
+        self.row.epoch = epoch;
+        self.row.beats_sent = 0;
         let adopted = ctx.world_ref().mm_replicas[self.rank as usize].clone();
         {
             let w = ctx.world();
@@ -407,8 +404,8 @@ impl MachineManager {
         // their absolute cadence across the failover.
         let period = ctx.world_ref().cfg.collect_period();
         let next = now.next_boundary(period);
-        self.ticks = next.boundaries_since(SimTime::ZERO, period);
-        self.next_tick = Some(next);
+        self.row.ticks = next.boundaries_since(SimTime::ZERO, period);
+        self.row.next_tick = Some(next);
         ctx.send_self_at(next, Msg::Tick);
     }
 
@@ -418,11 +415,11 @@ impl MachineManager {
     fn handle_standby(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
         match msg {
             Msg::MmBeat { epoch } => {
-                if epoch < self.epoch {
+                if epoch < self.row.epoch {
                     return;
                 }
-                self.epoch = epoch;
-                self.last_beat_seen = Some(ctx.now());
+                self.row.epoch = epoch;
+                self.row.last_beat_seen = Some(ctx.now());
             }
             Msg::ReplLog { seq, decision, .. } => {
                 // Sequence contiguity, not epoch, is the apply criterion:
@@ -436,10 +433,10 @@ impl MachineManager {
                 }
             }
             Msg::ReplCheckpoint { epoch, state } => {
-                if epoch < self.epoch {
+                if epoch < self.row.epoch {
                     return;
                 }
-                self.epoch = epoch;
+                self.row.epoch = epoch;
                 let r = &mut ctx.world().mm_replicas[self.rank as usize];
                 if state.log_len >= r.log_len {
                     *r = state;
@@ -904,6 +901,7 @@ impl MachineManager {
         // and the machine would otherwise idle until the boundary).
         let current = ctx.world_ref().active_slot;
         let quantum_boundary = self
+            .row
             .ticks
             .is_multiple_of(Self::ticks_per_quantum(&ctx.world_ref().cfg));
         let current_empty = ctx.world_ref().matrix.jobs_in_slot(current).is_empty();
@@ -960,7 +958,7 @@ impl MachineManager {
             GroupSchedule::Simultaneous,
             Msg::Strobe {
                 slot,
-                epoch: self.epoch,
+                epoch: self.row.epoch,
             },
         );
     }
@@ -987,7 +985,7 @@ impl MachineManager {
         // NM reports. Take the buffer out for the borrow, drain it, and put
         // it back so its capacity is reused every collection instead of
         // reallocated from scratch.
-        let mut reports = std::mem::take(&mut self.pending_reports);
+        let mut reports = std::mem::take(&mut self.row.pending_reports);
         for (node, job, attempt, kind) in reports.drain(..) {
             {
                 let w = ctx.world();
@@ -1036,8 +1034,8 @@ impl MachineManager {
                 }
             }
         }
-        reports.append(&mut self.pending_reports);
-        self.pending_reports = reports;
+        reports.append(&mut self.row.pending_reports);
+        self.row.pending_reports = reports;
     }
 
     fn complete_job(
@@ -1256,7 +1254,7 @@ impl MachineManager {
                 schedule,
                 Msg::Heartbeat {
                     round: new_round,
-                    epoch: self.epoch,
+                    epoch: self.row.epoch,
                 },
             );
         } else {
@@ -1365,7 +1363,8 @@ impl MachineManager {
     }
 }
 
-impl Component<World, Msg> for MachineManager {
+impl Replica {
+    /// Handle `msg` in this replica's role.
     fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
         match ctx.world_ref().mm_roles[self.rank as usize] {
             MmRole::Active => {}
@@ -1400,21 +1399,21 @@ impl Component<World, Msg> for MachineManager {
             }
             Msg::Tick => {
                 let tick_now = ctx.now();
-                if self.next_tick.is_none_or(|t| t > tick_now) {
+                if self.row.next_tick.is_none_or(|t| t > tick_now) {
                     return; // superseded: not the tick that is due
                 }
-                self.next_tick = None;
+                self.row.next_tick = None;
                 // Resolve any armed fast-forward first: replay the skipped
                 // quiescent boundaries and realign the tick counter,
                 // exactly as if the chain had ticked through them.
-                self.ticks += ctx.world().take_leap(tick_now);
-                self.ticks += 1;
+                self.row.ticks += ctx.world().take_leap(tick_now);
+                self.row.ticks += 1;
                 // A tick is also a collection boundary.
                 self.process_events(ctx);
                 let fault = {
                     let w = ctx.world_ref();
                     w.cfg.fault_detection
-                        && (self.ticks - 1).is_multiple_of(u64::from(w.cfg.heartbeat_every))
+                        && (self.row.ticks - 1).is_multiple_of(u64::from(w.cfg.heartbeat_every))
                 };
                 if fault {
                     self.fault_round(ctx);
@@ -1461,7 +1460,7 @@ impl Component<World, Msg> for MachineManager {
                 // Continuous queries observe the same boundary the health
                 // sample does. A single branch when none are registered.
                 if !ctx.world_ref().cq.is_empty() {
-                    let slice = self.ticks;
+                    let slice = self.row.ticks;
                     ctx.world().evaluate_continuous_queries(slice, tick_now);
                 }
                 let keep_going = !ctx.world_ref().is_idle() || ctx.world_ref().cfg.fault_detection;
@@ -1502,7 +1501,7 @@ impl Component<World, Msg> for MachineManager {
                 kind,
                 attempt,
             } => {
-                self.pending_reports.push((node, job, attempt, kind));
+                self.row.pending_reports.push((node, job, attempt, kind));
                 self.ensure_tick(ctx);
             }
             Msg::RequeueJob(job) => {
@@ -1536,17 +1535,23 @@ impl Component<World, Msg> for MachineManager {
             other => panic!("MM received unexpected message {other:?}"),
         }
     }
+}
+
+impl Component<World, Msg> for MachineManager {
+    fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
+        let Some(Daemon::Mm(rank)) = ctx.world_ref().wiring.daemon(ctx.self_id()) else {
+            unreachable!("{} is wired as an MM", ctx.self_id());
+        };
+        // The row leaves the world for the call: a replica reads and
+        // writes only its own.
+        let row = std::mem::take(&mut ctx.world().mm_rows[rank as usize]);
+        let mut replica = Replica { rank, row };
+        replica.handle(msg, ctx);
+        ctx.world().mm_rows[rank as usize] = replica.row;
+    }
 
     fn name(&self) -> &str {
         "MM"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -1558,28 +1563,25 @@ mod tests {
     fn requeue_delay_boundary_values() {
         let b = SimSpan::from_millis(5);
         // Retry 0 (shouldn't happen, but must be well-defined) and a normal case.
-        assert_eq!(MachineManager::requeue_delay(b, 0), SimSpan::ZERO);
-        assert_eq!(
-            MachineManager::requeue_delay(b, 3),
-            SimSpan::from_millis(15)
-        );
+        assert_eq!(Replica::requeue_delay(b, 0), SimSpan::ZERO);
+        assert_eq!(Replica::requeue_delay(b, 3), SimSpan::from_millis(15));
         // Products that would overflow u64 nanoseconds saturate, then cap.
         assert_eq!(
-            MachineManager::requeue_delay(SimSpan::MAX, u32::MAX),
+            Replica::requeue_delay(SimSpan::MAX, u32::MAX),
             MAX_REQUEUE_DELAY
         );
         assert_eq!(
-            MachineManager::requeue_delay(SimSpan::from_nanos(u64::MAX / 2 + 1), 2),
+            Replica::requeue_delay(SimSpan::from_nanos(u64::MAX / 2 + 1), 2),
             MAX_REQUEUE_DELAY
         );
         // Large but non-overflowing products still hit the ceiling.
         assert_eq!(
-            MachineManager::requeue_delay(SimSpan::from_secs(30), 1000),
+            Replica::requeue_delay(SimSpan::from_secs(30), 1000),
             MAX_REQUEUE_DELAY
         );
         // The cap itself passes through unchanged.
         assert_eq!(
-            MachineManager::requeue_delay(SimSpan::from_secs(60), 1),
+            Replica::requeue_delay(SimSpan::from_secs(60), 1),
             MAX_REQUEUE_DELAY
         );
     }

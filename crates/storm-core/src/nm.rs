@@ -87,7 +87,7 @@ pub(crate) struct NmRow {
 }
 
 /// The Node Manager dæmon registered at each node's wiring position. It
-/// holds no state: its node is its position in `Wiring::nms`, and its
+/// holds no state: its node is its wiring position, and its
 /// state is that node's [`World`] row, so a strobe or heartbeat to every
 /// node runs as one loop over the rows.
 #[derive(Debug, Clone, Copy, Default)]
@@ -554,7 +554,7 @@ impl NmRow {
         // Fork each rank through its own Program Launcher, staggered
         // by the sequential dispatch loop.
         for r in 0..ranks_here {
-            let pl = ctx.world_ref().wiring.pls[node.index()][r as usize];
+            let pl = ctx.world_ref().wiring.pl(node.0, r);
             let dispatch = SimSpan::from_micros(30) * u64::from(r);
             ctx.send_at(pl, ready + dispatch, Msg::Fork { job, attempt });
         }

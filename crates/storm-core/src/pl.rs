@@ -7,43 +7,23 @@
 //! never waits for a launcher to become available.
 
 use crate::msg::Msg;
-use crate::world::World;
+use crate::world::{Daemon, World};
 use storm_sim::{Component, Context};
 
-/// One Program Launcher dæmon.
-#[derive(Debug)]
-pub struct ProgramLauncher {
-    node: u32,
-    pl_index: u32,
-    forks: u64,
-}
-
-impl ProgramLauncher {
-    /// The `pl_index`-th launcher on `node`.
-    pub fn new(node: u32, pl_index: u32) -> Self {
-        ProgramLauncher {
-            node,
-            pl_index,
-            forks: 0,
-        }
-    }
-
-    /// How many ranks this PL has forked over its lifetime.
-    pub fn fork_count(&self) -> u64 {
-        self.forks
-    }
-
-    /// Restore the lifetime fork counter from a checkpoint.
-    pub fn restore_forks(&mut self, forks: u64) {
-        self.forks = forks;
-    }
-}
+/// One Program Launcher dæmon. It holds no state: its node and index are
+/// its wiring position (see [`Wiring`](crate::world::Wiring)), so a
+/// cluster registers its PLs without allocating.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProgramLauncher;
 
 impl Component<World, Msg> for ProgramLauncher {
     fn handle(&mut self, msg: Msg, ctx: &mut Context<'_, World, Msg>) {
         match msg {
             Msg::Fork { job, attempt } => {
-                self.forks += 1;
+                let wiring = ctx.world_ref().wiring;
+                let Some(Daemon::Pl { node, index: pl }) = wiring.daemon(ctx.self_id()) else {
+                    unreachable!("{} is wired as a PL", ctx.self_id());
+                };
                 ctx.world().metric_inc("pl.forks");
                 let (costs, load) = {
                     let w = ctx.world_ref();
@@ -53,31 +33,15 @@ impl Component<World, Msg> for ProgramLauncher {
                 // CPU hog is resident.
                 let noise = ctx.rng().lognormal_jitter(costs.fork_sigma);
                 let fork_span = load.inflate(costs.fork_base.mul_f64(noise));
-                let nm = ctx.world_ref().wiring.nms[self.node as usize];
-                ctx.send(
-                    nm,
-                    fork_span,
-                    Msg::ForkDone {
-                        job,
-                        pl: self.pl_index,
-                        attempt,
-                    },
-                );
+                let nm = wiring.nm(node.0);
+                ctx.send(nm, fork_span, Msg::ForkDone { job, pl, attempt });
                 // A do-nothing binary exits as soon as it starts; the PL
                 // notices after `exit_detect` and notifies its NM. Jobs with
                 // real work terminate through the NM's scheduling path
                 // instead.
                 if ctx.world_ref().job(job).workload.is_empty() {
                     let detect = load.inflate(costs.exit_detect);
-                    ctx.send(
-                        nm,
-                        fork_span + detect,
-                        Msg::PlExited {
-                            job,
-                            pl: self.pl_index,
-                            attempt,
-                        },
-                    );
+                    ctx.send(nm, fork_span + detect, Msg::PlExited { job, pl, attempt });
                 }
             }
             other => panic!("PL received unexpected message {other:?}"),
@@ -86,13 +50,5 @@ impl Component<World, Msg> for ProgramLauncher {
 
     fn name(&self) -> &str {
         "PL"
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }

@@ -5,6 +5,7 @@
 use crate::config::ClusterConfig;
 use crate::job::{JobId, JobRecord, JobState, ReportSet};
 use crate::matrix::GangMatrix;
+use crate::mm::MmRow;
 use crate::nm::NmRow;
 use crate::replica::{MmCoreState, MmRole, ReplStats};
 use std::collections::VecDeque;
@@ -15,32 +16,104 @@ use storm_sim::{ComponentId, GroupTargets, SimSpan, SimTime};
 use storm_telemetry::Telemetry;
 
 /// Component wiring: where each dæmon lives in the simulation.
-#[derive(Debug, Clone, Default)]
+/// `Cluster::new` registers the primary MM, then per node its NM followed
+/// by its `cpus_per_node × mpl_max` PLs, then the standby MMs, so every
+/// dæmon's id is arithmetic on that layout and no table lists them.
+#[derive(Debug, Clone, Copy)]
 pub struct Wiring {
-    /// Every MM replica, indexed by rank; `mms[0]` is the primary. The
-    /// active one is `mms[World::mm_active_rank]` ([`World::active_mm`]).
-    pub mms: Vec<ComponentId>,
-    /// One Node Manager per node.
-    pub nms: Vec<ComponentId>,
-    /// Program Launchers per node (`cpus_per_node × mpl_max` each).
-    pub pls: Vec<Vec<ComponentId>>,
+    nodes: u32,
+    /// PLs per node.
+    pls: u32,
+    /// MM replicas, the primary included.
+    mms: u32,
+}
+
+/// A dæmon, with the position [`Wiring::daemon`] reads off its id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Daemon {
+    /// The MM replica of this rank (0 is the primary).
+    Mm(u32),
+    /// The NM of this node.
+    Nm(NodeId),
+    /// The `index`-th PL of `node`.
+    Pl {
+        /// Its node.
+        node: NodeId,
+        /// Its index among the node's PLs.
+        index: u32,
+    },
 }
 
 impl Wiring {
+    /// The layout of a validated configuration, whose dæmon count fits
+    /// [`MAX_DAEMONS`](crate::config::MAX_DAEMONS).
+    fn new(cfg: &ClusterConfig) -> Self {
+        Wiring {
+            nodes: cfg.nodes,
+            pls: cfg.cpus_per_node * u32::try_from(cfg.mpl_max).expect("validated"),
+            mms: cfg.mm_standbys + 1,
+        }
+    }
+
     /// The component-id distance between consecutive nodes' NMs.
     fn nm_stride(&self) -> u32 {
-        if self.nms.len() >= 2 {
-            u32::try_from(self.nms[1].index() - self.nms[0].index()).expect("nm stride")
-        } else {
-            1
+        1 + self.pls
+    }
+
+    /// PLs per node.
+    pub fn pls_per_node(&self) -> u32 {
+        self.pls
+    }
+
+    /// MM replicas, the primary included.
+    pub fn mm_count(&self) -> u32 {
+        self.mms
+    }
+
+    /// The MM replica of `rank`.
+    pub fn mm(&self, rank: u32) -> ComponentId {
+        debug_assert!(rank < self.mms, "MM rank {rank} of {}", self.mms);
+        match rank {
+            0 => ComponentId::from_index(0),
+            _ => ComponentId::from_index(self.nodes * self.nm_stride() + rank),
         }
+    }
+
+    /// The NM of `node`.
+    pub fn nm(&self, node: u32) -> ComponentId {
+        debug_assert!(node < self.nodes, "node {node} of {}", self.nodes);
+        ComponentId::from_index(1 + node * self.nm_stride())
+    }
+
+    /// The `index`-th PL of `node`.
+    pub fn pl(&self, node: u32, index: u32) -> ComponentId {
+        debug_assert!(index < self.pls, "PL {index} of {}", self.pls);
+        ComponentId::from_index(self.nm(node).index() as u32 + 1 + index)
+    }
+
+    /// The dæmon at `id`, or `None` past the last one.
+    pub fn daemon(&self, id: ComponentId) -> Option<Daemon> {
+        let ix = id.index() as u64;
+        let stride = u64::from(self.nm_stride());
+        let nodes_end = u64::from(self.nodes) * stride;
+        Some(match ix {
+            0 => Daemon::Mm(0),
+            _ if ix <= nodes_end => {
+                let node = NodeId(((ix - 1) / stride) as u32);
+                match ((ix - 1) % stride) as u32 {
+                    0 => Daemon::Nm(node),
+                    k => Daemon::Pl { node, index: k - 1 },
+                }
+            }
+            _ if ix - nodes_end < u64::from(self.mms) => Daemon::Mm((ix - nodes_end) as u32),
+            _ => return None,
+        })
     }
 
     /// The node whose NM is component `id`, which must be an NM.
     pub fn nm_node(&self, id: ComponentId) -> NodeId {
-        let first = self.nms[0].index() as u32;
-        let node = NodeId((id.index() as u32 - first) / self.nm_stride());
-        debug_assert_eq!(self.nms.get(node.index()), Some(&id), "{id} is no NM");
+        let node = NodeId((id.index() as u32 - 1) / self.nm_stride());
+        debug_assert_eq!(self.daemon(id), Some(Daemon::Nm(node)), "{id} is no NM");
         node
     }
 
@@ -52,20 +125,20 @@ impl Wiring {
         let stride = self.nm_stride();
         match *set {
             NodeSet::All(n) => {
-                debug_assert_eq!(n as usize, self.nms.len());
+                debug_assert_eq!(n, self.nodes);
                 GroupTargets::Strided {
-                    first: self.nms[0],
+                    first: self.nm(0),
                     stride,
                     len: n,
                 }
             }
             NodeSet::Range { start, len } => GroupTargets::Strided {
-                first: self.nms[start as usize],
+                first: self.nm(start),
                 stride,
                 len,
             },
             NodeSet::List(ref v) => {
-                let ids: Arc<[ComponentId]> = v.iter().map(|n| self.nms[n.index()]).collect();
+                let ids: Arc<[ComponentId]> = v.iter().map(|n| self.nm(n.0)).collect();
                 GroupTargets::List(ids)
             }
         }
@@ -193,6 +266,9 @@ pub struct World {
     pub hb_var: Option<storm_mech::VarId>,
     /// Current heartbeat round.
     pub hb_round: i64,
+    /// Every MM replica's state, indexed by rank: the dæmons themselves
+    /// hold none (see [`MachineManager`](crate::mm::MachineManager)).
+    pub(crate) mm_rows: Vec<MmRow>,
     /// The active MM's log position and digest. Maintained only when
     /// standbys are configured.
     pub mm_core: MmCoreState,
@@ -242,7 +318,7 @@ pub struct World {
 
 /// An armed idle fast-forward: the MM tick chain has leaped over a run of
 /// quiescent collect-period boundaries, parking its next `Tick` at the
-/// upcoming heartbeat round (`MachineManager::next_tick`), and the effects
+/// upcoming heartbeat round (the MM row's `next_tick`), and the effects
 /// of the skipped ticks are replayed lazily — when the next tick actually
 /// fires, or at a `run_until` deadline that lands mid-gap (see DESIGN.md
 /// §12).
@@ -286,6 +362,7 @@ impl World {
             bcast_dev: Nic::new(),
             hb_var: None,
             hb_round: 0,
+            mm_rows: (0..=cfg.mm_standbys).map(|_| MmRow::default()).collect(),
             mm_core: MmCoreState::default(),
             mm_replicas: vec![MmCoreState::default(); cfg.mm_standbys as usize + 1],
             mm_roles: {
@@ -298,7 +375,7 @@ impl World {
             mm_epoch_var: None,
             requeue_pending: Vec::new(),
             repl: ReplStats::default(),
-            wiring: Wiring::default(),
+            wiring: Wiring::new(&cfg),
             stats: ClusterStats::default(),
             telemetry: Telemetry::new(cfg.telemetry),
             cq: crate::cq::ContinuousQueries::new(),
@@ -425,7 +502,7 @@ impl World {
     /// The active Machine Manager's component: where NM reports and
     /// client submissions go.
     pub fn active_mm(&self) -> ComponentId {
-        self.wiring.mms[self.mm_active_rank as usize]
+        self.wiring.mm(self.mm_active_rank)
     }
 
     /// Is MM replication configured (any standby replicas)?
@@ -569,9 +646,42 @@ mod tests {
             for r in 0..set.len() {
                 assert_eq!(
                     targets.get(r),
-                    wiring.nms[set.get(r).index()],
+                    wiring.nm(set.get(r).0),
                     "{set:?} member {r}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_id_names_the_daemon_registered_there() {
+        let cfg = ClusterConfig::paper_cluster()
+            .with_nodes(3)
+            .with_mm_standbys(2);
+        let wiring = World::new(cfg).wiring;
+        // 4 CPUs × MPL 2: each node is an NM and 8 PLs, ids 1..=27.
+        let mut want = vec![Daemon::Mm(0)];
+        for node in (0..3).map(NodeId) {
+            want.push(Daemon::Nm(node));
+            want.extend((0..8).map(|index| Daemon::Pl { node, index }));
+        }
+        want.extend([Daemon::Mm(1), Daemon::Mm(2)]);
+        let ids = (0..=want.len() as u32).map(ComponentId::from_index);
+        let got: Vec<_> = ids.map(|id| wiring.daemon(id)).collect();
+        assert_eq!(
+            got[..want.len()],
+            want.iter().map(|&d| Some(d)).collect::<Vec<_>>()
+        );
+        assert_eq!(got[want.len()], None, "past the last standby");
+        for (ix, d) in (0u32..).zip(&want) {
+            let id = ComponentId::from_index(ix);
+            match *d {
+                Daemon::Mm(rank) => assert_eq!(wiring.mm(rank), id),
+                Daemon::Nm(node) => {
+                    assert_eq!(wiring.nm(node.0), id);
+                    assert_eq!(wiring.nm_node(id), node);
+                }
+                Daemon::Pl { node, index } => assert_eq!(wiring.pl(node.0, index), id),
             }
         }
     }

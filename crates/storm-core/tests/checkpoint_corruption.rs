@@ -5,7 +5,7 @@
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v8.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v9.json");
 
 /// The value at a dotted path of object keys and array indices.
 fn at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Value {
@@ -62,26 +62,33 @@ fn decode_errors_name_the_member_path() {
     assert_eq!(err, "world.jobs[1].spec.ranks: integer out of u32 range");
 
     let mut doc = parse(FIXTURE).unwrap();
-    *at(&mut doc, "engine.msgs.slots.2.1") = Value::Arr(vec![Value::Str("warp".into())]);
+    *at(&mut doc, "engine.entries.3.4") = Value::Arr(vec![Value::Str("warp".into())]);
     let err = Cluster::restore(&render(&doc)).err().expect("refused");
-    assert_eq!(
-        err,
-        r#"engine.msgs.slots[2][1]: unknown message tag "warp""#
-    );
+    assert_eq!(err, r#"engine.entries[3][4]: unknown message tag "warp""#);
 }
 
 #[test]
 fn oversized_layout_counts_are_refused_before_allocating() {
+    // Each size alone asks for more dæmons than a cluster may register.
     for key in ["nodes", "cpus_per_node", "mpl_max", "mm_standbys"] {
         let path = format!("config.{key}");
         let mut doc = parse(FIXTURE).unwrap();
         *at(&mut doc, &path) = num(u32::MAX);
         let err = Cluster::restore(&render(&doc)).err().expect("refused");
         assert!(
-            err.contains("does not match the checkpoint's"),
+            err.starts_with("embedded config invalid: ")
+                && err.ends_with("is more than the 16777216 dæmons a cluster may have"),
             "{key}: {err}"
         );
     }
+    // A size within the bound that the document's tables do not match.
+    let mut doc = parse(FIXTURE).unwrap();
+    *at(&mut doc, "config.nodes") = num(9);
+    let err = Cluster::restore(&render(&doc)).err().expect("refused");
+    assert!(
+        err.contains("does not match the checkpoint's 8 NMs"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -91,6 +98,11 @@ fn an_unallocatable_arena_reserve_is_refused() {
         "engine: msgs: reserve 4294967295",
     );
 }
+
+// The fixture's pending entries, each `[time, tie, seq, target, msg]` or
+// `[time, tie, seq, group]`: 0 a tick and 2 and 5 `bcast_freed`s for the
+// MM (component 73), 3 an `mm_watchdog` for standby 74, and 1 and 4 the
+// fragment fan-outs of jobs 1 and 0.
 
 // The fixture lists the 8 streams that moved (nodes' NMs, components 1,
 // 10, …, 64) of its 75 components, as `[index, state]` rows.
@@ -129,13 +141,12 @@ fn a_queue_entry_for_an_unknown_component_is_refused() {
 
 #[test]
 fn a_group_member_outside_the_cluster_is_refused() {
-    // Entry 1 is a group delivery whose payload lives in group slot 1: a
-    // fragment of job 1, made an older attempt's so that it need not
-    // address the job's block.
+    // Entry 1 is a group delivery: a fragment of job 1, made an older
+    // attempt's so that it need not address the job's block.
     refused(
         |doc| {
-            set("engine.groups.slots.1.1.targets.1", num(99_999))(doc);
-            set("engine.groups.slots.1.1.msg.3", num(1))(doc);
+            set("engine.entries.1.3.targets.1", num(99_999))(doc);
+            set("engine.entries.1.3.msg.3", num(1))(doc);
         },
         "is not a pending delivery",
     );
@@ -143,49 +154,24 @@ fn a_group_member_outside_the_cluster_is_refused() {
 
 #[test]
 fn a_message_for_the_wrong_daemon_kind_is_refused() {
-    // Entry 3 delivers the pending `mm_watchdog` (msgs slot 2) to a
-    // standby MM; component 1 is node 0's NM, which would panic on it.
+    // Entry 3 delivers the pending `mm_watchdog` to a standby MM;
+    // component 1 is node 0's NM, which would panic on it.
     refused(
         set("engine.entries.3.3", num(1)),
         "engine.entries[3]: MM message mm_watchdog addressed to NM #1",
     );
-    // Entry 1 is a fragment fan-out over group slot 1: its first member
-    // moved onto the MM (component 0), or its message swapped for a tick.
+    // Entry 1 is a fragment fan-out: its first member moved onto the MM
+    // (component 0), or its message swapped for a tick.
     refused(
-        set("engine.groups.slots.1.1.targets.1", num(0)),
+        set("engine.entries.1.3.targets.1", num(0)),
         "engine.entries[1]: group delivery of fragment reaches MM #0",
     );
     refused(
         set(
-            "engine.groups.slots.1.1.msg",
+            "engine.entries.1.3.msg",
             Value::Arr(vec![Value::Str("tick".into())]),
         ),
         "engine.entries[1]: MM message tick in a group delivery",
-    );
-}
-
-#[test]
-fn a_free_list_index_out_of_range_is_refused() {
-    refused(
-        set("engine.msgs.free.0", num(99_999)),
-        "free-list entry 99999 does not name an empty slot",
-    );
-}
-
-#[test]
-fn a_free_list_entry_naming_a_live_slot_is_refused() {
-    // Slot 2 holds the pending `mm_watchdog` message.
-    refused(
-        set("engine.msgs.free.0", num(2)),
-        "free-list entry 2 does not name an empty slot",
-    );
-}
-
-#[test]
-fn a_queue_entry_with_a_stale_payload_generation_is_refused() {
-    refused(
-        set("engine.entries.0.5", num(8)),
-        "is not a pending delivery",
     );
 }
 
@@ -200,15 +186,14 @@ fn a_zero_event_collection_period_is_refused() {
 
 #[test]
 fn a_pending_message_naming_a_job_with_no_record_is_refused() {
-    // The fixture has jobs 0 and 1. Entry 2 delivers the `bcast_freed`
-    // in msgs slot 9 to the MM; entry 1 is the fragment fan-out in group
-    // slot 1.
+    // The fixture has jobs 0 and 1. Entry 2 delivers a `bcast_freed` to
+    // the MM; entry 1 is a fragment fan-out.
     refused(
-        set("engine.msgs.slots.9.1.1", num(7)),
+        set("engine.entries.2.4.1", num(7)),
         "engine.entries[2]: bcast_freed message names job 7, which has no record",
     );
     refused(
-        set("engine.groups.slots.1.1.msg.1", num(7)),
+        set("engine.entries.1.3.msg.1", num(7)),
         "engine.entries[1]: fragment message names job 7, which has no record",
     );
 }

@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use storm_core::prelude::*;
 use storm_core::telemetry::json::{num, parse, render, Value};
 
-const FIXTURE: &str = include_str!("fixtures/ckpt_v8.json");
+const FIXTURE: &str = include_str!("fixtures/ckpt_v9.json");
 
 /// The values every number is replaced with.
 const VALUES: [u64; 6] = [0, 1, 7, 99_999, u32::MAX as u64, u64::MAX];

@@ -46,7 +46,7 @@ fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     hash
 }
 
-fn delivery_order(order: &OrderSpec) -> Option<DeliveryOrder> {
+pub(crate) fn delivery_order(order: &OrderSpec) -> Option<DeliveryOrder> {
     match order {
         OrderSpec::Default => None,
         OrderSpec::Seeded {
@@ -66,19 +66,7 @@ fn delivery_order(order: &OrderSpec) -> Option<DeliveryOrder> {
 }
 
 fn build_cluster(s: &Scenario) -> Cluster {
-    let mut cfg = ClusterConfig::paper_cluster()
-        .with_nodes(s.nodes)
-        .with_seed(s.seed);
-    cfg.cpus_per_node = s.cpus_per_node;
-    cfg.mpl_max = s.mpl_max;
-    cfg.delivery_order = delivery_order(&s.order);
-    cfg = cfg.with_mm_standbys(s.mm_standbys);
-    if s.heartbeat_every > 0 {
-        cfg = cfg
-            .with_fault_detection(s.heartbeat_every)
-            .with_failure_policy(FailurePolicy::requeue());
-    }
-    let mut c = Cluster::new(cfg);
+    let mut c = Cluster::new(s.cluster_config());
     c.enable_tracing();
     // The CAW audit trail is what gives `caw_visibility` state to check.
     c.with_world_mut(|w| w.mech.memory.enable_caw_audit());

@@ -5,6 +5,7 @@
 //! byte-identically on another machine.
 
 use crate::json::{self, num, Value};
+use storm_core::{ClusterConfig, FailurePolicy};
 
 /// Which application a scenario job runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,12 +281,28 @@ impl Scenario {
         self
     }
 
-    /// Sanity-check ranges (mirrors what `ClusterConfig::validate` and the
-    /// submit-time assertions would reject, but as an `Err`).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.nodes == 0 || self.cpus_per_node == 0 || self.mpl_max == 0 {
-            return Err("cluster dimensions must be ≥ 1".into());
+    /// The cluster configuration the runner builds this scenario on.
+    pub fn cluster_config(&self) -> ClusterConfig {
+        let mut cfg = ClusterConfig::paper_cluster()
+            .with_nodes(self.nodes)
+            .with_seed(self.seed);
+        cfg.cpus_per_node = self.cpus_per_node;
+        cfg.mpl_max = self.mpl_max;
+        cfg.delivery_order = crate::runner::delivery_order(&self.order);
+        cfg = cfg.with_mm_standbys(self.mm_standbys);
+        if self.heartbeat_every > 0 {
+            cfg = cfg
+                .with_fault_detection(self.heartbeat_every)
+                .with_failure_policy(FailurePolicy::requeue());
         }
+        cfg
+    }
+
+    /// Sanity-check ranges as an `Err`, before anything is allocated: the
+    /// cluster configuration must pass `ClusterConfig::validate`, and the
+    /// jobs and faults must fit that cluster.
+    pub fn validate(&self) -> Result<(), String> {
+        self.cluster_config().validate()?;
         for j in &self.jobs {
             let nodes_needed = j.ranks.div_ceil(self.cpus_per_node);
             if j.ranks == 0 || nodes_needed > self.nodes {
@@ -521,7 +538,7 @@ impl Scenario {
                 })
             }
         };
-        Ok(Scenario {
+        let scenario = Scenario {
             name: v.req_str("name")?.to_string(),
             nodes: req_int(v, "nodes")?,
             cpus_per_node: req_int(v, "cpus_per_node")?,
@@ -539,7 +556,9 @@ impl Scenario {
             faults,
             order,
             injection,
-        })
+        };
+        scenario.validate()?;
+        Ok(scenario)
     }
 
     /// Serialise to a compact JSON string.
@@ -667,6 +686,20 @@ mod tests {
         let mut s = Scenario::mm_failover();
         s.faults[0].node = 3; // ranks 0..=2 exist
         assert!(s.validate().is_err());
+        // Each size alone asks for more dæmons than a cluster may have: an
+        // `Err` before anything is built, not a failed allocation.
+        let oversized: [fn(&mut Scenario); 4] = [
+            |s| s.nodes = u32::MAX,
+            |s| s.cpus_per_node = u32::MAX,
+            |s| s.mpl_max = u32::MAX as usize,
+            |s| s.mm_standbys = u32::MAX,
+        ];
+        for set in oversized {
+            let mut s = Scenario::mm_failover();
+            set(&mut s);
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("dæmons a cluster may have"), "{err}");
+        }
     }
 
     #[test]

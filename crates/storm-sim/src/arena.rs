@@ -14,6 +14,12 @@
 //! [`EventArena::try_get`]). The arena-reuse property test in this module
 //! and the engine's lock-step determinism suite are what the DESIGN.md
 //! §16 guarantees rest on.
+//!
+//! Slot numbers and generations never leave the engine. A checkpoint
+//! keeps an arena's [`ArenaSize`], two numbers, and the payloads inline in
+//! their queue entries; restore interns them again into
+//! [`EventArena::with_size`], which leaves [`EventArena::stats`] as it
+//! was.
 
 use std::fmt;
 
@@ -28,20 +34,6 @@ pub struct PayloadId {
 impl fmt::Debug for PayloadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}g{}", self.ix, self.gen)
-    }
-}
-
-impl PayloadId {
-    /// The `(slot index, generation)` pair, for checkpointing.
-    pub fn to_raw(self) -> (u32, u32) {
-        (self.ix, self.gen)
-    }
-
-    /// Rebuild a handle from checkpointed raw parts. Only meaningful
-    /// against an arena restored from the matching [`ArenaState`]; a
-    /// fabricated pair reads as stale, exactly like any expired id.
-    pub fn from_raw(ix: u32, gen: u32) -> Self {
-        PayloadId { ix, gen }
     }
 }
 
@@ -69,6 +61,17 @@ impl ArenaStats {
             payload_bytes: self.payload_bytes + other.payload_bytes,
         }
     }
+}
+
+/// What a checkpoint keeps of an arena: its high-water mark and the slot
+/// table's reserved capacity. A slot is created only when every slot is
+/// live, so the table holds `peak` slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ArenaSize {
+    /// High-water mark of live payloads.
+    pub peak: usize,
+    /// Reserved capacity of the slot table, in slots.
+    pub reserve: usize,
 }
 
 /// One slot: the current generation and the payload, if occupied.
@@ -181,70 +184,36 @@ impl<T> EventArena<T> {
         }
     }
 
-    /// Full-fidelity image of the arena for checkpointing: every slot
-    /// (generation plus payload, if occupied), the free list in pop
-    /// order, the high-water mark, and the slot table's reserved
-    /// capacity. [`EventArena::import_state`] rebuilds an arena in which
-    /// every outstanding [`PayloadId`] — including ids embedded in
-    /// queued event references — resolves exactly as before.
-    pub fn export_state(&self) -> ArenaState<T>
-    where
-        T: Clone,
-    {
-        ArenaState {
-            slots: self.slots.iter().map(|s| (s.gen, s.val.clone())).collect(),
-            free: self.free.clone(),
+    /// The high-water mark and the slot table's reserved capacity, for
+    /// checkpointing.
+    pub fn size(&self) -> ArenaSize {
+        ArenaSize {
             peak: self.peak,
             reserve: self.slots.capacity(),
         }
     }
 
-    /// Rebuild an arena from an exported image. See
-    /// [`EventArena::export_state`]. Fails, rather than aborting, when the
-    /// slot table cannot be allocated, and when the free list does not
-    /// name every empty slot exactly once (each occupied slot it named
-    /// would later be overwritten or taken twice).
-    pub fn import_state(state: ArenaState<T>) -> Result<Self, String> {
+    /// An empty arena of the given size: `size.peak` free slots in a slot
+    /// table of `size.reserve` reserved capacity. Interning the payloads
+    /// that were live when the size was taken makes its [`ArenaStats`]
+    /// equal the measured arena's, and both grow alike from there. Fails,
+    /// rather than aborting, when the slot table cannot be allocated.
+    pub fn with_size(size: ArenaSize) -> Result<Self, String> {
+        let top =
+            u32::try_from(size.peak).map_err(|_| format!("peak {}: too many slots", size.peak))?;
         let mut slots = Vec::new();
         slots
-            .try_reserve_exact(state.reserve.max(state.slots.len()))
-            .map_err(|e| format!("reserve {}: {e}", state.reserve))?;
-        slots.extend(state.slots.into_iter().map(|(gen, val)| Slot { gen, val }));
-        let live = slots.iter().filter(|s| s.val.is_some()).count();
-        let mut listed = vec![false; slots.len()];
-        for &ix in &state.free {
-            let ix = ix as usize;
-            if slots.get(ix).is_none_or(|s| s.val.is_some())
-                || std::mem::replace(&mut listed[ix], true)
-            {
-                return Err(format!("free-list entry {ix} does not name an empty slot"));
-            }
-        }
-        if live + state.free.len() != slots.len() {
-            return Err("an empty slot is missing from the free list".into());
-        }
+            .try_reserve_exact(size.reserve.max(size.peak))
+            .map_err(|e| format!("reserve {}: {e}", size.reserve))?;
+        slots.resize_with(size.peak, || Slot { gen: 0, val: None });
         Ok(EventArena {
             slots,
-            free: state.free,
-            live,
-            peak: state.peak,
+            // Popped from the back: the lowest slot first.
+            free: (0..top).rev().collect(),
+            live: 0,
+            peak: size.peak,
         })
     }
-}
-
-/// Serializable image of an [`EventArena`], produced by
-/// [`EventArena::export_state`].
-#[derive(Debug, Clone)]
-pub struct ArenaState<T> {
-    /// Per-slot `(generation, payload)` pairs in slot order.
-    pub slots: Vec<(u32, Option<T>)>,
-    /// Free-list contents, preserving pop order.
-    pub free: Vec<u32>,
-    /// High-water mark of live payloads.
-    pub peak: usize,
-    /// Reserved capacity of the slot table (kept so resident-byte
-    /// accounting survives a round trip).
-    pub reserve: usize,
 }
 
 #[cfg(test)]
@@ -300,29 +269,6 @@ mod tests {
         let mut left: Vec<u32> = a.iter().copied().collect();
         left.sort_unstable();
         assert_eq!(left, vec![1, 3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn export_import_roundtrip_preserves_ids_and_accounting() {
-        let mut a = EventArena::new();
-        let ids: Vec<_> = (0..6u64).map(|i| a.alloc(i)).collect();
-        a.take(ids[1]);
-        a.take(ids[4]);
-        let reborn = a.alloc(100u64); // reuses a freed slot under a new gen
-        let before = a.stats();
-        let mut b = EventArena::import_state(a.export_state()).unwrap();
-        assert_eq!(b.stats(), before);
-        assert_eq!(b.try_get(ids[0]), Some(&0));
-        assert_eq!(b.try_get(reborn), Some(&100));
-        assert!(b.try_get(ids[1]).is_none());
-        // Raw round trip of a handle.
-        let (ix, gen) = reborn.to_raw();
-        assert_eq!(b.try_get(PayloadId::from_raw(ix, gen)), Some(&100));
-        // Free-list pop order survives: the next two allocs in each arena
-        // land in the same slots.
-        let na = a.alloc(7u64);
-        let nb = b.alloc(7u64);
-        assert_eq!(na, nb);
     }
 
     use proptest::prelude::*;

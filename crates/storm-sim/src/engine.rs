@@ -25,8 +25,13 @@
 //! not take, and every fan-out tree group, get one `handle` call each, in
 //! rank order. Both paths deliver the same messages in the same order,
 //! with or without a [`DeliveryOrder`] hook installed.
+//!
+//! [`Simulation::export_engine_state`] writes each pending payload inside
+//! its queue entry ([`Delivery`]) and each arena as its [`ArenaSize`];
+//! import interns the payloads again, so slot numbers and generations
+//! never leave the engine.
 
-use crate::arena::{ArenaState, ArenaStats, EventArena, PayloadId};
+use crate::arena::{ArenaSize, ArenaStats, EventArena, PayloadId};
 use crate::queue::{
     DeliveryOrder, DeliveryOrderState, EventQueue, QueueAccounting, QueueBackend, QueueStats,
 };
@@ -165,30 +170,17 @@ impl GroupSchedule {
 /// numbers reserved at multicast time, so when delivery pauses (a later
 /// arrival instant, or a halt) the remainder is re-inserted at exactly the
 /// `(time, seq)` slot its per-recipient equivalent would have occupied.
+/// Public so a checkpoint can carry it inside its queue entry.
 #[derive(Debug, Clone)]
-struct GroupDelivery<M> {
-    targets: GroupTargets,
-    schedule: GroupSchedule,
-    base: SimTime,
-    /// Clamp floor: arrivals never precede the multicast call (mirrors
-    /// [`Context::send_at`]'s past-clamping).
-    floor: SimTime,
-    base_seq: u64,
-    cursor: u32,
-    msg: M,
-}
-
-/// Serializable image of one pending group delivery — the public mirror
-/// of the engine's internal group-entry payload, for checkpointing.
-#[derive(Debug, Clone)]
-pub struct GroupState<M> {
+pub struct GroupDelivery<M> {
     /// Recipients in rank order.
     pub targets: GroupTargets,
     /// Per-rank arrival schedule.
     pub schedule: GroupSchedule,
     /// Base instant arrivals are computed from.
     pub base: SimTime,
-    /// Clamp floor (the multicast call's instant).
+    /// Clamp floor: arrivals never precede the multicast call (mirrors
+    /// [`Context::send_at`]'s past-clamping).
     pub floor: SimTime,
     /// First of the reserved sequence numbers.
     pub base_seq: u64,
@@ -214,34 +206,6 @@ impl<M> GroupDelivery<M> {
         let branches =
             !matches!(self.schedule, GroupSchedule::FanoutTree { fanout, .. } if fanout < 2);
         self.cursor < self.targets.len() && members && branches
-    }
-}
-
-impl<M> From<GroupDelivery<M>> for GroupState<M> {
-    fn from(g: GroupDelivery<M>) -> Self {
-        GroupState {
-            targets: g.targets,
-            schedule: g.schedule,
-            base: g.base,
-            floor: g.floor,
-            base_seq: g.base_seq,
-            cursor: g.cursor,
-            msg: g.msg,
-        }
-    }
-}
-
-impl<M> From<GroupState<M>> for GroupDelivery<M> {
-    fn from(g: GroupState<M>) -> Self {
-        GroupDelivery {
-            targets: g.targets,
-            schedule: g.schedule,
-            base: g.base,
-            floor: g.floor,
-            base_seq: g.base_seq,
-            cursor: g.cursor,
-            msg: g.msg,
-        }
     }
 }
 
@@ -306,19 +270,6 @@ pub trait Component<W, M> {
     /// A short name used in traces; defaults to the type name.
     fn name(&self) -> &str {
         std::any::type_name::<Self>()
-    }
-
-    /// Downcast support for checkpointing: components whose internal
-    /// state participates in checkpoint/restore return `Some(self)` so a
-    /// harness can reach their concrete type through the dispatch table.
-    /// Defaults to `None` — opaque components simply aren't captured.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-
-    /// Mutable variant of [`Component::as_any`].
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
     }
 }
 
@@ -748,16 +699,6 @@ impl<W, M> Simulation<W, M> {
         &self.tracer
     }
 
-    /// Borrow a component back out (e.g. to read final state after a run).
-    pub fn component(&self, id: ComponentId) -> &dyn Component<W, M> {
-        &*self.components[id.index()]
-    }
-
-    /// Mutable access to a component between runs.
-    pub fn component_mut(&mut self, id: ComponentId) -> &mut (dyn Component<W, M> + 'static) {
-        &mut *self.components[id.index()]
-    }
-
     /// True once [`Context::halt`] has been called.
     pub fn halted(&self) -> bool {
         self.halt
@@ -919,17 +860,14 @@ impl<W, M: Clone> Simulation<W, M> {
 
     /// Full image of the engine's mutable state for checkpointing: clock,
     /// run flags, counters, every pending queue entry with its `(time,
-    /// tie, seq)` key, both payload arenas (including free-list order and
-    /// generations, so the raw handles inside queue entries stay valid),
-    /// the root RNG stream, each per-component stream that has moved from
-    /// its derived start, the delivery-order hook mid-stream, and the
-    /// trace.
+    /// tie, seq)` key and its payload, each payload arena's size, the root
+    /// RNG stream, each per-component stream that has moved from its
+    /// derived start, the delivery-order hook mid-stream, and the trace.
     ///
     /// Component and world state are *not* included — they are the
-    /// caller's to capture (see `Component::as_any`). Call between
-    /// deliveries only (never from inside a handler).
+    /// caller's to capture. Call between deliveries only (never from
+    /// inside a handler).
     pub fn export_engine_state(&self) -> EngineState<M> {
-        let groups_src = self.groups.export_state();
         EngineState {
             now: self.now,
             halt: self.halt,
@@ -943,23 +881,22 @@ impl<W, M: Clone> Simulation<W, M> {
                     time,
                     tie,
                     seq,
-                    target: eref.target,
-                    payload: eref.payload.to_raw(),
+                    delivery: if eref.is_group() {
+                        let group = self.groups.try_get(eref.payload);
+                        Delivery::Group(group.expect("a queued group is live").clone())
+                    } else {
+                        let msg = self.msgs.try_get(eref.payload);
+                        Delivery::One {
+                            target: ComponentId(eref.target),
+                            msg: msg.expect("a queued message is live").clone(),
+                        }
+                    },
                 })
                 .collect(),
             accounting: self.queue.export_accounting(),
             order: self.queue.delivery_order().map(DeliveryOrder::export_state),
-            msgs: self.msgs.export_state(),
-            groups: ArenaState {
-                slots: groups_src
-                    .slots
-                    .into_iter()
-                    .map(|(gen, val)| (gen, val.map(GroupState::from)))
-                    .collect(),
-                free: groups_src.free,
-                peak: groups_src.peak,
-                reserve: groups_src.reserve,
-            },
+            msgs: self.msgs.size(),
+            groups: self.groups.size(),
             rng_seed: self.rng.seed(),
             rng_state: self.rng.state(),
             streams: (0u32..)
@@ -983,11 +920,14 @@ impl<W, M: Clone> Simulation<W, M> {
     /// from — pop order, RNG draws, digests, and trace all resume
     /// mid-stream.
     ///
+    /// Each entry's payload is interned again, in entry order, into arenas
+    /// of the image's sizes, so arena accounting resumes where it was.
+    ///
     /// An image that contradicts this simulation is rejected before
     /// anything is overwritten: a stream index that names no component or
-    /// does not ascend, a queue entry before the clock, one that names no
-    /// live payload (or one another entry names too), and a recipient that
-    /// is no registered component.
+    /// does not ascend, a queue entry before the clock, a recipient that
+    /// is no registered component, a group that cannot be delivered, and
+    /// an arena that cannot be allocated.
     pub fn import_engine_state(&mut self, state: EngineState<M>) -> Result<(), String> {
         let n = self.components.len();
         let mut prev = None;
@@ -1002,56 +942,37 @@ impl<W, M: Clone> Simulation<W, M> {
             }
             prev = Some(ix);
         }
-        let msgs = EventArena::import_state(state.msgs).map_err(|e| format!("msgs: {e}"))?;
-        let groups = EventArena::import_state(ArenaState {
-            slots: state
-                .groups
-                .slots
-                .into_iter()
-                .map(|(gen, val)| (gen, val.map(GroupDelivery::from)))
-                .collect(),
-            free: state.groups.free,
-            peak: state.groups.peak,
-            reserve: state.groups.reserve,
-        })
-        .map_err(|e| format!("groups: {e}"))?;
-        let mut named = std::collections::HashSet::new();
         for e in &state.entries {
-            let id = PayloadId::from_raw(e.payload.0, e.payload.1);
-            let deliverable = if e.target == GROUP_TARGET {
-                groups.try_get(id).is_some_and(|g| g.deliverable(n))
-            } else {
-                (e.target as usize) < n && msgs.try_get(id).is_some()
+            let deliverable = match &e.delivery {
+                Delivery::One { target, .. } => target.index() < n,
+                Delivery::Group(g) => g.deliverable(n),
             };
-            if !deliverable || e.time < state.now || !named.insert((e.target == GROUP_TARGET, id)) {
+            if !deliverable || e.time < state.now {
                 return Err(format!(
                     "queue entry (time {}, seq {}) is not a pending delivery",
                     e.time, e.seq
                 ));
             }
         }
+        let mut msgs = EventArena::with_size(state.msgs).map_err(|e| format!("msgs: {e}"))?;
+        let mut groups = EventArena::with_size(state.groups).map_err(|e| format!("groups: {e}"))?;
         self.now = state.now;
         self.halt = state.halt;
         self.delivered = state.delivered;
         self.handled = state.handled;
         self.max_events = state.max_events;
-        self.msgs = msgs;
-        self.groups = groups;
         self.queue.clear();
         self.queue
             .set_delivery_order(state.order.map(DeliveryOrder::import_state));
         for e in state.entries {
-            let (ix, gen) = e.payload;
-            self.queue.restore_entry(
-                e.time,
-                e.tie,
-                e.seq,
-                EventRef {
-                    target: e.target,
-                    payload: PayloadId::from_raw(ix, gen),
-                },
-            );
+            let eref = match e.delivery {
+                Delivery::One { target, msg } => EventRef::one(target, msgs.alloc(msg)),
+                Delivery::Group(g) => EventRef::group(groups.alloc(g)),
+            };
+            self.queue.restore_entry(e.time, e.tie, e.seq, eref);
         }
+        self.msgs = msgs;
+        self.groups = groups;
         self.queue.import_accounting(state.accounting);
         self.rng = DeterministicRng::from_parts(state.rng_seed, state.rng_state);
         // Per-component streams are re-derived from the root seed (a pure
@@ -1072,20 +993,31 @@ impl<W, M: Clone> Simulation<W, M> {
 }
 
 /// One pending queue entry in an [`EngineState`]: the full `(time, tie,
-/// seq)` pop key plus the raw event reference.
-#[derive(Debug, Clone, Copy)]
-pub struct QueuedEventState {
+/// seq)` pop key plus what it delivers.
+#[derive(Debug, Clone)]
+pub struct QueuedEventState<M> {
     /// Delivery instant (including any order-hook delay already applied).
     pub time: SimTime,
     /// Delivery-order tie key.
     pub tie: u64,
     /// Insertion sequence number.
     pub seq: u64,
-    /// Raw target component index; `u32::MAX` marks a group entry whose
-    /// payload lives in the group arena.
-    pub target: u32,
-    /// Raw `(slot, generation)` payload handle into the matching arena.
-    pub payload: (u32, u32),
+    /// The payload.
+    pub delivery: Delivery<M>,
+}
+
+/// What a pending queue entry delivers.
+#[derive(Debug, Clone)]
+pub enum Delivery<M> {
+    /// One message to one component.
+    One {
+        /// The recipient.
+        target: ComponentId,
+        /// The message.
+        msg: M,
+    },
+    /// The undelivered members of a group delivery.
+    Group(GroupDelivery<M>),
 }
 
 /// Serializable image of a [`Simulation`]'s mutable engine state,
@@ -1104,15 +1036,15 @@ pub struct EngineState<M> {
     /// Runaway-guard cap on handler invocations.
     pub max_events: u64,
     /// Every pending queue entry.
-    pub entries: Vec<QueuedEventState>,
+    pub entries: Vec<QueuedEventState<M>>,
     /// Queue lifetime counters and interleaving digest.
     pub accounting: QueueAccounting,
     /// Delivery-order hook mid-stream, if installed.
     pub order: Option<DeliveryOrderState>,
-    /// The unicast payload arena.
-    pub msgs: ArenaState<M>,
-    /// The group-delivery arena.
-    pub groups: ArenaState<GroupState<M>>,
+    /// The unicast payload arena's size.
+    pub msgs: ArenaSize,
+    /// The group-delivery arena's size.
+    pub groups: ArenaSize,
     /// RNG root seed (stream derivations depend on it).
     pub rng_seed: u64,
     /// RNG state after all draws so far.
@@ -1532,7 +1464,8 @@ mod tests {
     fn engine_state_roundtrip_resumes_byte_identically() {
         // Run to a midpoint (with a group mid-flight and traces on),
         // export, import into a freshly built simulation, and finish
-        // both: worlds, counters, and traces must match exactly.
+        // both: worlds, counters, traces and arena accounting must match
+        // exactly.
         let build = || {
             let mut sim = Simulation::new(RecWorld::new(), 23);
             let fan = sim.add_component(FanOut {
@@ -1553,14 +1486,24 @@ mod tests {
             sim.enable_tracing();
             sim.post(SimTime::ZERO, fan, 7);
             sim.post(SimTime::from_micros(10), fan, 900);
+            sim.post(SimTime::from_micros(20), fan, 950);
             sim
         };
         let mut orig = build();
         let mut half = build();
-        // Stop mid-run, with fan-out remainders still parked.
-        orig.run_until(SimTime::from_micros(12));
-        half.run_until(SimTime::from_micros(12));
+        // Stop at 14 µs: the trigger's message slot was freed and reused by
+        // the fan-out's competitor, the tree's first two ranks arrived at
+        // 13 µs and its remainder is parked for 16 µs in a reused group
+        // slot, and the 20 µs unicast is pending.
+        orig.run_until(SimTime::from_micros(14));
+        half.run_until(SimTime::from_micros(14));
         let state = half.export_engine_state();
+        let parked = |d: &Delivery<u32>| matches!(d, Delivery::Group(g) if g.cursor == 2);
+        assert!(state.entries.iter().any(|e| parked(&e.delivery)));
+        assert!(state
+            .entries
+            .iter()
+            .any(|e| matches!(e.delivery, Delivery::One { .. })));
         // Import into a fresh sim (events posted at construction get
         // discarded). The world is the harness's to carry — copy it
         // across.
@@ -1569,8 +1512,10 @@ mod tests {
         restored.import_engine_state(state).unwrap();
         assert_eq!(restored.now(), orig.now());
         assert_eq!(restored.pending_messages(), orig.pending_messages());
+        assert_eq!(restored.arena_stats(), orig.arena_stats(), "after import");
         orig.run_to_completion();
         restored.run_to_completion();
+        assert_eq!(restored.arena_stats(), orig.arena_stats(), "at completion");
         assert_eq!(restored.now(), orig.now());
         assert_eq!(restored.world(), orig.world());
         assert_eq!(restored.events_delivered(), orig.events_delivered());
@@ -1743,7 +1688,10 @@ mod tests {
         sim.post(SimTime::ZERO, hub, 0);
         sim.run_until(SimTime::from_micros(10));
         let pending = (sim.export_engine_state().entries.iter())
-            .map(|e| (e.time, e.seq, e.target))
+            .map(|e| match e.delivery {
+                Delivery::One { target, .. } => (e.time, e.seq, target.0),
+                Delivery::Group(_) => (e.time, e.seq, GROUP_TARGET),
+            })
             .collect();
         sim.run_to_completion();
         GroupRun {

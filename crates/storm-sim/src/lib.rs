@@ -71,10 +71,10 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use arena::{ArenaState, ArenaStats, EventArena, PayloadId};
+pub use arena::{ArenaSize, ArenaStats, EventArena, PayloadId};
 pub use engine::{
-    tree_depth, Component, ComponentId, Context, EngineState, GroupSchedule, GroupState,
-    GroupTargets, QueuedEventState, Simulation,
+    tree_depth, Component, ComponentId, Context, Delivery, EngineState, GroupDelivery,
+    GroupSchedule, GroupTargets, QueuedEventState, Simulation,
 };
 pub use queue::{
     DeliveryOrder, DeliveryOrderState, EventQueue, OrderModeState, QueueAccounting, QueueBackend,

@@ -75,9 +75,16 @@ Full table/figure reproduction: cargo bench -p storm-bench
 "
 }
 
+/// The cluster for `cfg`, or the reason [`ClusterConfig::validate`]
+/// refuses it.
+fn build(cfg: ClusterConfig) -> Result<Cluster, String> {
+    cfg.validate()?;
+    Ok(Cluster::new(cfg))
+}
+
 fn cmd_launch(args: &Args) -> Result<(), String> {
     let nodes: u32 = args.num("nodes", 64)?;
-    let pes: u32 = args.num("pes", nodes * 4)?;
+    let pes: u32 = args.num("pes", nodes.saturating_mul(4))?;
     let mb: u64 = args.num("mb", 12)?;
     let chunk_kb: u64 = args.num("chunk-kb", 512)?;
     let slots: u32 = args.num("slots", 4)?;
@@ -96,11 +103,11 @@ fn cmd_launch(args: &Args) -> Result<(), String> {
     };
     let mut cfg = ClusterConfig::paper_cluster()
         .with_nodes(nodes)
-        .with_transfer_protocol(chunk_kb * 1024, slots)
+        .with_transfer_protocol(chunk_kb.saturating_mul(1024), slots)
         .with_load(load)
         .with_seed(seed);
     cfg.fs = fs;
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = build(cfg)?;
     let job =
         cluster.try_submit_at(SimTime::ZERO, JobSpec::new(AppSpec::do_nothing_mb(mb), pes))?;
     cluster.run_until_idle();
@@ -139,7 +146,7 @@ fn cmd_gang(args: &Args) -> Result<(), String> {
             cfg.daemon.nm_strobe_service
         ));
     }
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = build(cfg)?;
     let jobs = (0..mpl)
         .map(|_| {
             let spec = JobSpec::new(app.clone(), nodes * 2).with_ranks_per_node(2);
@@ -183,7 +190,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         .with_timeslice(SimSpan::from_millis(50))
         .with_seed(seed);
     cfg.mpl_max = mpl;
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = build(cfg)?;
     let stream = StreamConfig {
         jobs,
         ..StreamConfig::default()
@@ -226,7 +233,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let mut cfg = ClusterConfig::paper_cluster();
     cfg.fault_detection = true;
     cfg.heartbeat_every = 8;
-    let mut cluster = Cluster::new(cfg);
+    let mut cluster = build(cfg)?;
     let mut latest = SimTime::ZERO;
     let mut injected = Vec::new();
     for spec in args.all("fail") {

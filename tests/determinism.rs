@@ -3,6 +3,7 @@
 //! regression claim in this repository rests on.
 
 use storm::core::prelude::*;
+use storm::sim::DeliveryOrder;
 
 fn full_run(seed: u64) -> (Vec<(JobState, Option<SimTime>)>, u64, u64, String) {
     let mut cfg = ClusterConfig::paper_cluster().with_seed(seed);
@@ -452,8 +453,9 @@ fn checkpoint_restore_resume_is_byte_identical_on_wheel() {
 /// resumed, end in the same checkpoint bytes as the uninterrupted run.
 /// It also guards restore time, which once grew quadratically with
 /// checkpoint size (minutes at this size), and the checkpoint's size:
-/// at most 11 MB, which holds only while unmoved RNG streams are left out
-/// and NM state is written as rows. Slow in debug builds, so it only runs
+/// at most 8.5 MB, which holds only while unmoved RNG streams are left
+/// out, NM state is written as rows and the engine writes its pending
+/// payloads inline rather than its arenas' slot tables. Slow in debug builds, so it only runs
 /// on request: `cargo test --release --test determinism -- --ignored`.
 #[test]
 #[ignore = "16384 nodes; run in release mode with --ignored"]
@@ -473,7 +475,7 @@ fn checkpoint_restore_resume_is_byte_identical_at_16384_nodes() {
     let artifact = live.checkpoint();
     let mb = artifact.len() as f64 / 1e6;
     println!("16384-node checkpoint at 2 s: {mb:.2} MB");
-    assert!(mb <= 11.0, "the 16384-node checkpoint is {mb:.2} MB");
+    assert!(mb <= 8.5, "the 16384-node checkpoint is {mb:.2} MB");
     let started = std::time::Instant::now();
     let mut resumed = Cluster::restore(&artifact).expect("restore");
     let restore_time = started.elapsed();
@@ -489,6 +491,103 @@ fn checkpoint_restore_resume_is_byte_identical_at_16384_nodes() {
         live.checkpoint() == resumed.checkpoint(),
         "final checkpoints must be byte-identical"
     );
+}
+
+/// A cluster under every perturbation a checkpoint must carry across:
+/// two standby MMs, a seeded delivery order with up to 20 µs of delay, a
+/// node crash and rejoin, a kill of the primary MM, telemetry, one
+/// continuous query, a launch and a compute job.
+fn hooked_faulty_cluster() -> Cluster {
+    let faults = FaultSchedule::new()
+        .crash(SimTime::from_millis(60), 3)
+        .mm_crash(SimTime::from_millis(90), 0)
+        .rejoin(SimTime::from_millis(150), 3);
+    let order = DeliveryOrder::seeded(11, 3).with_max_delay(SimSpan::from_micros(20));
+    let cfg = ClusterConfig::paper_cluster()
+        .with_nodes(16)
+        .with_seed(0x5EED)
+        .with_mm_standbys(2)
+        .with_telemetry(true)
+        .with_fault_detection(4)
+        .with_faults(faults)
+        .with_failure_policy(FailurePolicy::requeue())
+        .with_delivery_order(order);
+    let mut c = Cluster::new(cfg);
+    c.enable_tracing();
+    c.register_query("quarantine", Condition::QuarantinedAbove(0));
+    c.submit_at(
+        SimTime::from_millis(5),
+        JobSpec::new(AppSpec::do_nothing_mb(4), 32),
+    );
+    c.submit_at(
+        SimTime::from_millis(20),
+        JobSpec::new(
+            AppSpec::Synthetic {
+                compute: SimSpan::from_millis(80),
+            },
+            16,
+        ),
+    );
+    c
+}
+
+/// Checkpoint→restore→resume is byte-identical under a delivery-order
+/// hook and faults too: a checkpoint taken before the first launch,
+/// mid-transfer, mid-run or after the MM failover, restored and resumed
+/// to the horizon, ends with the uninterrupted run's trace, alert log,
+/// telemetry snapshot and checkpoint bytes.
+#[test]
+fn checkpoint_restore_resume_is_byte_identical_under_hooks_and_faults() {
+    let horizon = SimTime::from_millis(300);
+    let mut live = hooked_faulty_cluster();
+    live.run_until(horizon);
+    let want = (
+        live.trace(),
+        live.alerts().to_vec(),
+        live.metrics_snapshot().to_json(),
+        live.checkpoint(),
+    );
+    assert_eq!(
+        live.world().repl.promotions,
+        1,
+        "the primary's kill fails over"
+    );
+    assert!(!live.alerts().is_empty(), "the crash raises the query");
+    let launch = JobId(0);
+    // A checkpoint instant, when it falls, and a check that it does.
+    type Pause = (u64, &'static str, fn(&Cluster) -> bool);
+    let pauses: [Pause; 4] = [
+        (2, "before the first launch", |c| {
+            c.world().jobs.iter().all(|j| j.metrics.submitted.is_none())
+        }),
+        (15, "mid-transfer", |c| {
+            c.job(JobId(0)).state == JobState::Transferring
+        }),
+        (70, "mid-run", |c| {
+            c.world()
+                .placed_jobs()
+                .any(|j| j.state == JobState::Running)
+        }),
+        (130, "after the failover", |c| c.world().mm_active_rank != 0),
+    ];
+    for (ms, when, holds) in pauses {
+        let mut paused = hooked_faulty_cluster();
+        paused.run_until(SimTime::from_millis(ms));
+        assert!(holds(&paused), "{ms} ms is not {when}");
+        let mut resumed = Cluster::restore(&paused.checkpoint()).expect("restore");
+        resumed.run_until(horizon);
+        let got = (
+            resumed.trace(),
+            resumed.alerts().to_vec(),
+            resumed.metrics_snapshot().to_json(),
+            resumed.checkpoint(),
+        );
+        assert_eq!(got.0, want.0, "trace, resumed {when}");
+        assert_eq!(got.1, want.1, "alert log, resumed {when}");
+        assert_eq!(got.2, want.2, "telemetry, resumed {when}");
+        assert!(got.3 == want.3, "final checkpoint, resumed {when}");
+    }
+    assert_eq!(live.job(launch).state, JobState::Completed);
 }
 
 /// The continuous-query zero-cost contract: with no queries registered
