@@ -10,6 +10,12 @@
 //! Buddy allocation keeps gangs on contiguous, aligned node ranges — which
 //! is also what lets the launch protocol address a job with a single
 //! `NodeSet::Range` multicast destination.
+//!
+//! [`BuddyAllocator::can_alloc`] tells whether [`BuddyAllocator::alloc`]
+//! would grant a request without changing the tree. Both run one private
+//! search, so the refusal rules (zero nodes, more than the usable nodes,
+//! no free block large enough) are written once, and a scheduler can test
+//! a fit without copying the allocator.
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -92,22 +98,29 @@ impl BuddyAllocator {
         total
     }
 
-    /// Allocate a block of at least `count` nodes (rounded up to a power of
-    /// two). Returns the node range, or `None` if no suitable block exists.
-    pub fn alloc(&mut self, count: u32) -> Option<Range<u32>> {
+    /// The free block [`BuddyAllocator::alloc`] would split for `count`
+    /// nodes, as `(order, start)`: the lowest-starting block of the
+    /// smallest order that holds them. `None` refuses the request — zero
+    /// nodes, more than the usable nodes, or no free block that large.
+    fn find(&self, count: u32) -> Option<(usize, u32)> {
         if count == 0 || count > self.usable {
             return None;
         }
         let want = order_for(count) as usize;
-        // Find the smallest free block of order ≥ want.
-        let mut found = None;
-        for order in want..self.free.len() {
-            if let Some(&start) = self.free[order].iter().next() {
-                found = Some((order, start));
-                break;
-            }
-        }
-        let (mut order, start) = found?;
+        (want..self.free.len()).find_map(|order| self.free[order].first().map(|&s| (order, s)))
+    }
+
+    /// Would [`BuddyAllocator::alloc`] grant `count` nodes? Reads the free
+    /// lists only.
+    pub fn can_alloc(&self, count: u32) -> bool {
+        self.find(count).is_some()
+    }
+
+    /// Allocate a block of at least `count` nodes (rounded up to a power of
+    /// two). Returns the node range, or `None` if no suitable block exists.
+    pub fn alloc(&mut self, count: u32) -> Option<Range<u32>> {
+        let (mut order, start) = self.find(count)?;
+        let want = order_for(count) as usize;
         self.free[order].remove(&start);
         // Split down to the wanted order, freeing the upper halves.
         while order > want {

@@ -1350,7 +1350,7 @@ impl Replica {
             )
         };
         let mut fit = needed;
-        while fit > 1 && !ctx.world_ref().matrix.can_place(fit) {
+        while fit > 1 && !ctx.world_ref().matrix.fits(fit) {
             fit /= 2;
         }
         if fit < needed {
