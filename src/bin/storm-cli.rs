@@ -107,7 +107,11 @@ fn cmd_launch(args: &Args) -> Result<(), String> {
         .with_load(load)
         .with_seed(seed);
     cfg.fs = fs;
-    let mut cluster = build(cfg)?;
+    cfg.validate()?;
+    if pes == 0 {
+        return Err("--pes must be ≥ 1: a job needs at least one rank".into());
+    }
+    let mut cluster = Cluster::new(cfg);
     let job =
         cluster.try_submit_at(SimTime::ZERO, JobSpec::new(AppSpec::do_nothing_mb(mb), pes))?;
     cluster.run_until_idle();
@@ -129,6 +133,9 @@ fn cmd_gang(args: &Args) -> Result<(), String> {
     let quantum_us: u64 = args.num("quantum-us", 50_000)?;
     let mpl: u32 = args.num("mpl", 2)?;
     let seed: u64 = args.num("seed", 0x57)?;
+    if mpl == 0 {
+        return Err("--mpl must be ≥ 1: it is the number of jobs to gang-schedule".into());
+    }
     let app = match args.get("app").unwrap_or("sweep3d") {
         "sweep3d" => AppSpec::sweep3d_default(),
         "synthetic" => AppSpec::synthetic_default(),
@@ -190,12 +197,13 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         .with_timeslice(SimSpan::from_millis(50))
         .with_seed(seed);
     cfg.mpl_max = mpl;
-    let mut cluster = build(cfg)?;
     let stream = StreamConfig {
         jobs,
         ..StreamConfig::default()
-    }
-    .generate(&mut DeterministicRng::new(seed));
+    };
+    stream.validate()?;
+    let mut cluster = build(cfg)?;
+    let stream = stream.generate(&mut DeterministicRng::new(seed));
     let ids = stream
         .iter()
         .map(|j| {

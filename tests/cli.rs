@@ -1,7 +1,8 @@
-//! `storm-cli` refuses a cluster configuration that
-//! `ClusterConfig::validate` refuses: it exits 1 with the reason on
-//! stderr, instead of panicking in `Cluster::new` or aborting on an
-//! allocation it cannot make.
+//! `storm-cli` refuses input it cannot run — a cluster configuration
+//! that `ClusterConfig::validate` refuses, a job of zero ranks, a gang
+//! of zero jobs, a stream that `StreamConfig::validate` refuses: it
+//! exits 1 with the reason on stderr, instead of panicking or aborting
+//! on an allocation it cannot make.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -34,7 +35,7 @@ fn run(args: &[&str], limit: Duration) -> (Option<i32>, String) {
 }
 
 #[test]
-fn an_invalid_cluster_exits_1_with_the_reason() {
+fn invalid_input_exits_1_with_the_reason() {
     for (args, reason) in [
         (&["launch", "--nodes", "0"][..], "nodes must be ≥ 1"),
         (
@@ -47,6 +48,9 @@ fn an_invalid_cluster_exits_1_with_the_reason() {
             &["launch", "--nodes", "4294967295"],
             "dæmons a cluster may have",
         ),
+        (&["launch", "--pes", "0"], "--pes must be ≥ 1"),
+        (&["gang", "--mpl", "0"], "--mpl must be ≥ 1"),
+        (&["trace", "--jobs", "0"], "stream needs at least one job"),
     ] {
         let (code, stderr) = run(args, Duration::from_secs(60));
         assert_eq!(code, Some(1), "storm-cli {args:?}: {stderr}");
